@@ -19,9 +19,8 @@ from . import grid as gr
 from .errors import (DomainError, GuardViolation, MeanMismatch, NewtonDivergence,
                      RangeError)
 from .grid import ScalarField
-from .model import AprioriDiagnostics, EnergyBreakdown, apriori_diagnostics, energy, mu
-from .potential import as_nonlinearity
-from .stepper import _STEPPERS, SolverConfig, _nonlinearity
+from .model import AprioriDiagnostics, EnergyBreakdown, State
+from .stepper import _FAST_ITERS, _STEPPERS, SolverConfig, _completed, _nonlinearity
 
 CSV_COLUMNS = ["t", "dt", "mass", "E_total", "E_willmore", "E_ch_grad", "E_ch_pot",
                "grad_mu_sq", "min_u", "max_u", "delta_sep", "beta_l2", "grad_beta_l2",
@@ -57,32 +56,29 @@ class RunLedger:
         self.dim = dim
         self.on_record = None  # optional hook(u, row, index), e.g. for snapshots
 
-    def record(self, u: ScalarField, t: float, dt: float, p,
-               mu_field: Optional[ScalarField] = None,
-               rejections: int = 0) -> LedgerRow:
-        """Compute all columns for state u at time t and append the row.
+    def record(self, u, t: float, dt: float, p=None, rejections: int = 0) -> LedgerRow:
+        """Append the row of state u at time t.
 
-        Passing the already-computed chemical potential `mu_field` saves the
-        dominant transform cost; everything else is derived here.
+        `u` is an accepted, completed State, whose columns are read as they
+        are; for a bare field the State is built and completed here (with
+        the nonlinearity `p`).
         """
-        nl = as_nonlinearity(p)
+        state = _completed(u, p)
+        u = state.u
         if self.dim is None:
             self.dim = u.grid.dim
-        if mu_field is None:
-            mu_field = mu(u, nl)
-        e = energy(u, nl)
         min_u = float(np.min(u.values))
         max_u = float(np.max(u.values))
         row = LedgerRow(
             t=float(t),
             dt=float(dt),
             mass=gr.mean(u),
-            energy=e,
-            grad_mu_sq=gr.h1_seminorm(mu_field) ** 2,
+            energy=state.energy,
+            grad_mu_sq=state.grad_mu_sq,
             min_u=min_u,
             max_u=max_u,
             delta_sep=1.0 - max(abs(min_u), abs(max_u)),
-            apriori=apriori_diagnostics(u, nl),
+            apriori=state.apriori,
             rejections=int(rejections),
         )
         if self.rows and row.t <= self.rows[-1].t:
@@ -155,9 +151,12 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
     """Track ||u1 - u2||_{V0'} along paired trajectories and fit the envelope.
 
     The two runs share one adaptive controller (lockstep dt), so distances
-    are sampled at common times.  C is fitted by least squares on
-    log d^2(t), excluding the startup window t < 5*dt0; envelope_ok checks
-    d^2(t) <= d^2(0) * exp(C t) with one percent slack on the rate.
+    are sampled at common times.  Each distance is read from the two
+    states' coefficients with the mass mode left out, so the roundoff mean
+    of u1 - u2 cannot trip the zero-mean precondition of the dual norm.
+    C is fitted by least squares on log d^2(t), excluding the startup
+    window t < 5*dt0; envelope_ok checks d^2(t) <= d^2(0) * exp(C t) with
+    one percent slack on the rate.
     """
     if abs(gr.mean(u01) - gr.mean(u02)) > 1e-12:
         raise MeanMismatch(
@@ -166,19 +165,20 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
     nl = _nonlinearity(p, cfg)
     step_fn = _STEPPERS[cfg.scheme]
 
+    def distance(a: State, b: State) -> float:
+        return gr.dual_norm_coeffs(a.u_hat - b.u_hat, a.u.grid)
+
+    s1, s2 = _completed(u01, nl), _completed(u02, nl)
     times = [0.0]
-    dist = [gr.v0_dual_norm(u01 - u02)] if not identical else [0.0]
-    u1, u2 = u01, u02
-    e1 = energy(u1, nl).total
-    e2 = energy(u2, nl).total
+    dist = [distance(s1, s2)]
     t, dt = 0.0, min(cfg.dt0, t_end)
     while t < t_end * (1.0 - 1e-14):
         dt_try = min(dt, t_end - t)
         try:
-            r1 = step_fn(u1, dt_try, nl, cfg)
-            r2 = step_fn(u2, dt_try, nl, cfg)
-            ok = (r1.energy_after <= e1 + cfg.energy_tol and
-                  r2.energy_after <= e2 + cfg.energy_tol)
+            r1 = step_fn(s1, dt_try, nl, cfg)
+            r2 = step_fn(s2, dt_try, nl, cfg)
+            ok = (r1.state.energy.total <= s1.energy.total + cfg.energy_tol and
+                  r2.state.energy.total <= s2.energy.total + cfg.energy_tol)
         except (DomainError, GuardViolation, NewtonDivergence):
             ok = False
         if not ok:
@@ -186,11 +186,13 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
                 raise RangeError("paired run rejected at dt_min")
             dt = max(cfg.dt_min, 0.5 * dt_try)
             continue
-        u1, u2, e1, e2 = r1.field, r2.field, r1.energy_after, r2.energy_after
+        s1, s2 = r1.state, r2.state
+        s1.complete()
+        s2.complete()
         t += dt_try
         times.append(t)
-        dist.append(gr.v0_dual_norm(u1 - u2))
-        if max(r1.inner_iters, r2.inner_iters) <= 4:
+        dist.append(distance(s1, s2))
+        if max(r1.inner_iters, r2.inner_iters) <= _FAST_ITERS:
             dt = min(cfg.dt_max, dt_try * cfg.growth_factor)
 
     times_arr = np.array(times)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 from scipy.fft import dct, dst, fftfreq, fftn, ifftn
@@ -95,9 +96,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class OperatorSymbol:
-    """Eigenvalues of A = -Laplacian per spectral mode (transform layout)."""
+    """Eigenvalues of A = -Laplacian per spectral mode (transform layout),
+    with the per-axis wavenumbers they are summed from."""
 
     eigenvalues: np.ndarray
+    wavenumbers: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         ev = self.eigenvalues
@@ -109,29 +112,17 @@ class OperatorSymbol:
 
 @lru_cache(maxsize=64)
 def _symbol_cached(grid: Grid) -> OperatorSymbol:
-    per_axis = []
+    wavenumbers = []
     for l, n in zip(grid.lengths, grid.counts):
         if grid.bc == NEUMANN:
-            k = np.arange(n) * np.pi / l
+            wavenumbers.append(np.arange(n) * np.pi / l)
         else:
-            k = 2.0 * np.pi * fftfreq(n, d=l / n) * 1.0
-        per_axis.append(k**2)
-    ev = per_axis[0]
-    for ax in per_axis[1:]:
-        ev = np.add.outer(ev, ax)
+            wavenumbers.append(2.0 * np.pi * fftfreq(n, d=l / n))
+    ev = wavenumbers[0] ** 2
+    for k in wavenumbers[1:]:
+        ev = np.add.outer(ev, k**2)
     ev = np.ascontiguousarray(ev.reshape(grid.counts))
-    return OperatorSymbol(ev)
-
-
-@lru_cache(maxsize=64)
-def _wavenumbers_cached(grid: Grid) -> tuple[np.ndarray, ...]:
-    out = []
-    for l, n in zip(grid.lengths, grid.counts):
-        if grid.bc == NEUMANN:
-            out.append(np.arange(n) * np.pi / l)
-        else:
-            out.append(2.0 * np.pi * fftfreq(n, d=l / n))
-    return tuple(out)
+    return OperatorSymbol(ev, tuple(wavenumbers))
 
 
 class ScalarField:
@@ -286,7 +277,7 @@ def gradient_axis(u: ScalarField, axis: int) -> np.ndarray:
     """Spectral partial derivative along one axis, sampled on the grid."""
     grid = u.grid
     n = grid.counts[axis]
-    k = _wavenumbers_cached(grid)[axis]
+    k = grid.symbol().wavenumbers[axis]
     if grid.bc == PERIODIC:
         shape = [1] * grid.dim
         shape[axis] = n
@@ -338,6 +329,18 @@ def v0_dual_norm(g: ScalarField) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
+def dual_norm_coeffs(coeffs: np.ndarray, grid: Grid) -> float:
+    """||g||_{V0'} of the zero-mean part of g, from g's coefficients.
+
+    sqrt(sum over lambda_m > 0 of |c_m|^2 / lambda_m * w): equal to
+    `v0_dual_norm` on zero-mean fields (Parseval), up to roundoff.  The
+    mass mode is left out, so no zero-mean precondition applies.
+    """
+    ev = grid.symbol().eigenvalues
+    live = ev > 0.0
+    return float(np.sqrt(np.sum(np.abs(coeffs[live]) ** 2 / ev[live]) * grid.cell_volume))
+
+
 # ---------------------------------------------------------------------------
 # dealiased products (optional 2x zero-padded evaluation)
 
@@ -361,6 +364,20 @@ def pad_eval(func, *fields: ScalarField) -> ScalarField:
     return restrict(ScalarField(fine, fine_vals), grid)
 
 
+def _fourier_blocks(coarse: tuple[int, ...], fine: tuple[int, ...]):
+    """Pairs of index blocks (coarse, fine) holding the same Fourier modes.
+
+    Per axis, coarse indices 0..n//2 keep their place and the negative
+    frequencies n//2+1..n-1 move to the end of the fine axis, so the
+    modes form 2^d rectangular blocks.
+    """
+    per_axis = [((slice(0, n // 2 + 1), slice(0, n // 2 + 1)),
+                 (slice(n // 2 + 1, n), slice(fn - n + n // 2 + 1, fn)))
+                for n, fn in zip(coarse, fine)]
+    for combo in product(*per_axis):
+        yield tuple(c for c, _ in combo), tuple(f for _, f in combo)
+
+
 def interpolate(u: ScalarField, fine: Grid) -> ScalarField:
     coarse = u.grid
     c = transform_forward(u)
@@ -372,9 +389,8 @@ def interpolate(u: ScalarField, fine: Grid) -> ScalarField:
         return transform_backward(out, fine)
     out = np.zeros(fine.shape, dtype=complex)
     src = fftn(u.values)
-    for idx in np.ndindex(*coarse.shape):
-        tgt = tuple(i if i <= n // 2 else i + fn - n for i, n, fn in zip(idx, coarse.shape, fine.shape))
-        out[tgt] = src[idx]
+    for kept, placed in _fourier_blocks(coarse.shape, fine.shape):
+        out[placed] = src[kept]
     out *= np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)])
     return ScalarField(fine, np.real(ifftn(out)))
 
@@ -388,8 +404,7 @@ def restrict(u: ScalarField, coarse: Grid) -> ScalarField:
         return transform_backward(kept, coarse)
     src = fftn(u.values)
     out = np.zeros(coarse.shape, dtype=complex)
-    for idx in np.ndindex(*coarse.shape):
-        srcidx = tuple(i if i <= n // 2 else i + fn - n for i, n, fn in zip(idx, coarse.shape, fine.shape))
-        out[idx] = src[srcidx]
+    for kept, placed in _fourier_blocks(coarse.shape, fine.shape):
+        out[kept] = src[placed]
     out /= np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)])
     return ScalarField(coarse, np.real(ifftn(out)))

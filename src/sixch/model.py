@@ -16,7 +16,10 @@ oracles for one another.  The default used for time stepping is UOM1,
          + beta(u) beta'(u) + (2 lam - eta) lap(u) + g(u),
 
 whose nonlinear terms are exactly the quantities the diagnostic functionals
-below monitor.
+below monitor.  `State` evaluates a state once: the energy breakdown the
+dissipation test reads and, for an accepted state, the UOM1 mu and the
+diagnostic scalars.  `energy`, `apriori_diagnostics`, `mu_mean` and the
+UOM1 branch of `mu` delegate to it.
 """
 
 from __future__ import annotations
@@ -62,6 +65,79 @@ class AprioriDiagnostics:
     mu_mean: float
 
 
+def _spectral_sq(ev: np.ndarray, coeffs: np.ndarray):
+    """sum_m lambda_m |c_m|^2, the squared H1 seminorm before quadrature."""
+    return np.sum(ev * np.abs(coeffs) ** 2)
+
+
+class State:
+    """One evaluated state u: every quantity of it is computed here, once.
+
+    Construction evaluates a candidate.  It checks the domain once
+    (|u| < 1 in exact mode, which covers F, f and beta alike), then
+    computes the beta, beta', beta'' trio, the coefficients u_hat, A u and
+    the energy breakdown, which is all the dissipation test reads.
+
+    `complete` finishes an accepted state: g, |grad u|^2, beta_hat, the
+    UOM1 chemical potential mu, mu_hat, ||grad mu||^2 and the a-priori
+    scalars.  It returns mu and keeps only what a later step reads (u,
+    u_hat, mu_hat) besides the scalars; the other arrays are released.
+    """
+
+    __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq", "apriori",
+                 "_beta", "_a_u")
+
+    def __init__(self, u: ScalarField, p):
+        nl = as_nonlinearity(p)
+        vals = u.values
+        nl.check(vals)
+        grid = u.grid
+        ev = grid.symbol().eigenvalues
+        w = grid.cell_volume
+        eta = nl.params.eta
+        self.u, self.nl = u, nl
+        self._beta = nl.beta_all(vals)
+        self.u_hat = gr.transform_forward(u)
+        self._a_u = gr.transform_backward(ev * self.u_hat, grid).values
+        om_vals = self._a_u + (self._beta[0] - nl.params.lam * vals)  # -lap(u) + f(u)
+        willmore = 0.5 * float(np.sum(om_vals**2)) * w
+        ch_grad = 0.5 * eta * float(_spectral_sq(ev, self.u_hat)) * w
+        ch_pot = eta * float(np.sum(nl.F(vals))) * w
+        self.energy = EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
+        self.mu_hat = self.grad_mu_sq = self.apriori = None
+
+    def complete(self) -> ScalarField:
+        """Evaluate mu and the ledger scalars of an accepted state; return mu."""
+        u, nl = self.u, self.nl
+        grid, vals = u.grid, u.values
+        lam, eta = nl.params.lam, nl.params.eta
+        ev = grid.symbol().eigenvalues
+        w = grid.cell_volume
+        beta, beta1, beta2 = self._beta
+        g_vals = nl.g(vals)
+        gsq = gr.grad_norm_sq_field(u).values
+        beta_hat = gr.transform_forward(ScalarField(grid, beta))
+        lap_beta = -gr.transform_backward(beta_hat * ev, grid).values
+        lap2_u = gr.transform_backward(ev**2 * self.u_hat, grid).values
+        lap_u = -self._a_u
+        self._beta = self._a_u = None
+        b_vals = beta * beta1
+        curv = beta2 * gsq
+        common = b_vals + (2.0 * lam - eta) * lap_u + g_vals
+        mu_field = ScalarField(grid, lap2_u - 2.0 * lap_beta + curv + common)
+        self.mu_hat = gr.transform_forward(mu_field)
+        self.grad_mu_sq = float(np.sqrt(_spectral_sq(ev, self.mu_hat) * w)) ** 2
+        self.apriori = AprioriDiagnostics(
+            beta_l2=float(np.sqrt(np.sum(beta**2) * w)),
+            grad_beta_l2=float(np.sqrt(_spectral_sq(ev, beta_hat) * w)),
+            beta_betaprime_l1=float(np.sum(np.abs(b_vals)) * w),
+            m_integral=float(np.sum(_M(np.abs(b_vals))) * w),
+            n_integral=float(np.sum(_N(np.abs(curv))) * w),
+            mu_mean=float(np.sum(curv + b_vals + g_vals)) / vals.size,
+        )
+        return mu_field
+
+
 def omega(u: ScalarField, p, dealias: bool = False) -> ScalarField:
     """Fourth-order chemical potential omega = -lap(u) + f(u).
 
@@ -82,6 +158,8 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1,
        dealias: bool = False) -> ScalarField:
     """Chemical potential of the sixth-order flow, per the selected form."""
     nl = as_nonlinearity(p)
+    if form is MuFormulation.UOM1 and not dealias:
+        return State(u, nl).complete()
     nl.check(u.values)
     lam, eta = nl.params.lam, nl.params.eta
 
@@ -107,10 +185,6 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1,
     if form is MuFormulation.UOM:
         lap_beta = gr.laplacian(ScalarField(u.grid, beta)).values
         out = lap2_u - lap_beta - beta1 * lap_u + common
-    elif form is MuFormulation.UOM1:
-        lap_beta = gr.laplacian(ScalarField(u.grid, beta)).values
-        gsq = gr.grad_norm_sq_field(u).values
-        out = lap2_u - 2.0 * lap_beta + beta2 * gsq + common
     elif form is MuFormulation.UOM2:
         gsq = gr.grad_norm_sq_field(u).values
         out = lap2_u - 2.0 * beta1 * lap_u - beta2 * gsq + common
@@ -129,22 +203,8 @@ def _a_extended(nl: Nonlinearity, vals):
 
 
 def energy(u: ScalarField, p) -> EnergyBreakdown:
-    """Energy breakdown; requires |u| <= 1 in exact mode (F is defined there)."""
-    nl = as_nonlinearity(p)
-    nl.check(u.values, closed=True)
-    eta = nl.params.eta
-    # f is singular at |u| = 1; on closed-domain states the omega part of the
-    # energy is +infinity there, which numpy would turn into inf/nan.  Guard:
-    if nl.exact and np.any(np.abs(u.values) >= 1.0):
-        raise DomainError("energy omega-term needs |u| < 1 strictly")
-    ev = u.grid.symbol().eigenvalues
-    u_hat = gr.transform_forward(u)
-    om_vals = gr.transform_backward(ev * u_hat, u.grid).values + nl.f(u.values)
-    w = u.grid.cell_volume
-    willmore = 0.5 * float(np.sum(om_vals**2)) * w
-    ch_grad = 0.5 * eta * float(np.sum(ev * np.abs(u_hat) ** 2)) * w
-    ch_pot = eta * float(np.sum(nl.F(u.values))) * w
-    return EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
+    """Energy breakdown; requires |u| < 1 in exact mode (f is singular at +-1)."""
+    return State(u, p).energy
 
 
 def mu_mean(u: ScalarField, p) -> float:
@@ -156,12 +216,7 @@ def mu_mean(u: ScalarField, p) -> float:
     Computed this way the mass mode of mu never depends on spectral
     cancellation of the differential terms.
     """
-    nl = as_nonlinearity(p)
-    nl.check(u.values)
-    beta, beta1, beta2 = nl.beta_all(u.values)
-    gsq = gr.grad_norm_sq_field(u).values
-    dens = beta2 * gsq + beta * beta1 + nl.g(u.values)
-    return float(np.sum(dens)) / u.values.size
+    return apriori_diagnostics(u, p).mu_mean
 
 
 def arcsin_functional(u: ScalarField) -> float:
@@ -200,21 +255,9 @@ def arcsin_gateaux(u: ScalarField, phi: ScalarField) -> float:
 def apriori_diagnostics(u: ScalarField, p) -> AprioriDiagnostics:
     """The a-priori quantities: beta norms, B = beta*beta', and the
     superlinear integrals of M(|B|) and N(|beta''(u)|grad u|^2|)."""
-    nl = as_nonlinearity(p)
-    nl.check(u.values)
-    w = u.grid.cell_volume
-    beta, beta1, beta2 = nl.beta_all(u.values)
-    beta_l2 = float(np.sqrt(np.sum(beta**2) * w))
-    grad_beta_l2 = gr.h1_seminorm(ScalarField(u.grid, beta))
-    b_vals = beta * beta1
-    beta_betaprime_l1 = float(np.sum(np.abs(b_vals)) * w)
-    gsq = gr.grad_norm_sq_field(u).values
-    a_vals = np.abs(beta2 * gsq)
-    m_integral = float(np.sum(_M(np.abs(b_vals))) * w)
-    n_integral = float(np.sum(_N(a_vals)) * w)
-    mean_mu = float(np.sum(beta2 * gsq + b_vals + nl.g(u.values))) / u.values.size
-    return AprioriDiagnostics(beta_l2, grad_beta_l2, beta_betaprime_l1,
-                              m_integral, n_integral, mean_mu)
+    state = State(u, p)
+    state.complete()
+    return state.apriori
 
 
 def _M(r):

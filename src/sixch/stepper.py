@@ -18,12 +18,16 @@ Two first-order integrators are provided:
   solves preconditioned by the IMEX operator, and an update damping that
   keeps iterates strictly inside the admissible set (the separation guard).
 
+Both steps start from a completed `model.State` (a bare field is
+evaluated first) and read its coefficients u_hat and mu_hat; they return
+the new state as a candidate `State`, which carries the energy breakdown.
 Neither scheme is provably energy stable for this energy, so `advance`
-enforces dissipation a posteriori: a step whose energy rises by more than
-``energy_tol`` is rejected and retried with half the step size.  Admissible
-constant states are exact fixed points of both schemes.  A single `advance`
-call is sequential and owns its workspace; independent calls may run
-concurrently.
+enforces dissipation a posteriori: a candidate whose energy rises by more
+than ``energy_tol`` is rejected and retried with half the step size.  An
+accepted candidate is completed once (mu, mu_hat and the ledger scalars)
+and serves both the ledger row and the next step.  Admissible constant
+states are exact fixed points of both schemes.  A single `advance` call is
+sequential and owns its workspace; independent calls may run concurrently.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
 from .grid import ScalarField
-from .model import energy, mu
+from .model import State
 from .potential import Nonlinearity, PotentialParams, TruncationLevel, as_nonlinearity
 
 IMEX = "imex"
@@ -78,11 +82,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepResult:
-    field: ScalarField
+    state: State  # the candidate, evaluated but not completed
     dt_used: float
-    accepted: bool
     inner_iters: int
-    energy_after: float
+
+    @property
+    def field(self) -> ScalarField:
+        return self.state.u
 
 
 def default_stabilization(p: PotentialParams, truncation: Optional[TruncationLevel] = None,
@@ -123,25 +129,27 @@ def _nonlinearity(p, cfg: SolverConfig) -> Nonlinearity:
     return nl
 
 
-def step_imex(u: ScalarField, dt: float, p, cfg: SolverConfig,
-              mu_field: Optional[ScalarField] = None,
-              energy_before: Optional[float] = None) -> StepResult:
-    """One stabilized IMEX step; `mu_field` may pass a precomputed mu(u).
+def _completed(u, p) -> State:
+    """u itself when it is a (completed) State, else the completed State of u."""
+    if isinstance(u, State):
+        return u
+    state = State(u, p)
+    state.complete()
+    return state
 
-    When `energy_before` is given, the result's `accepted` flag reports the
-    dissipation test energy_after <= energy_before + energy_tol; otherwise
-    the proposal is returned as accepted and the caller decides.
-    """
+
+def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
+    """One stabilized IMEX step from u, a completed State or a bare field."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     nl = _nonlinearity(p, cfg)
+    prev = _completed(u, nl)
+    u = prev.u
     s1, s2 = _resolve(cfg, nl.params, sup_u=float(np.max(np.abs(u.values))))
-    if mu_field is None:
-        mu_field = mu(u, nl)
     ev = u.grid.symbol().eigenvalues
-    u_hat = gr.transform_forward(u)
+    u_hat = prev.u_hat
     # R_hat = mu_hat - a^2 u_hat isolates everything but the bilaplacian.
-    r_hat = gr.transform_forward(mu_field) - ev**2 * u_hat
+    r_hat = prev.mu_hat - ev**2 * u_hat
     stab = s1 * ev**2 + s2 * ev
     new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (ev**3 + stab))
     new_hat.flat[0] = u_hat.flat[0]  # mass mode copied exactly
@@ -149,18 +157,16 @@ def step_imex(u: ScalarField, dt: float, p, cfg: SolverConfig,
         u_new = u.copy()  # spectral fixed point (e.g. constants): stay bit-identical
     else:
         u_new = gr.transform_backward(new_hat, u.grid)
-    e_after = energy(u_new, nl).total
-    ok = True if energy_before is None else e_after <= energy_before + cfg.energy_tol
-    return StepResult(u_new, dt, ok, 1, e_after)
+    return StepResult(State(u_new, nl), dt, 1)
 
 
-def step_implicit(u: ScalarField, dt: float, p, cfg: SolverConfig,
-                  mu_field: Optional[ScalarField] = None,
-                  energy_before: Optional[float] = None) -> StepResult:
-    """One damped Newton--Krylov step for the fully implicit update."""
+def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
+    """One damped Newton--Krylov step from u, a completed State or a bare field."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     nl = _nonlinearity(p, cfg)
+    prev = _completed(u, nl)
+    u = prev.u
     s1, s2 = _resolve(cfg, nl.params, sup_u=float(np.max(np.abs(u.values))))
     grid = u.grid
     ev = grid.symbol().eigenvalues
@@ -173,9 +179,9 @@ def step_implicit(u: ScalarField, dt: float, p, cfg: SolverConfig,
     lam, eta = nl.params.lam, nl.params.eta
 
     def apply_G(v_vals: np.ndarray) -> np.ndarray:
-        v = ScalarField(grid, v_vals.reshape(grid.shape))
-        mu_v = mu(v, nl)
-        lap_mu = gr.apply_A(mu_v, 1).values
+        v = State(ScalarField(grid, v_vals.reshape(grid.shape)), nl)
+        v.complete()
+        lap_mu = gr.transform_backward(v.mu_hat * ev, grid).values  # A mu(v)
         return (v_vals.reshape(grid.shape) - u.values + dt * lap_mu).ravel()
 
     def make_jac_vec(v_vals: np.ndarray):
@@ -204,7 +210,7 @@ def step_implicit(u: ScalarField, dt: float, p, cfg: SolverConfig,
         return jac_vec
 
     v_vals = u.values.copy().ravel()
-    g_vec = (dt * gr.apply_A(mu_field if mu_field is not None else mu(u, nl), 1).values).ravel()
+    g_vec = (dt * gr.transform_backward(prev.mu_hat * ev, grid).values).ravel()
     norm_u = float(np.linalg.norm(u.values)) * np.sqrt(grid.cell_volume)
     tol = cfg.newton_tol * norm_u
 
@@ -222,8 +228,8 @@ def step_implicit(u: ScalarField, dt: float, p, cfg: SolverConfig,
             w_hat = gr.transform_forward(ScalarField(grid, w.reshape(grid.shape)))
             return gr.transform_backward(w_hat / precond_diag, grid).values.ravel()
 
-        J = LinearOperator((n_dof, n_dof), matvec=make_jac_vec(v_vals))
-        M = LinearOperator((n_dof, n_dof), matvec=precond)
+        J = LinearOperator((n_dof, n_dof), matvec=make_jac_vec(v_vals), dtype=np.float64)
+        M = LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
         delta, _ = lgmres(J, -g_vec, M=M, rtol=1e-4, atol=0.0, maxiter=40)
 
         # damp the update so the iterate keeps the separation guard
@@ -244,11 +250,9 @@ def step_implicit(u: ScalarField, dt: float, p, cfg: SolverConfig,
         u_new = u.copy()  # converged without moving (constants in 0 iterations)
     else:
         new_hat = gr.transform_forward(ScalarField(grid, v_vals.reshape(grid.shape)))
-        new_hat.flat[0] = gr.transform_forward(u).flat[0]  # pin the mass mode
+        new_hat.flat[0] = prev.u_hat.flat[0]  # pin the mass mode
         u_new = gr.transform_backward(new_hat, grid)
-    e_after = energy(u_new, nl).total
-    ok = True if energy_before is None else e_after <= energy_before + cfg.energy_tol
-    return StepResult(u_new, dt, ok, max(iters, 1), e_after)
+    return StepResult(State(u_new, nl), dt, max(iters, 1))
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}
@@ -270,24 +274,21 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
     nl = _nonlinearity(p, cfg)
     step_fn = _STEPPERS[cfg.scheme]
 
-    u = u0
+    state = _completed(u0, nl)
     t = 0.0
     dt = min(cfg.dt0, t_end)
     rejections_here = 0
     steps = 0
-    mu_u = mu(u, nl)
-    e_u = energy(u, nl).total
     if ledger is not None:
-        ledger.record(u, t, 0.0, nl, mu_field=mu_u, rejections=0)
+        ledger.record(state, t, 0.0, nl, rejections=0)
 
     while t < t_end - 1e-14 * t_end:
         dt_try = min(dt, t_end - t)
         try:
-            result = step_fn(u, dt_try, nl, cfg, mu_field=mu_u, energy_before=e_u)
-            ok = result.accepted
+            result = step_fn(state, dt_try, nl, cfg)
+            ok = result.state.energy.total <= state.energy.total + cfg.energy_tol
         except (DomainError, GuardViolation, NewtonDivergence):
             ok = False
-            result = None
         if not ok:
             if dt_try <= cfg.dt_min * (1.0 + 1e-12):
                 raise StepFloorError(
@@ -297,13 +298,12 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
             rejections_here += 1
             continue
 
-        u = result.field
+        state = result.state
+        state.complete()
         t += dt_try
         steps += 1
-        e_u = result.energy_after
-        mu_u = mu(u, nl)
         if ledger is not None:
-            ledger.record(u, t, dt_try, nl, mu_field=mu_u, rejections=rejections_here)
+            ledger.record(state, t, dt_try, nl, rejections=rejections_here)
         rejections_here = 0
         if result.inner_iters <= _FAST_ITERS:
             dt = min(cfg.dt_max, dt_try * cfg.growth_factor)
@@ -311,4 +311,4 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
             dt = dt_try
         if max_steps is not None and steps >= max_steps:
             break
-    return u
+    return state.u

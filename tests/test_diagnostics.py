@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,53 @@ class TestCdep:
             cfg = SolverConfig(dt0=dt, dt_min=dt, dt_max=dt)
             cs.append(cdep_experiment(u01, u02, P0, cfg, t_end=1.0).fitted_C)
         assert abs(cs[0] - cs[1]) <= 0.05 * abs(cs[1]), cs
+
+
+class TestCdepDualDistance:
+    """The pair distance is read from the states' coefficients, mass mode left out."""
+
+    def _pair(self, amplitude):
+        grid = Grid((2 * np.pi,), (128,), gr.PERIODIC)
+        u01 = generate(InitialSpec(kind="noise", mean_m=0.1, amplitude=0.02,
+                                   seed=11, cutoff=4), grid)
+        bump = generate(InitialSpec(kind="mode", mean_m=0.0, amplitude=amplitude,
+                                    mode=1), grid)
+        return u01, u01 + bump
+
+    @pytest.mark.parametrize("seed", [12, 14])
+    def test_tiny_perturbation_completes(self, seed, tmp_path):
+        # configs/cdep.ini's 1e-6 pair at a fixed step of 1.6e-4: on these
+        # seeds the roundoff mean of u1 - u2 exceeds the zero-mean tolerance
+        # of inv_A_zero_mean before t = 0.1
+        import configparser
+
+        from sixch.cli import main
+
+        cp = configparser.ConfigParser()
+        cp.read(Path(__file__).resolve().parent.parent / "configs" / "cdep.ini")
+        cp["solver"].update({"dt0": "1.6e-4", "dt_min": "1.6e-4", "dt_max": "1.6e-4"})
+        cp["cdep"].update({"amplitude": "1e-6", "t_end": "0.1"})
+        config = tmp_path / "cdep.ini"
+        with open(config, "w") as fh:
+            cp.write(fh)
+        out = tmp_path / "out"
+        assert main(["cdep", "--config", str(config), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "cdep.json").read_text())
+        assert report["times"][-1] == pytest.approx(0.1)
+        assert all(d > 0.0 for d in report["dual_distance"])
+
+    def test_matches_v0_dual_norm(self):
+        u01, u02 = self._pair(1e-3)
+        dt = 2e-3
+        cfg = SolverConfig(dt0=dt, dt_min=dt, dt_max=dt)
+        report = cdep_experiment(u01, u02, P0, cfg, t_end=0.02)
+        u1 = advance(u01, 0.02, P0, cfg)
+        u2 = advance(u02, 0.02, P0, cfg)
+        for got, (a, b) in ((report.dual_distance[0], (u01, u02)),
+                            (report.dual_distance[-1], (u1, u2))):
+            ref = gr.v0_dual_norm(a - b)
+            assert abs(got - ref) <= 1e-12 * ref
 
 
 class TestTruncationConvergence:
