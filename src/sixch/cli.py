@@ -28,12 +28,17 @@ from . import grid as gr
 from . import initdata, potential, snapshots, stepper
 from .errors import ConfigError, EngineError
 
+# [solver] keys that map one to one onto SolverConfig fields, with their
+# conversions; a key the file leaves out keeps the dataclass default.
+_SOLVER_KEYS = {"scheme": str, "dt0": float, "dt_min": float, "dt_max": float,
+                "energy_tol": float, "growth_factor": float, "newton_tol": float,
+                "newton_max_iters": int, "guard_eps": float}
+
 _SECTIONS = {
     "grid": {"dim", "counts", "lengths", "bc"},
     "potential": {"lambda", "eta", "truncation"},
     "initial": {"kind", "mean", "amplitude", "seed", "mode", "cutoff", "position", "width"},
-    "solver": {"scheme", "dt0", "dt_min", "dt_max", "s1", "s2", "energy_tol",
-               "growth_factor", "newton_tol", "newton_max_iters", "guard_eps"},
+    "solver": {*_SOLVER_KEYS, "s1", "s2"},
     "run": {"t_end", "max_steps", "snapshot_every"},
     "dispersion": {"k_indices", "length", "samples", "amplitude", "steps", "pairs"},
     "cdep": {"t_end", "mode", "amplitude", "fit_skip"},
@@ -104,23 +109,12 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
         sol = cp["solver"] if cp.has_section("solver") else {}
 
         def _opt(key):
-            raw = sol.get(key, "").strip() if sol else ""
+            raw = sol.get(key, "").strip()
             return None if raw in ("", "auto") else float(raw)
 
         solver = stepper.SolverConfig(
-            scheme=sol.get("scheme", "imex") if sol else "imex",
-            dt0=float(sol.get("dt0", 1e-3)) if sol else 1e-3,
-            dt_min=float(sol.get("dt_min", 1e-9)) if sol else 1e-9,
-            dt_max=float(sol.get("dt_max", 1e-1)) if sol else 1e-1,
-            s1=_opt("s1"),
-            s2=_opt("s2"),
-            energy_tol=float(sol.get("energy_tol", 1e-10)) if sol else 1e-10,
-            growth_factor=float(sol.get("growth_factor", 1.2)) if sol else 1.2,
-            newton_tol=float(sol.get("newton_tol", 1e-9)) if sol else 1e-9,
-            newton_max_iters=int(sol.get("newton_max_iters", 25)) if sol else 25,
-            guard_eps=float(sol.get("guard_eps", 1e-3)) if sol else 1e-3,
-            truncation=trunc,
-        )
+            s1=_opt("s1"), s2=_opt("s2"), truncation=trunc,
+            **{key: conv(sol[key]) for key, conv in _SOLVER_KEYS.items() if key in sol})
 
         run = cp["run"] if cp.has_section("run") else {}
         t_end = float(run.get("t_end", 1.0)) if run else 1.0

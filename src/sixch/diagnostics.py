@@ -16,11 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import grid as gr
-from .errors import (DomainError, GuardViolation, MeanMismatch, NewtonDivergence,
-                     RangeError)
+from .errors import MeanMismatch, RangeError
 from .grid import ScalarField
 from .model import AprioriDiagnostics, EnergyBreakdown, State
-from .stepper import _FAST_ITERS, _STEPPERS, SolverConfig, _completed, _nonlinearity
+from .stepper import SolverConfig, _completed, _march, _nonlinearity
 
 CSV_COLUMNS = ["t", "dt", "mass", "E_total", "E_willmore", "E_ch_grad", "E_ch_pot",
                "grad_mu_sq", "min_u", "max_u", "delta_sep", "beta_l2", "grad_beta_l2",
@@ -150,50 +149,31 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
                     t_end: float, fit_skip: Optional[float] = None) -> CdepReport:
     """Track ||u1 - u2||_{V0'} along paired trajectories and fit the envelope.
 
-    The two runs share one adaptive controller (lockstep dt), so distances
-    are sampled at common times.  Each distance is read from the two
-    states' coefficients with the mass mode left out, so the roundoff mean
-    of u1 - u2 cannot trip the zero-mean precondition of the dual norm.
-    C is fitted by least squares on log d^2(t), excluding the startup
-    window t < 5*dt0; envelope_ok checks d^2(t) <= d^2(0) * exp(C t) with
-    one percent slack on the rate.
+    The step controller `_march` steps the pair in lockstep with one shared
+    dt, so distances are sampled at common times; a step is rejected when
+    either trajectory's energy rises or leaves the admissible set, and a
+    rejection at dt_min raises StepFloorError.  Each distance is read from
+    the two states' coefficients with the mass mode left out, so the
+    roundoff mean of u1 - u2 cannot trip the zero-mean precondition of the
+    dual norm.  C is fitted by least squares on log d^2(t), excluding the
+    startup window t < 5*dt0; envelope_ok checks d^2(t) <= d^2(0) * exp(C t)
+    with one percent slack on the rate.
     """
     if abs(gr.mean(u01) - gr.mean(u02)) > 1e-12:
         raise MeanMismatch(
             f"means differ by {abs(gr.mean(u01) - gr.mean(u02)):.3e} (> 1e-12)")
     identical = bool(np.array_equal(u01.values, u02.values))
     nl = _nonlinearity(p, cfg)
-    step_fn = _STEPPERS[cfg.scheme]
 
     def distance(a: State, b: State) -> float:
         return gr.dual_norm_coeffs(a.u_hat - b.u_hat, a.u.grid)
 
-    s1, s2 = _completed(u01, nl), _completed(u02, nl)
+    pair = [_completed(u01, nl), _completed(u02, nl)]
     times = [0.0]
-    dist = [distance(s1, s2)]
-    t, dt = 0.0, min(cfg.dt0, t_end)
-    while t < t_end * (1.0 - 1e-14):
-        dt_try = min(dt, t_end - t)
-        try:
-            r1 = step_fn(s1, dt_try, nl, cfg)
-            r2 = step_fn(s2, dt_try, nl, cfg)
-            ok = (r1.state.energy.total <= s1.energy.total + cfg.energy_tol and
-                  r2.state.energy.total <= s2.energy.total + cfg.energy_tol)
-        except (DomainError, GuardViolation, NewtonDivergence):
-            ok = False
-        if not ok:
-            if dt_try <= cfg.dt_min * (1.0 + 1e-12):
-                raise RangeError("paired run rejected at dt_min")
-            dt = max(cfg.dt_min, 0.5 * dt_try)
-            continue
-        s1, s2 = r1.state, r2.state
-        s1.complete()
-        s2.complete()
-        t += dt_try
+    dist = [distance(*pair)]
+    for t, _, _ in _march(pair, t_end, nl, cfg):
         times.append(t)
-        dist.append(distance(s1, s2))
-        if max(r1.inner_iters, r2.inner_iters) <= _FAST_ITERS:
-            dt = min(cfg.dt_max, dt_try * cfg.growth_factor)
+        dist.append(distance(*pair))
 
     times_arr = np.array(times)
     dist_arr = np.array(dist)
@@ -326,13 +306,14 @@ def dispersion_experiment(p, k_indices: Sequence[int], length: float = 2.0 * np.
         a_expl = -sigma - b_impl
         dt = min(0.005 / abs(sigma), 2e-3 / max(abs(a_expl - b_impl), 1e-12))
         cfg = SolverConfig(scheme="imex", dt0=dt, dt_min=dt, dt_max=dt, s1=0.0, s2=0.0)
-        u = ScalarField(grid, amplitude * profile)
+        state = _completed(ScalarField(grid, amplitude * profile), p)
         proj = profile / np.sum(profile**2)
-        amps, times = [], []
-        for i in range(steps):
-            amps.append(float(np.sum(u.values * proj)))
-            times.append(i * dt)
-            u = step_imex(u, dt, p, cfg).field
+        amps = [float(np.sum(state.u.values * proj))]
+        for _ in range(steps - 1):
+            state = step_imex(state, dt, p, cfg).state
+            state.complete()
+            amps.append(float(np.sum(state.u.values * proj)))
+        times = [i * dt for i in range(steps)]
         rate = float(np.polyfit(times, np.log(np.abs(amps)), 1)[0])
         out.append(DispersionRow(j, float(k), rate, sigma, abs(rate - sigma) / abs(sigma)))
     return out

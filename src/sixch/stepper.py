@@ -21,13 +21,17 @@ Two first-order integrators are provided:
 Both steps start from a completed `model.State` (a bare field is
 evaluated first) and read its coefficients u_hat and mu_hat; they return
 the new state as a candidate `State`, which carries the energy breakdown.
-Neither scheme is provably energy stable for this energy, so `advance`
-enforces dissipation a posteriori: a candidate whose energy rises by more
-than ``energy_tol`` is rejected and retried with half the step size.  An
-accepted candidate is completed once (mu, mu_hat and the ledger scalars)
-and serves both the ledger row and the next step.  Admissible constant
-states are exact fixed points of both schemes.  A single `advance` call is
-sequential and owns its workspace; independent calls may run concurrently.
+Neither scheme is provably energy stable for this energy, so one adaptive
+step controller enforces dissipation a posteriori.  It steps k >= 1
+trajectories in lockstep with one shared dt: a trial step is rejected and
+retried with half the step size when any candidate's energy rises by more
+than ``energy_tol`` or any candidate leaves the admissible set, and a
+rejection at dt_min raises StepFloorError.  `advance` runs it on one
+trajectory and `diagnostics.cdep_experiment` on a pair.  An accepted
+candidate is completed once (mu, mu_hat and the ledger scalars) and serves
+both the ledger row and the next step.  Admissible constant states are
+exact fixed points of both schemes.  A single controller run is sequential
+and owns its workspace; independent runs may run concurrently.
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ class SolverConfig:
 @dataclass(frozen=True)
 class StepResult:
     state: State  # the candidate, evaluated but not completed
-    dt_used: float
     inner_iters: int
 
     @property
@@ -157,7 +160,7 @@ def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
         u_new = u.copy()  # spectral fixed point (e.g. constants): stay bit-identical
     else:
         u_new = gr.transform_backward(new_hat, u.grid)
-    return StepResult(State(u_new, nl), dt, 1)
+    return StepResult(State(u_new, nl), 1)
 
 
 def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
@@ -252,41 +255,35 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
         new_hat = gr.transform_forward(ScalarField(grid, v_vals.reshape(grid.shape)))
         new_hat.flat[0] = prev.u_hat.flat[0]  # pin the mass mode
         u_new = gr.transform_backward(new_hat, grid)
-    return StepResult(State(u_new, nl), dt, max(iters, 1))
+    return StepResult(State(u_new, nl), max(iters, 1))
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}
 
 
-def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
-            ledger=None, max_steps: Optional[int] = None) -> ScalarField:
-    """March from u0 to t_end (or max_steps accepted steps) adaptively.
+def _march(states: list[State], t_end: float, nl: Nonlinearity, cfg: SolverConfig):
+    """Step completed States in lockstep to t_end with one shared dt.
 
-    A trial step is rejected, and dt halved, when the energy rises by more
-    than ``energy_tol`` or the state leaves the admissible set
+    A trial step is rejected, and dt halved, when any candidate's energy
+    rises by more than ``energy_tol`` or any step leaves the admissible set
     (DomainError / guard errors in exact mode).  Rejection at dt_min raises
-    StepFloorError.  Accepted steps with fast inner convergence let dt grow
-    by ``growth_factor`` up to dt_max.  If a ledger is given, one row is
-    recorded per accepted state, including the initial one.
+    StepFloorError.  dt grows by ``growth_factor`` up to dt_max after an
+    accepted step whose inner solves were all fast.  After each accepted
+    step `states` holds the accepted states, completed, and
+    ``(t, dt, rejections)`` is yielded, with the rejections since the
+    previous accepted step.  The list is updated in place so that no
+    superseded state is alive while its successor is completed.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    nl = _nonlinearity(p, cfg)
-    step_fn = _STEPPERS[cfg.scheme]
-
-    state = _completed(u0, nl)
+    step_fn = _STEPPERS[cfg.scheme]  # looked up per run, so a swapped-in wrapper takes effect
     t = 0.0
     dt = min(cfg.dt0, t_end)
-    rejections_here = 0
-    steps = 0
-    if ledger is not None:
-        ledger.record(state, t, 0.0, nl, rejections=0)
-
+    rejections = 0
     while t < t_end - 1e-14 * t_end:
         dt_try = min(dt, t_end - t)
         try:
-            result = step_fn(state, dt_try, nl, cfg)
-            ok = result.state.energy.total <= state.energy.total + cfg.energy_tol
+            results = [step_fn(state, dt_try, nl, cfg) for state in states]
+            ok = all(r.state.energy.total <= state.energy.total + cfg.energy_tol
+                     for r, state in zip(results, states))
         except (DomainError, GuardViolation, NewtonDivergence):
             ok = False
         if not ok:
@@ -295,20 +292,42 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
                     f"step rejected at dt_min={cfg.dt_min:g} (t={t:.6g}); "
                     "energy dissipation or admissibility cannot be maintained")
             dt = max(cfg.dt_min, 0.5 * dt_try)
-            rejections_here += 1
+            rejections += 1
             continue
 
-        state = result.state
-        state.complete()
+        states[:] = [r.state for r in results]
+        for state in states:
+            state.complete()
         t += dt_try
-        steps += 1
-        if ledger is not None:
-            ledger.record(state, t, dt_try, nl, rejections=rejections_here)
-        rejections_here = 0
-        if result.inner_iters <= _FAST_ITERS:
+        yield t, dt_try, rejections
+        rejections = 0
+        if max(r.inner_iters for r in results) <= _FAST_ITERS:
             dt = min(cfg.dt_max, dt_try * cfg.growth_factor)
         else:
             dt = dt_try
+
+
+def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
+            ledger=None, max_steps: Optional[int] = None) -> ScalarField:
+    """March from u0 to t_end (or max_steps accepted steps) adaptively.
+
+    The step controller `_march` steps the one trajectory, so an energy
+    rise or a loss of admissibility halves dt, and a rejection at dt_min
+    raises StepFloorError.  If a ledger is given, one row is recorded per
+    accepted state, including the initial one, with the rejections that
+    preceded it.
+    """
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    nl = _nonlinearity(p, cfg)
+    states = [_completed(u0, nl)]
+    if ledger is not None:
+        ledger.record(states[0], 0.0, 0.0, nl, rejections=0)
+    steps = 0
+    for t, dt, rejections in _march(states, t_end, nl, cfg):
+        steps += 1
+        if ledger is not None:
+            ledger.record(states[0], t, dt, nl, rejections=rejections)
         if max_steps is not None and steps >= max_steps:
             break
-    return state.u
+    return states[0].u

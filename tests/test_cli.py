@@ -6,6 +6,7 @@ import pytest
 from sixch.cli import main, parse_config
 from sixch.errors import ConfigError
 from sixch.snapshots import read_snapshot
+from sixch.stepper import SolverConfig
 
 CONSTANT_CONFIG = """
 [grid]
@@ -94,6 +95,13 @@ class TestConfigParsing:
         path = write_config(tmp_path, NOISE_CONFIG)
         assert parse_config(path).initial.seed == 7
         assert parse_config(path, seed_override=99).initial.seed == 99
+
+    @pytest.mark.parametrize("solver_section", ["", "[solver]\n"])
+    def test_solver_defaults_from_dataclass(self, tmp_path, solver_section):
+        head, tail = CONSTANT_CONFIG.split("[solver]")
+        text = head + solver_section + tail[tail.index("[run]"):]
+        cfg = parse_config(write_config(tmp_path, text))
+        assert cfg.solver == SolverConfig()
 
 
 class TestRunCommand:

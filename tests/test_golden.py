@@ -1,9 +1,11 @@
-"""Golden hashes of short `sixch run` outputs.
+"""Golden hashes of short `sixch run` and `sixch cdep` outputs.
 
 A refactor described as "same behaviour" must leave `ledger.csv`,
-`summary.json` and `final_state.f64` byte-identical.  The hashes below
-were recorded before the evaluated-State refactor of the stepper, the
-model and the ledger, on the environment named in `RECORDED_ON`.
+`summary.json` and `final_state.f64` of a run, and `cdep.json` of a
+paired run, byte-identical.  The run hashes were recorded before the
+evaluated-State refactor of the stepper, the model and the ledger; the
+cdep hashes before the paired run moved onto the shared step
+controller; all on the environment named in `RECORDED_ON`.
 Bit-identity is a property of one numpy/scipy build on one CPU feature
 set (numpy dispatches log1p/exp to different SIMD kernels), so elsewhere
 the test is skipped rather than compared.
@@ -26,9 +28,10 @@ import scipy
 from sixch.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = ("ledger.csv", "summary.json", "final_state.f64")
+FILES = {"run": ("ledger.csv", "summary.json", "final_state.f64"),
+         "cdep": ("cdep.json",)}
 
-# name -> (base config, overrides)
+# name -> (base config, overrides); a name starting with cdep runs `sixch cdep`
 RUNS = {
     "bench1d_500": ("configs/benchmark1d.ini",
                     {"run": {"max_steps": "500", "snapshot_every": "0"}}),
@@ -54,6 +57,13 @@ RUNS = {
     "newton1d_rejecting": ("configs/benchmark1d.ini",
                            {"solver": {"scheme": "newton", "growth_factor": "1.5"},
                             "run": {"max_steps": "30", "snapshot_every": "0"}}),
+    "cdep_shipped": ("configs/cdep.ini", {}),
+    # adaptive Newton pair: 97 accepted steps, 24 paired rejections
+    "cdep_newton_rejecting": ("configs/cdep.ini",
+                              {"solver": {"scheme": "newton", "dt0": "1e-4",
+                                          "dt_min": "1e-9", "dt_max": "5e-2",
+                                          "growth_factor": "1.5"},
+                               "cdep": {"t_end": "0.05", "amplitude": "1e-3"}}),
 }
 
 RECORDED_ON = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64", "avx512f": True}
@@ -89,6 +99,12 @@ GOLDEN = {
         "summary.json": "f1e99ec162f6db8b4ab7f7d76e67b2d29c8af1a9813ca3758779bf5cd095b42a",
         "final_state.f64": "2cac2599f24834a88ec9808151d2014c768fa9244632d4dad9c93c81bfaab93f",
     },
+    "cdep_shipped": {
+        "cdep.json": "3362d36c2d33065765d36a922a67cff408e9b1f8249c98bf9ab61b9c3a5ea7ec",
+    },
+    "cdep_newton_rejecting": {
+        "cdep.json": "2014bfc1a8f799d3f4e592cc3d9382bbd9c82dc3d9015f1eb38489791f9197b6",
+    },
 }
 
 
@@ -111,8 +127,9 @@ def run_hashes(name: str, workdir: Path) -> dict:
     with open(config, "w") as fh:
         cp.write(fh)
     out = workdir / name
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES}
+    command = "cdep" if name.startswith("cdep") else "run"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES[command]}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
