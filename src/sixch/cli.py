@@ -122,12 +122,43 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
         max_steps = int(max_steps_raw) if max_steps_raw else None
         snapshot_every = int(run.get("snapshot_every", 0)) if run else 0
 
-        extras = {s: dict(cp[s]) for s in ("dispersion", "cdep", "sweep") if cp.has_section(s)}
+        extras = _experiments(cp, grid, params, solver, t_end, max_steps)
         return RunConfig(grid, params, spec, solver, t_end, max_steps, snapshot_every, extras)
     except (ValueError, KeyError, EngineError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
+
+
+def _experiments(cp, grid, params, solver, t_end, max_steps) -> dict:
+    """Parse and range-check [dispersion], [cdep] and [sweep], defaults filled in."""
+    d, c, w = (cp[s] if cp.has_section(s) else {} for s in ("dispersion", "cdep", "sweep"))
+    pairs = [tok.split(":") for tok in d.get("pairs", f"{params.lam}:{params.eta}").split(",")]
+    pairs = [potential.PotentialParams(float(lam), float(eta)) for lam, eta in pairs]
+    dispersion = {"k_indices": _ints(d.get("k_indices", "1 2 3 4 5 6 7 8")),
+                  "length": float(d.get("length", 2.0 * np.pi)),
+                  "n_samples": int(d.get("samples", 64)), "steps": int(d.get("steps", 60))}
+    if min(dispersion["k_indices"], default=0) < 1 or dispersion["steps"] < 2:
+        raise ConfigError("[dispersion] needs k_indices >= 1 (k = 0 is neutral) and steps >= 2")
+    gr.Grid((dispersion["length"],), (dispersion["n_samples"],), gr.PERIODIC)
+    cdep = {"t_end": float(c.get("t_end", t_end)),
+            "fit_skip": float(c["fit_skip"]) if "fit_skip" in c else None,
+            "bump": initdata.InitialSpec(kind="mode", mean_m=0.0, mode=int(c.get("mode", 1)),
+                                         amplitude=float(c.get("amplitude", 1e-6)))}
+    initdata.generate(cdep["bump"], grid)  # the mode must be resolvable on the grid
+    max_steps_raw = w.get("max_steps", "").strip()
+    sweep = {"t_end": float(w.get("t_end", t_end)),
+             "max_steps": int(max_steps_raw) if max_steps_raw else max_steps,
+             "runs": [(potential.PotentialParams(lam, eta),
+                       replace(solver, truncation=potential.TruncationLevel(n) if n else None))
+                      for lam in _floats(w.get("lambdas", str(params.lam)))
+                      for eta in _floats(w.get("etas", str(params.eta)))
+                      for n in _ints(w.get("truncations", "0"))]}
+    if not sweep["runs"]:
+        raise ConfigError("[sweep] needs at least one lambda, eta and truncation")
+    if not all(0.0 < x < np.inf for x in (t_end, cdep["t_end"], sweep["t_end"])):  # NaN too
+        raise ConfigError("t_end ([run], [cdep], [sweep]) must be positive and finite")
+    return {"dispersion": (pairs, dispersion), "cdep": cdep, "sweep": sweep}
 
 
 # ---------------------------------------------------------------------------
@@ -212,24 +243,13 @@ def cmd_init(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
-    section = cfg.extras.get("dispersion", {})
-    k_indices = _ints(section.get("k_indices", "1 2 3 4 5 6 7 8"))
-    pairs_raw = section.get("pairs", f"{cfg.params.lam}:{cfg.params.eta}")
-    pairs = []
-    for tok in pairs_raw.split(","):
-        lam_s, eta_s = tok.split(":")
-        pairs.append(potential.PotentialParams(float(lam_s), float(eta_s)))
-    length = float(section.get("length", 2.0 * np.pi))
-    samples = int(section.get("samples", 64))
-    steps = int(section.get("steps", 60))
-
+    pairs, opts = cfg.extras["dispersion"]
     path = outdir / "dispersion.csv"
     worst = 0.0
     with open(path, "w") as fh:
         fh.write("lambda,eta,k_index,k,measured,predicted,rel_error\n")
         for p in pairs:
-            rows = diag.dispersion_experiment(p, k_indices, length=length,
-                                              n_samples=samples, steps=steps)
+            rows = diag.dispersion_experiment(p, **opts)
             for r in rows:
                 worst = max(worst, r.rel_error)
                 fh.write(f"{p.lam!r},{p.eta!r},{r.k_index},{r.k!r},"
@@ -240,18 +260,11 @@ def cmd_dispersion(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
 
 
 def cmd_cdep(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
-    section = cfg.extras.get("cdep", {})
-    t_end = float(section.get("t_end", cfg.t_end))
-    mode = int(section.get("mode", 1))
-    amp = float(section.get("amplitude", 1e-6))
-    fit_skip = float(section["fit_skip"]) if "fit_skip" in section else None
-
+    opts = cfg.extras["cdep"]
     u01 = initdata.generate(cfg.initial, cfg.grid)
-    bump = initdata.generate(initdata.InitialSpec(kind="mode", mean_m=0.0,
-                                                  amplitude=amp, mode=mode), cfg.grid)
-    u02 = u01 + bump
-    report = diag.cdep_experiment(u01, u02, cfg.params, cfg.solver, t_end,
-                                  fit_skip=fit_skip)
+    u02 = u01 + initdata.generate(opts["bump"], cfg.grid)
+    report = diag.cdep_experiment(u01, u02, cfg.params, cfg.solver, opts["t_end"],
+                                  fit_skip=opts["fit_skip"])
     payload = {
         "fitted_C": report.fitted_C,
         "envelope_ok": report.envelope_ok,
@@ -267,34 +280,21 @@ def cmd_cdep(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
 
 
 def _sweep_worker(args) -> str:
-    config_path, seed, outdir, lam, eta, trunc = args
-    cfg = parse_config(config_path, seed_override=seed)
-    params = potential.PotentialParams(lam, eta)
-    solver = replace(cfg.solver,
-                     truncation=potential.TruncationLevel(trunc) if trunc else None)
-    sub = Path(outdir) / f"lam{lam:g}_eta{eta:g}_n{trunc or 0}"
+    cfg, outdir, config_path, (params, solver) = args
+    n = solver.truncation.n if solver.truncation else 0
+    sub = outdir / f"lam{params.lam:g}_eta{params.eta:g}_n{n}"
     sub.mkdir(parents=True, exist_ok=True)
-    sweep = cfg.extras.get("sweep", {})
-    t_end = float(sweep.get("t_end", cfg.t_end))
-    max_steps_raw = sweep.get("max_steps", "").strip()
-    max_steps = int(max_steps_raw) if max_steps_raw else cfg.max_steps
-    run_cfg = RunConfig(cfg.grid, params, cfg.initial, solver, t_end, max_steps,
-                        cfg.snapshot_every, cfg.extras)
-    cmd_run(run_cfg, sub, Path(config_path))
+    sweep = cfg.extras["sweep"]
+    cmd_run(replace(cfg, params=params, solver=solver, t_end=sweep["t_end"],
+                    max_steps=sweep["max_steps"]), sub, config_path)
     return str(sub)
 
 
-def cmd_sweep(cfg: RunConfig, outdir: Path, config_path: Path, threads: int,
-              seed: Optional[int]) -> int:
-    section = cfg.extras.get("sweep", {})
-    lambdas = _floats(section.get("lambdas", str(cfg.params.lam)))
-    etas = _floats(section.get("etas", str(cfg.params.eta)))
-    truncs_raw = section.get("truncations", "0")
-    truncs = [int(tok) for tok in truncs_raw.replace(",", " ").split()]
-    jobs = [(str(config_path), seed, str(outdir), lam, eta, n)
-            for lam in lambdas for eta in etas for n in truncs]
+def cmd_sweep(cfg: RunConfig, outdir: Path, config_path: Path, threads: int) -> int:
+    jobs = [(cfg, outdir, config_path, run) for run in cfg.extras["sweep"]["runs"]]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a pool may start all its workers at once: never more than there are jobs
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             done = list(pool.map(_sweep_worker, jobs))
     else:
         done = [_sweep_worker(job) for job in jobs]
@@ -343,6 +343,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     config_path = Path(args.config)
 
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         cfg = parse_config(config_path, seed_override=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -362,7 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "cdep":
             return cmd_cdep(cfg, outdir, config_path)
         if args.command == "sweep":
-            return cmd_sweep(cfg, outdir, config_path, args.threads, args.seed)
+            return cmd_sweep(cfg, outdir, config_path, args.threads)
         if args.command == "verify":
             return cmd_verify(cfg, outdir, config_path)
     except EngineError as exc:

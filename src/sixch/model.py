@@ -16,7 +16,8 @@ oracles for one another.  The default used for time stepping is UOM1,
          + beta(u) beta'(u) + (2 lam - eta) lap(u) + g(u),
 
 whose nonlinear terms are exactly the quantities the diagnostic functionals
-below monitor.  `State` evaluates a state once: the energy breakdown the
+below monitor.  `State` evaluates a state once: one pointwise pass of the
+nonlinearities (`Nonlinearity.pointwise`), the energy breakdown the
 dissipation test reads and, for an accepted state, the UOM1 mu and the
 diagnostic scalars.  `energy`, `apriori_diagnostics`, `mu_mean` and the
 UOM1 branch of `mu` delegate to it.
@@ -32,7 +33,7 @@ import numpy as np
 from . import grid as gr
 from .errors import DomainError, OverflowSignal
 from .grid import ScalarField
-from .potential import Nonlinearity, PotentialParams, as_nonlinearity, eval_a
+from .potential import PotentialParams, as_nonlinearity, eval_a
 
 
 class MuFormulation(Enum):
@@ -73,36 +74,36 @@ def _spectral_sq(ev: np.ndarray, coeffs: np.ndarray):
 class State:
     """One evaluated state u: every quantity of it is computed here, once.
 
-    Construction evaluates a candidate.  It checks the domain once
-    (|u| < 1 in exact mode, which covers F, f and beta alike), then
-    computes the beta, beta', beta'' trio, the coefficients u_hat, A u and
-    the energy breakdown, which is all the dissipation test reads.
+    Construction evaluates a candidate.  One pointwise pass checks the
+    domain once (|u| < 1 in exact mode) and gives beta, beta', beta'', g
+    and F; then come the coefficients u_hat, A u and the energy breakdown,
+    which is all the dissipation test reads.
 
-    `complete` finishes an accepted state: g, |grad u|^2, beta_hat, the
-    UOM1 chemical potential mu, mu_hat, ||grad mu||^2 and the a-priori
+    `complete` finishes an accepted state: |grad u|^2, beta_hat, the UOM1
+    chemical potential mu, mu_hat, ||grad mu||^2 and the a-priori
     scalars.  It returns mu and keeps only what a later step reads (u,
     u_hat, mu_hat) besides the scalars; the other arrays are released.
     """
 
     __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq", "apriori",
-                 "_beta", "_a_u")
+                 "_pw", "_a_u")
 
     def __init__(self, u: ScalarField, p):
         nl = as_nonlinearity(p)
         vals = u.values
-        nl.check(vals)
+        pw = nl.pointwise(vals)
         grid = u.grid
         ev = grid.symbol().eigenvalues
         w = grid.cell_volume
         eta = nl.params.eta
         self.u, self.nl = u, nl
-        self._beta = nl.beta_all(vals)
+        self._pw = pw.beta, pw.beta1, pw.beta2, pw.g  # the part complete() reads
         self.u_hat = gr.transform_forward(u)
         self._a_u = gr.transform_backward(ev * self.u_hat, grid).values
-        om_vals = self._a_u + (self._beta[0] - nl.params.lam * vals)  # -lap(u) + f(u)
+        om_vals = self._a_u + (pw.beta - nl.params.lam * vals)  # -lap(u) + f(u)
         willmore = 0.5 * float(np.sum(om_vals**2)) * w
         ch_grad = 0.5 * eta * float(_spectral_sq(ev, self.u_hat)) * w
-        ch_pot = eta * float(np.sum(nl.F(vals))) * w
+        ch_pot = eta * float(np.sum(pw.F)) * w
         self.energy = EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
         self.mu_hat = self.grad_mu_sq = self.apriori = None
 
@@ -113,14 +114,13 @@ class State:
         lam, eta = nl.params.lam, nl.params.eta
         ev = grid.symbol().eigenvalues
         w = grid.cell_volume
-        beta, beta1, beta2 = self._beta
-        g_vals = nl.g(vals)
+        beta, beta1, beta2, g_vals = self._pw
         gsq = gr.grad_norm_sq_field(u).values
         beta_hat = gr.transform_forward(ScalarField(grid, beta))
         lap_beta = -gr.transform_backward(beta_hat * ev, grid).values
         lap2_u = gr.transform_backward(ev**2 * self.u_hat, grid).values
         lap_u = -self._a_u
-        self._beta = self._a_u = None
+        self._pw = self._a_u = None
         b_vals = beta * beta1
         curv = beta2 * gsq
         common = b_vals + (2.0 * lam - eta) * lap_u + g_vals
@@ -147,8 +147,8 @@ def omega(u: ScalarField, p, dealias: bool = False) -> ScalarField:
     nonlinearities).
     """
     nl = as_nonlinearity(p)
-    nl.check(u.values)
     if dealias:
+        nl.check(u.values)
         fine = gr.interpolate(u, gr.refined(u.grid))
         return gr.restrict(omega(fine, nl), u.grid)
     return gr.laplacian(u) * (-1.0) + ScalarField(u.grid, nl.f(u.values))
@@ -158,14 +158,13 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1,
        dealias: bool = False) -> ScalarField:
     """Chemical potential of the sixth-order flow, per the selected form."""
     nl = as_nonlinearity(p)
-    if form is MuFormulation.UOM1 and not dealias:
-        return State(u, nl).complete()
-    nl.check(u.values)
-    lam, eta = nl.params.lam, nl.params.eta
-
     if dealias:
+        nl.check(u.values)
         fine = gr.interpolate(u, gr.refined(u.grid))
         return gr.restrict(mu(fine, nl, form), u.grid)
+    if form is MuFormulation.UOM1:
+        return State(u, nl).complete()
+    lam, eta = nl.params.lam, nl.params.eta
 
     if form is MuFormulation.CASCADE:
         om = omega(u, nl)
@@ -173,9 +172,7 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1,
         react = ScalarField(u.grid, (fp + eta) * om.values)
         return gr.laplacian(om) * (-1.0) + react
 
-    vals = u.values
-    beta, beta1, beta2 = nl.beta_all(vals)
-    g_vals = nl.g(vals)
+    beta, beta1, beta2, _, g_vals, _, _ = nl.pointwise(u.values)
     ev = u.grid.symbol().eigenvalues
     u_hat = gr.transform_forward(u)
     lap_u = gr.transform_backward(-ev * u_hat, u.grid).values
@@ -189,17 +186,12 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1,
         gsq = gr.grad_norm_sq_field(u).values
         out = lap2_u - 2.0 * beta1 * lap_u - beta2 * gsq + common
     elif form is MuFormulation.UOM3:
-        a, a1, _ = eval_a(vals) if nl.exact else _a_extended(nl, vals)
+        a, a1 = 2.0 * beta1, 2.0 * beta2
         gsq = gr.grad_norm_sq_field(u).values
         out = lap2_u - a * lap_u - 0.5 * a1 * gsq + common
     else:
         raise ValueError(f"unknown formulation {form!r}")
     return ScalarField(u.grid, out)
-
-
-def _a_extended(nl: Nonlinearity, vals):
-    _, b1, b2 = nl.beta_all(vals)
-    return 2.0 * b1, 2.0 * b2, None
 
 
 def energy(u: ScalarField, p) -> EnergyBreakdown:

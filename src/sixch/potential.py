@@ -14,15 +14,19 @@ appear when the chemical potential is written as a single sixth-order
 expression.  All evaluators here are pure functions of their inputs and
 accept scalars or numpy arrays.
 
-Exact evaluators raise :class:`DomainError` outside their domain instead of
-clamping; clamping is the explicit, separate :func:`truncate` operation.
-The truncated solver mode replaces the singular functions by globally C^2
-quadratic Taylor continuations past the knee 1 - 1/(2n); see
-:class:`Nonlinearity`.
+Exact evaluators raise :class:`DomainError` outside their domain, NaN
+included, instead of clamping; clamping is the explicit, separate
+:func:`truncate` operation.  The solver reads a state's nonlinearities in
+one pass, :meth:`Nonlinearity.pointwise`: one beta, beta', beta'' trio,
+with the one domain check, also gives beta''', g, g' and F.  The truncated
+mode takes the trio at the samples clipped to the knee 1 - 1/(2n) and
+continues every quantity past it by one rule, its Taylor polynomial there.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Union
 
@@ -77,13 +81,14 @@ def _as_array(r: ArrayLike) -> NDArray[np.float64]:
     return np.asarray(r, dtype=np.float64)
 
 
+# "Not all inside" rather than "any outside", so that NaN is rejected too.
 def _check_open(r: NDArray[np.float64]) -> None:
-    if np.any(np.abs(r) >= 1.0):
+    if not np.all(np.abs(r) < 1.0):
         raise DomainError("argument must satisfy |r| < 1")
 
 
 def _check_closed(r: NDArray[np.float64]) -> None:
-    if np.any(np.abs(r) > 1.0):
+    if not np.all(np.abs(r) <= 1.0):
         raise DomainError("argument must satisfy |r| <= 1")
 
 
@@ -123,11 +128,16 @@ def eval_F(p: PotentialParams, r: ArrayLike) -> FloatOrArray:
     """
     arr = _as_array(r)
     _check_closed(arr)
-    val = 0.5 * (xlogy(1.0 + arr, 1.0 + arr) + xlogy(1.0 - arr, 1.0 - arr))
-    val = val - 0.5 * p.lam * arr**2
+    val = _F(p, arr)
     if np.isscalar(r) or arr.ndim == 0:
         return float(val)
     return val
+
+
+def _F(p: PotentialParams, r: NDArray[np.float64]) -> NDArray[np.float64]:
+    """F(r) without a domain check."""
+    val = 0.5 * (xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r))
+    return val - 0.5 * p.lam * r**2
 
 
 def eval_f(p: PotentialParams, r: ArrayLike) -> FloatOrArray:
@@ -165,20 +175,23 @@ def eval_g(p: PotentialParams, r: ArrayLike) -> tuple[FloatOrArray, FloatOrArray
     Identically zero when lam = eta = 0.
     """
     arr = _as_array(r)
-    _check_open(arr)
-    lam, eta = p.lam, p.eta
-    beta, beta1, beta2 = eval_beta(arr)
-    g = -lam * arr * beta1 + (eta - lam) * beta + (lam**2 - lam * eta) * arr
-    g1 = -lam * arr * beta2 + (eta - 2.0 * lam) * beta1 + lam**2 - lam * eta
+    g, g1 = _g(p, arr, *eval_beta(arr))
     if np.isscalar(r) or arr.ndim == 0:
         return float(g), float(g1)
     return g, g1
 
 
-def _g2(p: PotentialParams, r: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Second derivative of g (needed for the C^2 extension), |r| < 1."""
-    _, _, beta2 = eval_beta(r)
-    return -p.lam * r * _beta3(r) + (p.eta - 3.0 * p.lam) * beta2
+def _g(p: PotentialParams, r, beta, beta1, beta2):
+    """g(r) and g'(r) from the beta trio at r."""
+    lam, eta = p.lam, p.eta
+    g = -lam * r * beta1 + (eta - lam) * beta + (lam**2 - lam * eta) * r
+    g1 = -lam * r * beta2 + (eta - 2.0 * lam) * beta1 + lam**2 - lam * eta
+    return g, g1
+
+
+def _taylor(d, *derivs):
+    """The Taylor polynomial sum_k derivs[k] * d^k / k! in the overshoot d."""
+    return sum((c / math.factorial(k) * d**k for k, c in enumerate(derivs[1:], 1)), derivs[0])
 
 
 def truncate(r: ArrayLike, lvl: TruncationLevel) -> FloatOrArray:
@@ -190,17 +203,22 @@ def truncate(r: ArrayLike, lvl: TruncationLevel) -> FloatOrArray:
     return out
 
 
+# Every nonlinearity at one set of samples, from one evaluation.
+Pointwise = namedtuple("Pointwise", "beta beta1 beta2 beta3 g g1 F")
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """Evaluator bundle for (F, f, beta, g) in exact or extended form.
 
-    With ``level is None`` the bundle delegates to the exact evaluators and
+    With ``level is None`` the bundle evaluates the exact functions and
     raises :class:`DomainError` outside their domain.  With a truncation
     level set, every function agrees bit-for-bit with its exact counterpart
     on [-1+1/(2n), 1-1/(2n)] and continues outside as the second-order
     Taylor polynomial about the knee, so beta stays C^2, monotone, and
     finite on all of R.  F is extended by the exact antiderivative of the
-    extended f, which keeps mu = dE/du valid across the knee.
+    extended f, which keeps mu = dE/du valid across the knee.  The other
+    evaluators are views of `pointwise`.
     """
 
     params: PotentialParams
@@ -214,68 +232,57 @@ class Nonlinearity:
 
     def check(self, values: ArrayLike, closed: bool = False) -> None:
         """Raise DomainError for inadmissible samples in exact mode."""
-        if self.level is not None:
-            return
-        arr = _as_array(values)
-        if closed:
-            _check_closed(arr)
-        else:
-            _check_open(arr)
-
-    def _split(self, r: ArrayLike):
-        """Clip to the knee; return (clipped, signed overshoot)."""
-        arr = _as_array(r)
-        k = self.level.knee
-        rc = np.clip(arr, -k, k)
-        return rc, arr - rc
+        if self.level is None:
+            (_check_closed if closed else _check_open)(_as_array(values))
 
     # -- evaluators ------------------------------------------------------
 
-    def beta_all(self, r: ArrayLike):
-        if self.level is None:
-            return eval_beta(r)
-        rc, d = self._split(r)
+    def pointwise(self, r: ArrayLike) -> Pointwise:
+        """beta, beta', beta'', beta''', g, g' and F at r, in one pass.
+
+        One beta trio, with the one domain check, at r in exact mode (so F
+        too needs |r| < 1) or at r clipped to the knee in extended mode.
+        """
+        arr = _as_array(r)
+        p = self.params
+        rc = arr if self.level is None else np.clip(arr, -self.level.knee, self.level.knee)
         b, b1, b2 = eval_beta(rc)
-        return b + b1 * d + 0.5 * b2 * d**2, b1 + b2 * d, b2 + 0.0 * d
+        b3 = _beta3(rc)
+        g, g1 = _g(p, rc, b, b1, b2)
+        F = _F(p, rc)
+        if self.level is None:
+            return Pointwise(b, b1, b2, b3, g, g1, F)
+        d = arr - rc
+        g2 = -p.lam * rc * b3 + (p.eta - 3.0 * p.lam) * b2
+        return Pointwise(_taylor(d, b, b1, b2), _taylor(d, b1, b2), b2,
+                         np.where(d == 0.0, b3, 0.0), _taylor(d, g, g1, g2),
+                         _taylor(d, g1, g2), _taylor(d, F, b - p.lam * rc, b1 - p.lam, b2))
+
+    def beta_all(self, r: ArrayLike):
+        return self.pointwise(r)[:3]
 
     def beta(self, r: ArrayLike):
-        return self.beta_all(r)[0]
+        return self.pointwise(r).beta
 
     def beta3(self, r: ArrayLike):
         """Derivative of the beta'' evaluator (zero outside the knee)."""
-        if self.level is None:
-            arr = _as_array(r)
-            _check_open(arr)
-            return _beta3(arr)
-        rc, d = self._split(r)
-        return np.where(d == 0.0, _beta3(rc), 0.0)
+        return self.pointwise(r).beta3
 
     def f(self, r: ArrayLike):
-        return self.beta(r) - self.params.lam * _as_array(r)
+        return self.pointwise(r).beta - self.params.lam * _as_array(r)
 
     def fprime(self, r: ArrayLike):
-        return self.beta_all(r)[1] - self.params.lam
+        return self.pointwise(r).beta1 - self.params.lam
 
     def F(self, r: ArrayLike):
-        if self.level is None:
-            return eval_F(self.params, r)
-        rc, d = self._split(r)
-        lam = self.params.lam
-        base = eval_F(self.params, rc)
-        b, b1, b2 = eval_beta(rc)
-        f_rc = b - lam * rc
-        return base + f_rc * d + 0.5 * (b1 - lam) * d**2 + (b2 / 6.0) * d**3
+        """F, on the closed interval [-1, 1] in exact mode."""
+        return eval_F(self.params, r) if self.level is None else self.pointwise(r).F
 
     def g_all(self, r: ArrayLike):
-        if self.level is None:
-            return eval_g(self.params, r)
-        rc, d = self._split(r)
-        g, g1 = eval_g(self.params, rc)
-        g2 = _g2(self.params, rc)
-        return g + g1 * d + 0.5 * g2 * d**2, g1 + g2 * d
+        return self.pointwise(r)[4:6]
 
     def g(self, r: ArrayLike):
-        return self.g_all(r)[0]
+        return self.pointwise(r).g
 
 
 def exact_nonlinearity(p: PotentialParams) -> Nonlinearity:

@@ -190,9 +190,7 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
     def make_jac_vec(v_vals: np.ndarray):
         """Analytic Frechet derivative of G at v: J w = w + dt*A*(Dmu(v) w)."""
         v = ScalarField(grid, v_vals.reshape(grid.shape))
-        beta, beta1, beta2 = nl.beta_all(v.values)
-        beta3 = nl.beta3(v.values)
-        _, g1 = nl.g_all(v.values)
+        beta, beta1, beta2, beta3, _, g1, _ = nl.pointwise(v.values)
         gsq = gr.grad_norm_sq_field(v).values
         grads_v = [gr.gradient_axis(v, ax) for ax in range(grid.dim)]
         zero_order = beta3 * gsq + beta1**2 + beta * beta2 + g1

@@ -226,3 +226,55 @@ class TestSweepCommand:
         assert len(subdirs) == 4
         for sub in subdirs:
             assert (out / sub / "ledger.csv").exists()
+
+
+# config additions that each ended in a traceback instead of exit 1
+MALFORMED = {
+    "dispersion_steps_1": ("dispersion", "[dispersion]\nsteps = 1\n", []),
+    "dispersion_steps_0": ("dispersion", "[dispersion]\nsteps = 0\n", []),
+    "dispersion_k_0": ("dispersion", "[dispersion]\nk_indices = 0\n", []),
+    "dispersion_pairs_1": ("dispersion", "[dispersion]\npairs = 1\n", []),
+    "dispersion_samples_2": ("dispersion", "[dispersion]\nsamples = 2\n", []),
+    "cdep_amplitude_abc": ("cdep", "[cdep]\namplitude = abc\n", []),
+    "cdep_mode_x": ("cdep", "[cdep]\nmode = x\n", []),
+    "cdep_t_end_negative": ("cdep", "[cdep]\nt_end = -1\n", []),
+    "cdep_t_end_nan": ("cdep", "[cdep]\nt_end = nan\n", []),
+    "sweep_lambdas_x": ("sweep", "[sweep]\nlambdas = x\n", []),
+    "sweep_truncation_2": ("sweep", "[sweep]\ntruncations = 2\n", []),
+    "sweep_threads_0": ("sweep", "", ["--threads", "0"]),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_config_error_exit_one(self, tmp_path, capsys, case):
+        command, extra, argv = MALFORMED[case]
+        path = write_config(tmp_path, NOISE_CONFIG + "\n" + extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()  # rejected before any work
+
+    def test_pool_no_larger_than_the_job_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("sixch.cli.ProcessPoolExecutor", RecordingPool)
+        text = NOISE_CONFIG.replace("t_end = 0.05", "t_end = 0.01")
+        path = write_config(tmp_path, text + "\n[sweep]\nlambdas = 0 3\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--threads", "100000"]) == 0
+        assert sizes == [2]

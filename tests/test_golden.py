@@ -1,4 +1,4 @@
-"""Golden hashes of short `sixch run` and `sixch cdep` outputs.
+"""Golden outputs of short `sixch run` and `sixch cdep` runs, in two tiers.
 
 A refactor described as "same behaviour" must leave `ledger.csv`,
 `summary.json` and `final_state.f64` of a run, and `cdep.json` of a
@@ -8,14 +8,21 @@ cdep hashes before the paired run moved onto the shared step
 controller; all on the environment named in `RECORDED_ON`.
 Bit-identity is a property of one numpy/scipy build on one CPU feature
 set (numpy dispatches log1p/exp to different SIMD kernels), so elsewhere
-the test is skipped rather than compared.
+the hash test is skipped rather than compared.
+
+The portable tier runs everywhere: the ledger rows of two runs, stored
+in `tests/golden/` (every `ROWS[name]`-th row), must agree column by
+column within `ROW_RTOL` times the column's largest |value|.  Other SIMD
+kernels move the rows by about 1e-13 of that scale.
 
 To re-record (only at a commit whose outputs are the reference):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py          # print the hashes
+    PYTHONPATH=src python tests/test_golden.py rows     # rewrite tests/golden/
 """
 
 import configparser
+import csv
 import hashlib
 import platform
 import sys
@@ -28,6 +35,7 @@ import scipy
 from sixch.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+ROWS_DIR = Path(__file__).resolve().parent / "golden"
 FILES = {"run": ("ledger.csv", "summary.json", "final_state.f64"),
          "cdep": ("cdep.json",)}
 
@@ -65,6 +73,10 @@ RUNS = {
                                           "growth_factor": "1.5"},
                                "cdep": {"t_end": "0.05", "amplitude": "1e-3"}}),
 }
+
+# name -> stride of the ledger rows kept in tests/golden/<name>.csv
+ROWS = {"bench1d_500": 5, "newton1d_20": 1}
+ROW_RTOL = 1e-10
 
 RECORDED_ON = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64", "avx512f": True}
 
@@ -117,7 +129,12 @@ def _environment() -> dict:
             "machine": platform.machine(), "avx512f": bool(features.get("AVX512F"))}
 
 
-def run_hashes(name: str, workdir: Path) -> dict:
+def _command(name: str) -> str:
+    return "cdep" if name.startswith("cdep") else "run"
+
+
+def run_outputs(name: str, workdir: Path) -> Path:
+    """Run `name` in workdir; return its output directory."""
     base, overrides = RUNS[name]
     cp = configparser.ConfigParser()
     cp.read(ROOT / base)
@@ -127,9 +144,19 @@ def run_hashes(name: str, workdir: Path) -> dict:
     with open(config, "w") as fh:
         cp.write(fh)
     out = workdir / name
-    command = "cdep" if name.startswith("cdep") else "run"
-    assert main([command, "--config", str(config), "--out", str(out)]) == 0
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES[command]}
+    assert main([_command(name), "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def run_hashes(name: str, workdir: Path) -> dict:
+    out = run_outputs(name, workdir)
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES[_command(name)]}
+
+
+def read_rows(path: Path) -> tuple[list[str], np.ndarray]:
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -140,10 +167,31 @@ def test_outputs_match_golden_hashes(name, tmp_path):
     assert run_hashes(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_ledger_rows_match_golden(name, tmp_path):
+    header, golden = read_rows(ROWS_DIR / f"{name}.csv")
+    got_header, got = read_rows(run_outputs(name, tmp_path) / "ledger.csv")
+    assert got_header == header
+    got = got[::ROWS[name]]
+    assert got.shape == golden.shape
+    scale = np.max(np.abs(golden), axis=0)
+    worst = np.max(np.abs(got - golden), axis=0)
+    bad = {col: (float(w), float(s)) for col, w, s in zip(header, worst, scale)
+           if w > ROW_RTOL * s}
+    assert not bad, f"columns off by more than {ROW_RTOL:g} x max|value|: {bad}"
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        print(f"RECORDED_ON = {_environment()!r}", file=sys.stderr)
-        for run in sorted(RUNS):
-            print(f"    {run!r}: {run_hashes(run, Path(tmp))!r},")
+        if sys.argv[1:] == ["rows"]:
+            ROWS_DIR.mkdir(exist_ok=True)
+            for run, stride in sorted(ROWS.items()):
+                lines = (run_outputs(run, Path(tmp)) / "ledger.csv").read_text().splitlines()
+                kept = [lines[0]] + lines[1:][::stride]
+                (ROWS_DIR / f"{run}.csv").write_text("\n".join(kept) + "\n")
+        else:
+            print(f"RECORDED_ON = {_environment()!r}", file=sys.stderr)
+            for run in sorted(RUNS):
+                print(f"    {run!r}: {run_hashes(run, Path(tmp))!r},")

@@ -374,3 +374,25 @@ class TestTruncatedEvaluation:
         exact = model.mu(u, p)
         trunc = model.mu(u, nl)
         assert np.max(np.abs(exact.values - trunc.values)) == 0.0
+
+
+class TestOnePointwisePass:
+    @pytest.mark.parametrize("level", [None, TruncationLevel(10)], ids=["exact", "extended"])
+    def test_state_checks_and_evaluates_once(self, monkeypatch, level):
+        from sixch import potential
+
+        calls = {"check": 0, "eval_beta": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_check_open", "_check_closed"):
+            monkeypatch.setattr(potential, name, counted("check", getattr(potential, name)))
+        monkeypatch.setattr(potential, "eval_beta", counted("eval_beta", potential.eval_beta))
+        grid = Grid((1.0,), (64,), gr.PERIODIC)
+        u = band_limited(grid, seed=3, amplitude=0.97)  # past the knee 0.95 of n = 10
+        model.State(u, Nonlinearity(PotentialParams(1.0, 0.5), level)).complete()
+        assert calls == {"check": 1, "eval_beta": 1}

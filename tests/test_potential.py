@@ -258,3 +258,25 @@ class TestNonlinearityBundle:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             PotentialParams(np.nan, 0.0)
+
+    @pytest.mark.parametrize("evaluate", [
+        eval_beta,
+        lambda r: eval_F(PotentialParams(1.0, 1.0), r),
+        lambda r: exact_nonlinearity(PotentialParams(1.0, 1.0)).pointwise(r),
+    ], ids=["eval_beta", "eval_F", "pointwise"])
+    def test_nan_is_outside_the_domain(self, evaluate):
+        with pytest.raises(DomainError):
+            evaluate(np.array([0.2, np.nan]))
+        with pytest.raises(DomainError):
+            evaluate(np.nan)
+
+    def test_exact_pointwise_matches_reference_evaluators(self):
+        p = PotentialParams(0.9, -0.4)
+        r = np.linspace(-1.0, 1.0, 2001)[1:-1]
+        pw = exact_nonlinearity(p).pointwise(r)
+        b, b1, b2 = eval_beta(r)
+        g, g1 = eval_g(p, r)
+        for got, want in [(pw.beta, b), (pw.beta1, b1), (pw.beta2, b2),
+                          (pw.beta3, eval_a(r)[2] / 2.0), (pw.g, g), (pw.g1, g1),
+                          (pw.F, eval_F(p, r))]:
+            assert np.array_equal(got, want)
