@@ -68,16 +68,15 @@ def _ints(text: str) -> list[int]:
 
 def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunConfig:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    for section in cp.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(cp[section]) - _SECTIONS[section]
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
     try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        for section in cp.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config section [{section}]")
+            unknown = set(cp[section]) - _SECTIONS[section]
+            if unknown:
+                raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
         g = cp["grid"]
         counts = tuple(_ints(g.get("counts", "64")))
         lengths = tuple(_floats(g.get("lengths", "1.0")))
@@ -124,7 +123,7 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
 
         extras = _experiments(cp, grid, params, solver, t_end, max_steps)
         return RunConfig(grid, params, spec, solver, t_end, max_steps, snapshot_every, extras)
-    except (ValueError, KeyError, EngineError) as exc:
+    except (ValueError, KeyError, EngineError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
@@ -137,9 +136,12 @@ def _experiments(cp, grid, params, solver, t_end, max_steps) -> dict:
     pairs = [potential.PotentialParams(float(lam), float(eta)) for lam, eta in pairs]
     dispersion = {"k_indices": _ints(d.get("k_indices", "1 2 3 4 5 6 7 8")),
                   "length": float(d.get("length", 2.0 * np.pi)),
-                  "n_samples": int(d.get("samples", 64)), "steps": int(d.get("steps", 60))}
+                  "n_samples": int(d.get("samples", 64)), "steps": int(d.get("steps", 60)),
+                  "amplitude": float(d.get("amplitude", 1e-6))}
     if min(dispersion["k_indices"], default=0) < 1 or dispersion["steps"] < 2:
         raise ConfigError("[dispersion] needs k_indices >= 1 (k = 0 is neutral) and steps >= 2")
+    if not 0.0 < dispersion["amplitude"] < 1.0:  # NaN too
+        raise ConfigError("[dispersion] amplitude must lie in (0, 1)")
     gr.Grid((dispersion["length"],), (dispersion["n_samples"],), gr.PERIODIC)
     cdep = {"t_end": float(c.get("t_end", t_end)),
             "fit_skip": float(c["fit_skip"]) if "fit_skip" in c else None,

@@ -52,8 +52,8 @@ class Grid:
             raise ValueError("grid dimension must be 1, 2 or 3")
         if len(self.lengths) != len(self.counts):
             raise ValueError("lengths and counts must have equal length")
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError("box lengths must be positive")
+        if not all(0.0 < l < np.inf for l in self.lengths):  # NaN too
+            raise ValueError("box lengths must be positive and finite")
         if any(n < 4 for n in self.counts):
             raise ValueError("need at least 4 samples per axis")
         if self.bc not in (NEUMANN, PERIODIC):
@@ -299,10 +299,6 @@ def gradient_axis(u: ScalarField, axis: int) -> np.ndarray:
     tail[axis] = slice(1, n)
     z[tuple(head)] = b[tuple(tail)]
     return dst(z, type=3, axis=axis) / 2.0
-
-
-def gradient(u: ScalarField) -> list[np.ndarray]:
-    return [gradient_axis(u, ax) for ax in range(u.grid.dim)]
 
 
 def grad_norm_sq_field(u: ScalarField) -> ScalarField:

@@ -62,8 +62,10 @@ class InitialSpec:
             raise SpecError(f"unknown initial kind {self.kind!r}")
         if not -1.0 < self.mean_m < 1.0:
             raise SpecError("mean must lie strictly inside (-1, 1)")
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:  # NaN too
             raise SpecError("amplitude must be nonnegative")
+        if self.seed < 0:
+            raise SpecError("seed must be nonnegative")
 
 
 def generate(spec: InitialSpec, grid: Grid) -> ScalarField:

@@ -9,7 +9,7 @@ with chemical potential mu = dE/du.  Besides the defining cascade
     omega = -lap(u) + f(u),   mu = -lap(omega) + f'(u)*omega + eta*omega,
 
 mu can be written as a single sixth-order expression in several forms that
-coincide for smooth states; all five are implemented so they can serve as
+coincide for smooth states; all four are implemented so they can serve as
 oracles for one another.  The default used for time stepping is UOM1,
 
     mu = lap^2 u - 2 lap(beta(u)) + beta''(u)|grad u|^2
@@ -20,7 +20,8 @@ below monitor.  `State` evaluates a state once: one pointwise pass of the
 nonlinearities (`Nonlinearity.pointwise`), the energy breakdown the
 dissipation test reads and, for an accepted state, the UOM1 mu and the
 diagnostic scalars.  `energy`, `apriori_diagnostics`, `mu_mean` and the
-UOM1 branch of `mu` delegate to it.
+UOM1 branch of `mu` delegate to it; its UOM1 assembly, `_uom1`, also
+serves the Newton residual.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from .potential import PotentialParams, as_nonlinearity, eval_a
 
 
 class MuFormulation(Enum):
-    """The five equivalent-on-smooth-states forms of the chemical potential."""
+    """The four equivalent-on-smooth-states forms of the chemical potential."""
 
     CASCADE = "cascade"
     UOM = "uom"
     UOM1 = "uom1"
     UOM2 = "uom2"
-    UOM3 = "uom3"
 
 
 @dataclass(frozen=True)
@@ -109,22 +109,14 @@ class State:
 
     def complete(self) -> ScalarField:
         """Evaluate mu and the ledger scalars of an accepted state; return mu."""
-        u, nl = self.u, self.nl
-        grid, vals = u.grid, u.values
-        lam, eta = nl.params.lam, nl.params.eta
+        grid, vals = self.u.grid, self.u.values
         ev = grid.symbol().eigenvalues
         w = grid.cell_volume
-        beta, beta1, beta2, g_vals = self._pw
-        gsq = gr.grad_norm_sq_field(u).values
-        beta_hat = gr.transform_forward(ScalarField(grid, beta))
-        lap_beta = -gr.transform_backward(beta_hat * ev, grid).values
-        lap2_u = gr.transform_backward(ev**2 * self.u_hat, grid).values
-        lap_u = -self._a_u
+        beta, _, _, g_vals = self._pw
+        gsq = gr.grad_norm_sq_field(self.u).values
+        mu_field, beta_hat, b_vals, curv = _uom1(self.nl, grid, self.u_hat, self._a_u,
+                                                 *self._pw, gsq)
         self._pw = self._a_u = None
-        b_vals = beta * beta1
-        curv = beta2 * gsq
-        common = b_vals + (2.0 * lam - eta) * lap_u + g_vals
-        mu_field = ScalarField(grid, lap2_u - 2.0 * lap_beta + curv + common)
         self.mu_hat = gr.transform_forward(mu_field)
         self.grad_mu_sq = float(np.sqrt(_spectral_sq(ev, self.mu_hat) * w)) ** 2
         self.apriori = AprioriDiagnostics(
@@ -136,6 +128,18 @@ class State:
             mu_mean=float(np.sum(curv + b_vals + g_vals)) / vals.size,
         )
         return mu_field
+
+
+def _uom1(nl, grid, u_hat, a_u, beta, beta1, beta2, g_vals, gsq):
+    """UOM1 mu from u_hat, A u, pointwise terms and |grad u|^2, with beta_hat, B and curv."""
+    ev = grid.symbol().eigenvalues
+    beta_hat = gr.transform_forward(ScalarField(grid, beta))
+    lap_beta = -gr.transform_backward(beta_hat * ev, grid).values
+    lap2_u = gr.transform_backward(ev**2 * u_hat, grid).values
+    b_vals = beta * beta1
+    curv = beta2 * gsq
+    common = b_vals + (2.0 * nl.params.lam - nl.params.eta) * -a_u + g_vals
+    return ScalarField(grid, lap2_u - 2.0 * lap_beta + curv + common), beta_hat, b_vals, curv
 
 
 def omega(u: ScalarField, p, dealias: bool = False) -> ScalarField:
@@ -185,10 +189,6 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1,
     elif form is MuFormulation.UOM2:
         gsq = gr.grad_norm_sq_field(u).values
         out = lap2_u - 2.0 * beta1 * lap_u - beta2 * gsq + common
-    elif form is MuFormulation.UOM3:
-        a, a1 = 2.0 * beta1, 2.0 * beta2
-        gsq = gr.grad_norm_sq_field(u).values
-        out = lap2_u - a * lap_u - 0.5 * a1 * gsq + common
     else:
         raise ValueError(f"unknown formulation {form!r}")
     return ScalarField(u.grid, out)

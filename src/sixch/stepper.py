@@ -17,10 +17,12 @@ Two first-order integrators are provided:
   the analytic Frechet derivative of mu as Jacobian action, Krylov inner
   solves preconditioned by the IMEX operator, and an update damping that
   keeps iterates strictly inside the admissible set (the separation guard).
+  Each iterate is evaluated once, for G and the Jacobian alike, through
+  the UOM1 assembly of `model.State`; no `State` is built per residual.
 
-Both steps start from a completed `model.State` (a bare field is
-evaluated first) and read its coefficients u_hat and mu_hat; they return
-the new state as a candidate `State`, which carries the energy breakdown.
+Both steps share one set-up: they start from a completed `model.State` (a
+bare field is evaluated first) and read its u_hat and mu_hat.  They pin
+the mass mode and return the new state as a candidate `State`.
 Neither scheme is provably energy stable for this energy, so one adaptive
 step controller enforces dissipation a posteriori.  It steps k >= 1
 trajectories in lockstep with one shared dt: a trial step is rejected and
@@ -45,7 +47,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
 from .grid import ScalarField
-from .model import State
+from .model import State, _uom1
 from .potential import Nonlinearity, PotentialParams, TruncationLevel, as_nonlinearity
 
 IMEX = "imex"
@@ -141,38 +143,41 @@ def _completed(u, p) -> State:
     return state
 
 
-def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
-    """One stabilized IMEX step from u, a completed State or a bare field."""
+def _setup(u, dt: float, p, cfg: SolverConfig):
+    """The frame of both steps: nl, the completed State of u, s1, s2 and A's eigenvalues."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     nl = _nonlinearity(p, cfg)
     prev = _completed(u, nl)
-    u = prev.u
-    s1, s2 = _resolve(cfg, nl.params, sup_u=float(np.max(np.abs(u.values))))
-    ev = u.grid.symbol().eigenvalues
+    s1, s2 = _resolve(cfg, nl.params, sup_u=float(np.max(np.abs(prev.u.values))))
+    return nl, prev, s1, s2, prev.u.grid.symbol().eigenvalues
+
+
+def _candidate(prev: State, new_hat: np.ndarray, nl: Nonlinearity, iters: int) -> StepResult:
+    """The candidate of coefficients new_hat, with the mass mode of prev pinned exactly."""
+    new_hat.flat[0] = prev.u_hat.flat[0]
+    if np.array_equal(new_hat, prev.u_hat):
+        u_new = prev.u.copy()  # spectral fixed point (e.g. constants): stay bit-identical
+    else:
+        u_new = gr.transform_backward(new_hat, prev.u.grid)
+    return StepResult(State(u_new, nl), iters)
+
+
+def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
+    """One stabilized IMEX step from u, a completed State or a bare field."""
+    nl, prev, s1, s2, ev = _setup(u, dt, p, cfg)
     u_hat = prev.u_hat
     # R_hat = mu_hat - a^2 u_hat isolates everything but the bilaplacian.
     r_hat = prev.mu_hat - ev**2 * u_hat
     stab = s1 * ev**2 + s2 * ev
     new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (ev**3 + stab))
-    new_hat.flat[0] = u_hat.flat[0]  # mass mode copied exactly
-    if np.array_equal(new_hat, u_hat):
-        u_new = u.copy()  # spectral fixed point (e.g. constants): stay bit-identical
-    else:
-        u_new = gr.transform_backward(new_hat, u.grid)
-    return StepResult(State(u_new, nl), 1)
+    return _candidate(prev, new_hat, nl, 1)
 
 
 def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
     """One damped Newton--Krylov step from u, a completed State or a bare field."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    nl = _nonlinearity(p, cfg)
-    prev = _completed(u, nl)
-    u = prev.u
-    s1, s2 = _resolve(cfg, nl.params, sup_u=float(np.max(np.abs(u.values))))
-    grid = u.grid
-    ev = grid.symbol().eigenvalues
+    nl, prev, s1, s2, ev = _setup(u, dt, p, cfg)
+    u, grid = prev.u, prev.u.grid
     bound = (1.0 if cfg.truncation is None else cfg.truncation.clamp_bound) - cfg.guard_eps
     if np.max(np.abs(u.values)) > bound:
         raise GuardViolation("initial state already violates the separation guard")
@@ -181,18 +186,19 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
     precond_diag = 1.0 + dt * (ev**3 + s1 * ev**2 + s2 * ev)
     lam, eta = nl.params.lam, nl.params.eta
 
-    def apply_G(v_vals: np.ndarray) -> np.ndarray:
-        v = State(ScalarField(grid, v_vals.reshape(grid.shape)), nl)
-        v.complete()
-        lap_mu = gr.transform_backward(v.mu_hat * ev, grid).values  # A mu(v)
-        return (v_vals.reshape(grid.shape) - u.values + dt * lap_mu).ravel()
-
-    def make_jac_vec(v_vals: np.ndarray):
-        """Analytic Frechet derivative of G at v: J w = w + dt*A*(Dmu(v) w)."""
+    def linearize(v_vals: np.ndarray):
+        """G(v) and its analytic Frechet derivative J w = w + dt*A*(Dmu(v) w), one pass."""
         v = ScalarField(grid, v_vals.reshape(grid.shape))
-        beta, beta1, beta2, beta3, _, g1, _ = nl.pointwise(v.values)
-        gsq = gr.grad_norm_sq_field(v).values
+        beta, beta1, beta2, beta3, g, g1, _ = nl.pointwise(v.values)
         grads_v = [gr.gradient_axis(v, ax) for ax in range(grid.dim)]
+        gsq = np.zeros(grid.shape)  # summed as in grad_norm_sq_field
+        for grad in grads_v:
+            gsq += grad**2
+        np.maximum(gsq, 0.0, out=gsq)
+        v_hat = gr.transform_forward(v)
+        a_v = gr.transform_backward(ev * v_hat, grid).values
+        mu_hat = gr.transform_forward(_uom1(nl, grid, v_hat, a_v, beta, beta1, beta2, g, gsq)[0])
+        lap_mu = gr.transform_backward(mu_hat * ev, grid).values  # A mu(v)
         zero_order = beta3 * gsq + beta1**2 + beta * beta2 + g1
 
         def jac_vec(w: np.ndarray) -> np.ndarray:
@@ -208,12 +214,17 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
                    + zero_order * w.reshape(grid.shape))
             return w + dt * gr.apply_A(ScalarField(grid, dmu)).values.ravel()
 
-        return jac_vec
+        return ((v.values - u.values + dt * lap_mu).ravel(),
+                LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64))
 
+    def precond(w: np.ndarray) -> np.ndarray:
+        w_hat = gr.transform_forward(ScalarField(grid, w.reshape(grid.shape)))
+        return gr.transform_backward(w_hat / precond_diag, grid).values.ravel()
+
+    M = LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
     v_vals = u.values.copy().ravel()
-    g_vec = (dt * gr.transform_backward(prev.mu_hat * ev, grid).values).ravel()
-    norm_u = float(np.linalg.norm(u.values)) * np.sqrt(grid.cell_volume)
-    tol = cfg.newton_tol * norm_u
+    g_vec, J = linearize(v_vals)
+    tol = cfg.newton_tol * (float(np.linalg.norm(u.values)) * np.sqrt(grid.cell_volume))
 
     iters = 0
     while True:
@@ -224,13 +235,6 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
             raise NewtonDivergence(
                 f"no convergence in {cfg.newton_max_iters} iterations (residual {res:.3e})")
         iters += 1
-
-        def precond(w: np.ndarray) -> np.ndarray:
-            w_hat = gr.transform_forward(ScalarField(grid, w.reshape(grid.shape)))
-            return gr.transform_backward(w_hat / precond_diag, grid).values.ravel()
-
-        J = LinearOperator((n_dof, n_dof), matvec=make_jac_vec(v_vals), dtype=np.float64)
-        M = LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
         delta, _ = lgmres(J, -g_vec, M=M, rtol=1e-4, atol=0.0, maxiter=40)
 
         # damp the update so the iterate keeps the separation guard
@@ -245,15 +249,10 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
             raise GuardViolation("damping cannot keep the Newton iterate admissible")
         v_vals = v_vals + theta * delta
         np.clip(v_vals, -bound, bound, out=v_vals)
-        g_vec = apply_G(v_vals)
+        g_vec, J = linearize(v_vals)
 
-    if np.array_equal(v_vals.reshape(grid.shape), u.values):
-        u_new = u.copy()  # converged without moving (constants in 0 iterations)
-    else:
-        new_hat = gr.transform_forward(ScalarField(grid, v_vals.reshape(grid.shape)))
-        new_hat.flat[0] = prev.u_hat.flat[0]  # pin the mass mode
-        u_new = gr.transform_backward(new_hat, grid)
-    return StepResult(State(u_new, nl), max(iters, 1))
+    new_hat = gr.transform_forward(ScalarField(grid, v_vals.reshape(grid.shape)))
+    return _candidate(prev, new_hat, nl, max(iters, 1))
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}

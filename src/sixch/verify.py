@@ -33,7 +33,7 @@ def run_invariant_suite() -> list[tuple[str, bool]]:
         ("inverse Laplacian identities", _check_inverse_identities),
         ("Poincare-Wirtinger bound", _check_poincare),
         ("Hilbert interpolation inequality", _check_interpolation),
-        ("five mu formulations agree", _check_formulations),
+        ("four mu formulations agree", _check_formulations),
         ("mu matches energy gradient", _check_energy_gradient),
         ("arcsin functional Gateaux derivative", _check_gateaux),
         ("mass conserved along a run", _check_mass),

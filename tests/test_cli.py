@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixch.cli import main, parse_config
 from sixch.errors import ConfigError
@@ -228,7 +232,9 @@ class TestSweepCommand:
             assert (out / sub / "ledger.csv").exists()
 
 
-# config additions that each ended in a traceback instead of exit 1
+# config edits that each ended in a traceback, or failed only after the
+# output directory was made, instead of exit 1; a string is appended to
+# NOISE_CONFIG, a function rewrites it
 MALFORMED = {
     "dispersion_steps_1": ("dispersion", "[dispersion]\nsteps = 1\n", []),
     "dispersion_steps_0": ("dispersion", "[dispersion]\nsteps = 0\n", []),
@@ -242,6 +248,21 @@ MALFORMED = {
     "sweep_lambdas_x": ("sweep", "[sweep]\nlambdas = x\n", []),
     "sweep_truncation_2": ("sweep", "[sweep]\ntruncations = 2\n", []),
     "sweep_threads_0": ("sweep", "", ["--threads", "0"]),
+    "duplicate_section": ("run", "[grid]\nbc = periodic\n", []),
+    "duplicate_key": ("run", "[cdep]\nmode = 1\nmode = 2\n", []),
+    "key_before_header": ("run", lambda text: "dim = 1\n" + text, []),
+    "line_without_equals": ("run", "[cdep]\nmode\n", []),
+    "initial_seed_negative": ("run", lambda text: text.replace("seed = 7", "seed = -3"), []),
+    "seed_option_negative": ("init", "", ["--seed", "-1"]),
+    "grid_length_nan": ("init", lambda text: text.replace("lengths = 12.566370614359172",
+                                                           "lengths = nan"), []),
+    "grid_length_inf": ("init", lambda text: text.replace("lengths = 12.566370614359172",
+                                                           "lengths = inf"), []),
+    "initial_amplitude_nan": ("init", lambda text: text.replace("amplitude = 0.05",
+                                                                "amplitude = nan"), []),
+    "dispersion_amplitude_0": ("dispersion", "[dispersion]\namplitude = 0\n", []),
+    "dispersion_amplitude_1.5": ("dispersion", "[dispersion]\namplitude = 1.5\n", []),
+    "dispersion_amplitude_nan": ("dispersion", "[dispersion]\namplitude = nan\n", []),
 }
 
 
@@ -249,7 +270,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_config_error_exit_one(self, tmp_path, capsys, case):
         command, extra, argv = MALFORMED[case]
-        path = write_config(tmp_path, NOISE_CONFIG + "\n" + extra)
+        text = extra(NOISE_CONFIG) if callable(extra) else NOISE_CONFIG + "\n" + extra
+        path = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out), *argv]) == 1
         assert capsys.readouterr().err.startswith("config error")
@@ -278,3 +300,63 @@ class TestMalformedInput:
         assert main(["sweep", "--config", str(path), "--out", str(out),
                      "--threads", "100000"]) == 0
         assert sizes == [2]
+
+    def test_dispersion_amplitude_passed_through(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_experiment(p, **opts):
+            seen.append(opts["amplitude"])
+            return []
+
+        monkeypatch.setattr("sixch.diagnostics.dispersion_experiment", fake_experiment)
+        path = write_config(tmp_path, NOISE_CONFIG + "\n[dispersion]\namplitude = 0.3\n")
+        assert main(["dispersion", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert seen == [0.3]
+
+
+NAN, INF = float("nan"), float("inf")
+# the out-of-range values each field of an invocation may take
+FAULTS = {"counts": (-2, 0, 3), "lengths": (0.0, -1.0, NAN, INF),
+          "mean": (NAN, -1.0, 1.0, 1.5), "amplitude": (NAN, -0.1, 2.0),
+          "mode": (-1, 0, 41), "cutoff": (-1, 0), "seed": (-3, -1), "--seed": (-3, -1)}
+
+
+@st.composite
+def init_invocations(draw):
+    """A small [grid] + [potential] + [initial] config and its argv; at most
+    one field is drawn from FAULTS, the others are admissible."""
+    fault = draw(st.sampled_from([None, *FAULTS]))
+
+    def value(name, good):
+        return draw(st.sampled_from(FAULTS[name]) if name == fault else good)
+
+    dim = draw(st.integers(1, 2))
+    axis = draw(st.integers(0, dim - 1))  # the axis a grid fault goes to
+    counts = [value("counts", st.integers(4, 40)) if ax == axis else draw(st.integers(4, 40))
+              for ax in range(dim)]
+    lengths = [value("lengths", st.floats(0.5, 20.0)) if ax == axis
+               else draw(st.floats(0.5, 20.0)) for ax in range(dim)]
+    text = (f"[grid]\ndim = {dim}\ncounts = {' '.join(map(str, counts))}\n"
+            f"lengths = {' '.join(map(repr, lengths))}\n"
+            f"bc = {draw(st.sampled_from(['neumann', 'periodic']))}\n"
+            "[potential]\nlambda = 3.0\neta = 1.0\n"
+            f"[initial]\nkind = {draw(st.sampled_from(['constant', 'mode', 'noise', 'tanh']))}\n"
+            f"mean = {value('mean', st.floats(-0.5, 0.5))!r}\n"
+            f"amplitude = {value('amplitude', st.floats(0.0, 0.4))!r}\n"
+            f"mode = {value('mode', st.integers(1, 3))}\n"
+            f"cutoff = {value('cutoff', st.integers(1, 20))}\n"
+            f"seed = {value('seed', st.integers(0, 50))}\n")
+    seed = value("--seed", st.none() | st.integers(0, 50))
+    return text, [] if seed is None else ["--seed", str(seed)]
+
+
+class TestBadInputProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(init_invocations())
+    def test_init_exits_with_a_code_never_a_traceback(self, invocation):
+        text, argv = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text)
+            assert main(["init", "--config", str(path), "--out", str(Path(tmp) / "out"),
+                         *argv]) in (0, 1, 2)

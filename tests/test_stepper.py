@@ -6,8 +6,8 @@ from sixch.diagnostics import RunLedger
 from sixch.errors import StepFloorError
 from sixch.grid import Grid, ScalarField, constant_field
 from sixch.initdata import InitialSpec, generate, regularize_initial
-from sixch.model import dispersion_sigma
-from sixch.potential import PotentialParams, TruncationLevel
+from sixch.model import State, dispersion_sigma
+from sixch.potential import Nonlinearity, PotentialParams, TruncationLevel
 from sixch.stepper import (SolverConfig, advance, default_stabilization, step_imex,
                            step_implicit)
 
@@ -103,6 +103,32 @@ class TestSchemeAgreement:
         slopes = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
         for s in slopes:
             assert 1.7 <= s <= 2.3, (diffs, slopes)
+
+
+class TestNewtonEvaluations:
+    def test_each_iterate_evaluated_once(self, monkeypatch):
+        # the newton1d benchmark problem: one pointwise pass per Newton
+        # iterate (u included) plus the candidate's, and the candidate is
+        # the only State built
+        grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
+        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2,
+                           growth_factor=1.05)
+        prev = State(noise_state(grid, cutoff=20), SPINODAL)
+        prev.complete()
+        counts = {"State": 0, "pointwise": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(State, "__init__", counting("State", State.__init__))
+        monkeypatch.setattr(Nonlinearity, "pointwise",
+                            counting("pointwise", Nonlinearity.pointwise))
+        out = step_implicit(prev, 1e-4, SPINODAL, cfg)
+        assert out.inner_iters >= 2
+        assert counts == {"State": 1, "pointwise": out.inner_iters + 2}
 
 
 class TestEnergyDissipation:
