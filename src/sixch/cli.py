@@ -104,6 +104,7 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
             position=float(ini["position"]) if ini.get("position") else None,
             width=float(ini["width"]) if ini.get("width") else None,
         )
+        initdata.check_realizable(spec, grid)
 
         sol = cp["solver"] if cp.has_section("solver") else {}
 
@@ -147,7 +148,7 @@ def _experiments(cp, grid, params, solver, t_end, max_steps) -> dict:
             "fit_skip": float(c["fit_skip"]) if "fit_skip" in c else None,
             "bump": initdata.InitialSpec(kind="mode", mean_m=0.0, mode=int(c.get("mode", 1)),
                                          amplitude=float(c.get("amplitude", 1e-6)))}
-    initdata.generate(cdep["bump"], grid)  # the mode must be resolvable on the grid
+    initdata.check_realizable(cdep["bump"], grid)
     max_steps_raw = w.get("max_steps", "").strip()
     sweep = {"t_end": float(w.get("t_end", t_end)),
              "max_steps": int(max_steps_raw) if max_steps_raw else max_steps,

@@ -58,9 +58,9 @@ class RunLedger:
     def record(self, u, t: float, dt: float, p=None, rejections: int = 0) -> LedgerRow:
         """Append the row of state u at time t.
 
-        `u` is an accepted, completed State, whose columns are read as they
-        are; for a bare field the State is built and completed here (with
-        the nonlinearity `p`).
+        `u` is an accepted State of one field, completed here if it is not
+        yet, whose columns are read as they are; for a bare field the State
+        is built and completed here (with the nonlinearity `p`).
         """
         state = _completed(u, p)
         u = state.u
@@ -149,11 +149,13 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
                     t_end: float, fit_skip: Optional[float] = None) -> CdepReport:
     """Track ||u1 - u2||_{V0'} along paired trajectories and fit the envelope.
 
-    The step controller `_march` steps the pair in lockstep with one shared
-    dt, so distances are sampled at common times; a step is rejected when
-    either trajectory's energy rises or leaves the admissible set, and a
-    rejection at dt_min raises StepFloorError.  Each distance is read from
-    the two states' coefficients with the mass mode left out, so the
+    The pair is one batched `State` of two rows, which the step controller
+    `_march` steps in lockstep with one shared dt, so each step evaluates
+    both trajectories in the same array operations and distances are
+    sampled at common times; a step is rejected when either trajectory's
+    energy rises or leaves the admissible set, and a rejection at dt_min
+    raises StepFloorError.  Each distance is read from the difference of
+    the two rows' coefficients with the mass mode left out, so the
     roundoff mean of u1 - u2 cannot trip the zero-mean precondition of the
     dual norm.  C is fitted by least squares on log d^2(t), excluding the
     startup window t < 5*dt0; envelope_ok checks d^2(t) <= d^2(0) * exp(C t)
@@ -165,15 +167,15 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
     identical = bool(np.array_equal(u01.values, u02.values))
     nl = _nonlinearity(p, cfg)
 
-    def distance(a: State, b: State) -> float:
-        return gr.dual_norm_coeffs(a.u_hat - b.u_hat, a.u.grid)
+    def distance(pair: State) -> float:
+        return gr.dual_norm_coeffs(pair.u_hat[0] - pair.u_hat[1], pair.u.grid)
 
-    pair = [_completed(u01, nl), _completed(u02, nl)]
+    pair = _completed(ScalarField.stack([u01, u02]), nl)
     times = [0.0]
-    dist = [distance(*pair)]
-    for t, _, _ in _march(pair, t_end, nl, cfg):
+    dist = [distance(pair)]
+    for t, _, _, pair in _march(pair, t_end, nl, cfg):
         times.append(t)
-        dist.append(distance(*pair))
+        dist.append(distance(pair))
 
     times_arr = np.array(times)
     dist_arr = np.array(dist)
@@ -310,8 +312,7 @@ def dispersion_experiment(p, k_indices: Sequence[int], length: float = 2.0 * np.
         proj = profile / np.sum(profile**2)
         amps = [float(np.sum(state.u.values * proj))]
         for _ in range(steps - 1):
-            state = step_imex(state, dt, p, cfg).state
-            state.complete()
+            state = step_imex(state, dt, p, cfg).state  # completed by the next step
             amps.append(float(np.sum(state.u.values * proj)))
         times = [i * dt for i in range(steps)]
         rate = float(np.polyfit(times, np.log(np.abs(amps)), 1)[0])

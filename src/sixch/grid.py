@@ -23,7 +23,7 @@ between concurrently running simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -71,7 +71,7 @@ class Grid:
     def spacings(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.lengths, self.counts))
 
-    @property
+    @cached_property  # read on every evaluation of a state
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 
@@ -126,38 +126,56 @@ def _symbol_cached(grid: Grid) -> OperatorSymbol:
 
 
 class ScalarField:
-    """Real sample values of one scalar on a grid."""
+    """Real sample values of one scalar on a grid, or of a batch of them.
 
-    __slots__ = ("grid", "values")
+    A batch is explicit: ``batch=True`` (or `ScalarField.stack`) gives the
+    values one leading axis of rows, each row a field on the grid; it is
+    never inferred from the shape.  The transforms, `apply_symbol`,
+    `gradient_axis` and `grad_norm_sq_field` act on each row; the
+    reductions and norms take one field.
+    """
 
-    def __init__(self, grid: Grid, values):
+    __slots__ = ("grid", "values", "batch")
+
+    def __init__(self, grid: Grid, values, batch: bool = False):
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise ShapeError(f"values shape {values.shape} != grid shape {grid.shape}")
+        if (values.shape[1:] if batch else values.shape) != grid.shape:
+            what = "row" if batch else "values"
+            raise ShapeError(f"{what} shape {values.shape} != grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
             raise ShapeError("field values must all be finite")
         self.grid = grid
         self.values = values
+        self.batch = batch
+
+    @classmethod
+    def stack(cls, fields) -> "ScalarField":
+        """The batch whose rows are `fields` (single fields on one grid), in order."""
+        grid = fields[0].grid
+        if any(f.batch or f.grid != grid for f in fields):
+            raise ShapeError("a batch stacks single fields on one grid")
+        return cls(grid, np.stack([f.values for f in fields]), batch=True)
 
     def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
+        return ScalarField(self.grid, self.values.copy(), self.batch)
 
     def __add__(self, other):
-        return ScalarField(self.grid, self.values + _vals(other, self.grid))
+        return ScalarField(self.grid, self.values + _vals(other, self.grid), self.batch)
 
     def __sub__(self, other):
-        return ScalarField(self.grid, self.values - _vals(other, self.grid))
+        return ScalarField(self.grid, self.values - _vals(other, self.grid), self.batch)
 
     def __mul__(self, other):
-        return ScalarField(self.grid, self.values * _vals(other, self.grid))
+        return ScalarField(self.grid, self.values * _vals(other, self.grid), self.batch)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ScalarField(self.grid, -self.values)
+        return ScalarField(self.grid, -self.values, self.batch)
 
     def __repr__(self):
-        return f"ScalarField(shape={self.grid.shape}, bc={self.grid.bc!r})"
+        rows = f"rows={len(self.values)}, " if self.batch else ""
+        return f"ScalarField({rows}shape={self.grid.shape}, bc={self.grid.bc!r})"
 
 
 def _vals(x, grid: Grid):
@@ -176,12 +194,9 @@ def constant_field(grid: Grid, value: float) -> ScalarField:
 # transforms
 
 
-def _dctn(values: np.ndarray, inverse: bool = False) -> np.ndarray:
-    out = values
-    ndim = values.ndim
-    for ax in range(ndim):
-        out = dct(out, type=3 if inverse else 2, axis=ax, norm="ortho")
-    return out
+def _fft_axes(grid: Grid, batch: bool):
+    """fftn's axes: every axis of one field, the trailing grid axes of a batch."""
+    return tuple(range(-grid.dim, 0)) if batch else None
 
 
 def transform_forward(u: ScalarField) -> np.ndarray:
@@ -189,25 +204,30 @@ def transform_forward(u: ScalarField) -> np.ndarray:
 
     The coefficient array is real (cosine basis) for neumann grids and
     complex (Fourier basis) for periodic grids; index (0,..,0) is the mass
-    mode in both layouts.
+    mode in both layouts.  A batch is transformed row by row, over its
+    trailing grid axes.
     """
-    if u.grid.bc == NEUMANN:
-        return _dctn(u.values)
-    return fftn(u.values, norm="ortho")
-
-
-def transform_backward(coeffs: np.ndarray, grid: Grid) -> ScalarField:
-    """Inverse of :func:`transform_forward`."""
-    if coeffs.shape != grid.shape:
-        raise ShapeError(f"coefficient shape {coeffs.shape} != grid shape {grid.shape}")
+    values, grid = u.values, u.grid
     if grid.bc == NEUMANN:
-        return ScalarField(grid, _dctn(coeffs, inverse=True))
-    return ScalarField(grid, np.real(ifftn(coeffs, norm="ortho")))
+        for ax in range(-grid.dim, 0):
+            values = dct(values, type=2, axis=ax, norm="ortho")
+        return values
+    return fftn(values, axes=_fft_axes(grid, u.batch), norm="ortho")
+
+
+def transform_backward(coeffs: np.ndarray, grid: Grid, batch: bool = False) -> ScalarField:
+    """Inverse of :func:`transform_forward`; `batch` for the coefficients of a batch."""
+    if grid.bc == NEUMANN:
+        for ax in range(-grid.dim, 0):
+            coeffs = dct(coeffs, type=3, axis=ax, norm="ortho")
+        return ScalarField(grid, coeffs, batch)
+    return ScalarField(grid, np.real(ifftn(coeffs, axes=_fft_axes(grid, batch), norm="ortho")),
+                       batch)
 
 
 def apply_symbol(u: ScalarField, multiplier: np.ndarray) -> ScalarField:
     """Apply a spectral multiplier (diagonal operator) to a field."""
-    return transform_backward(transform_forward(u) * multiplier, u.grid)
+    return transform_backward(transform_forward(u) * multiplier, u.grid, u.batch)
 
 
 def apply_A(u: ScalarField, power: int = 1) -> ScalarField:
@@ -277,37 +297,29 @@ def gradient_axis(u: ScalarField, axis: int) -> np.ndarray:
     """Spectral partial derivative along one axis, sampled on the grid."""
     grid = u.grid
     n = grid.counts[axis]
-    k = grid.symbol().wavenumbers[axis]
+    ax = axis - grid.dim  # counted from the end, so that a batch axis may lead
+    rest = (slice(None),) * (grid.dim - 1 - axis)  # the grid axes after it
+    k = grid.symbol().wavenumbers[axis].reshape((n,) + (1,) * len(rest))
     if grid.bc == PERIODIC:
-        shape = [1] * grid.dim
-        shape[axis] = n
-        coeffs = fftn(u.values, axes=(axis,))
-        return np.real(ifftn(1j * k.reshape(shape) * coeffs, axes=(axis,)))
+        coeffs = fftn(u.values, axes=(ax,))
+        return np.real(ifftn(1j * k * coeffs, axes=(ax,)))
     # cosine series -> sine series: d/dx cos(m pi x/L) = -(m pi/L) sin(...)
-    y = dct(u.values, type=2, axis=axis)
+    y = dct(u.values, type=2, axis=ax)
     c = y / n
-    sl = [slice(None)] * grid.dim
-    sl[axis] = 0
-    c[tuple(sl)] = 0.0  # constant mode has zero derivative
-    shape = [1] * grid.dim
-    shape[axis] = n
-    b = -k.reshape(shape) * c
+    c[(Ellipsis, 0) + rest] = 0.0  # constant mode has zero derivative
+    b = -k * c
     z = np.zeros_like(b)
-    head = [slice(None)] * grid.dim
-    head[axis] = slice(0, n - 1)
-    tail = [slice(None)] * grid.dim
-    tail[axis] = slice(1, n)
-    z[tuple(head)] = b[tuple(tail)]
-    return dst(z, type=3, axis=axis) / 2.0
+    z[(Ellipsis, slice(0, n - 1)) + rest] = b[(Ellipsis, slice(1, n)) + rest]
+    return dst(z, type=3, axis=ax) / 2.0
 
 
 def grad_norm_sq_field(u: ScalarField) -> ScalarField:
     """Pointwise |grad u|^2; tiny negative roundoff is floored to zero."""
-    acc = np.zeros(u.grid.shape)
+    acc = np.zeros(u.values.shape)
     for ax in range(u.grid.dim):
         acc += gradient_axis(u, ax) ** 2
     np.maximum(acc, 0.0, out=acc)
-    return ScalarField(u.grid, acc)
+    return ScalarField(u.grid, acc, u.batch)
 
 
 def h1_seminorm(u: ScalarField) -> float:

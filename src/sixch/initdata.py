@@ -68,21 +68,37 @@ class InitialSpec:
             raise SpecError("seed must be nonnegative")
 
 
-def generate(spec: InitialSpec, grid: Grid) -> ScalarField:
-    """Deterministically build the field described by `spec` on `grid`."""
-    m = spec.mean_m
-    if spec.kind != CONSTANT and abs(m) + spec.amplitude > 1.0 - AMP_MARGIN:
-        raise SpecError(
-            f"|mean| + amplitude = {abs(m) + spec.amplitude:.8f} exceeds {1 - AMP_MARGIN}")
+def check_realizable(spec: InitialSpec, grid: Grid) -> None:
+    """Raise SpecError unless `generate` can build `spec` on `grid`; builds nothing.
 
+    Checks the amplitude margin, the constant level, that a single mode is
+    resolvable, that noise has at least one mode below its cutoff, and the
+    interface width.  Only a degenerate noise draw is left to `generate`.
+    """
+    m = spec.mean_m
     if spec.kind == CONSTANT:
         if abs(m) > 1.0 - AMP_MARGIN:
             raise SpecError("constant level too close to the pure states")
+        return
+    if abs(m) + spec.amplitude > 1.0 - AMP_MARGIN:
+        raise SpecError(
+            f"|mean| + amplitude = {abs(m) + spec.amplitude:.8f} exceeds {1 - AMP_MARGIN}")
+    if spec.kind == SINGLE_MODE and not 1 <= spec.mode < min(grid.counts):
+        raise SpecError("mode index must be resolvable on the grid")
+    if spec.kind == BAND_NOISE and min(spec.cutoff, min(grid.counts) // 2 - 1) < 1:
+        raise SpecError("grid too coarse for band-limited noise")
+    if spec.kind == TANH_INTERFACE and spec.width is not None and not spec.width > 0:  # NaN too
+        raise SpecError("interface width must be positive")
+
+
+def generate(spec: InitialSpec, grid: Grid) -> ScalarField:
+    """Deterministically build the field described by `spec` on `grid`."""
+    check_realizable(spec, grid)
+    m = spec.mean_m
+    if spec.kind == CONSTANT:
         return gr.constant_field(grid, m)
 
     if spec.kind == SINGLE_MODE:
-        if spec.mode < 1 or spec.mode >= min(grid.counts):
-            raise SpecError("mode index must be resolvable on the grid")
         x = grid.meshgrid()[0]
         l = grid.lengths[0]
         if grid.bc == gr.PERIODIC:
@@ -93,8 +109,6 @@ def generate(spec: InitialSpec, grid: Grid) -> ScalarField:
 
     if spec.kind == BAND_NOISE:
         cutoff = min(spec.cutoff, min(grid.counts) // 2 - 1)
-        if cutoff < 1:
-            raise SpecError("grid too coarse for band-limited noise")
         rng = np.random.default_rng(spec.seed)
         coeffs = np.zeros(grid.shape)
         # excite every multi-index with 1 <= max(index) <= cutoff, zero mass mode
@@ -115,8 +129,6 @@ def generate(spec: InitialSpec, grid: Grid) -> ScalarField:
     l = grid.lengths[0]
     x0 = spec.position if spec.position is not None else 0.5 * l
     w = spec.width if spec.width is not None else 0.05 * l
-    if w <= 0:
-        raise SpecError("interface width must be positive")
     x = grid.meshgrid()[0]
     profile = np.tanh((x - x0) / w)
     profile -= profile.mean()

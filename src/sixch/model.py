@@ -19,15 +19,21 @@ whose nonlinear terms are exactly the quantities the diagnostic functionals
 below monitor.  `State` evaluates a state once: one pointwise pass of the
 nonlinearities (`Nonlinearity.pointwise`), the energy breakdown the
 dissipation test reads and, for an accepted state, the UOM1 mu and the
-diagnostic scalars.  `energy`, `apriori_diagnostics`, `mu_mean` and the
-UOM1 branch of `mu` delegate to it; its UOM1 assembly, `_uom1`, also
-serves the Newton residual.
+diagnostic scalars.  A `State` of a batch (`ScalarField.stack`, a leading
+axis of k rows) evaluates the k states in the same array operations, so
+trajectories stepped in lockstep share every call; its scalars are (k,)
+arrays, bit-equal row by row to the floats of k single States.
+`energy`, `apriori_diagnostics`, `mu_mean` and the UOM1 branch of `mu`
+delegate to it; its UOM1 assembly, `_uom1`, also serves the Newton
+residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -48,6 +54,8 @@ class MuFormulation(Enum):
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
+    """The energy and its terms: floats for one state, (k,) arrays for a batch."""
+
     willmore: float  # 1/2 ||omega||^2
     ch_grad: float  # eta/2 ||grad u||^2
     ch_pot: float  # eta * integral F(u)
@@ -56,7 +64,8 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class AprioriDiagnostics:
-    """Norms of the singular terms that the analysis keeps bounded."""
+    """Norms of the singular terms that the analysis keeps bounded (floats for
+    one state, (k,) arrays for a batch)."""
 
     beta_l2: float
     grad_beta_l2: float
@@ -66,27 +75,47 @@ class AprioriDiagnostics:
     mu_mean: float
 
 
-def _spectral_sq(ev: np.ndarray, coeffs: np.ndarray):
+def _spectral_sq(ev: np.ndarray, coeffs: np.ndarray, rows):
     """sum_m lambda_m |c_m|^2, the squared H1 seminorm before quadrature."""
-    return np.sum(ev * np.abs(coeffs) ** 2)
+    return _sum(ev * np.abs(coeffs) ** 2, rows)
+
+
+def _sum(x: np.ndarray, rows):
+    """Sum over the grid axes: a float for one state (rows None), else a (rows,)
+    array whose entries are bit-equal to each row's own flat sum."""
+    if rows is None:
+        return float(np.sum(x))
+    return x.reshape(rows, -1).sum(axis=1)
+
+
+def _sqrt(x):
+    """Square root of a `_sum` result, a float staying a float."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
 class State:
-    """One evaluated state u: every quantity of it is computed here, once.
+    """One evaluated state u: every quantity of it is computed here, at most once.
+
+    u is one field or a batch of k (`ScalarField.stack`; `rows` is k, or
+    None for one field).  A batch's scalars (the energy breakdown,
+    ||grad mu||^2, the a-priori scalars) are (k,) arrays, each row summed
+    on its own.
 
     Construction evaluates a candidate.  One pointwise pass checks the
-    domain once (|u| < 1 in exact mode) and gives beta, beta', beta'', g
-    and F; then come the coefficients u_hat, A u and the energy breakdown,
-    which is all the dissipation test reads.
+    domain once (|u| < 1 in exact mode, every row) and gives beta, beta',
+    beta'', g and F; then come the coefficients u_hat, A u and the energy
+    breakdown, which is all the dissipation test reads.
 
     `complete` finishes an accepted state: |grad u|^2, beta_hat, the UOM1
-    chemical potential mu, mu_hat, ||grad mu||^2 and the a-priori
-    scalars.  It returns mu and keeps only what a later step reads (u,
-    u_hat, mu_hat) besides the scalars; the other arrays are released.
+    chemical potential mu, mu_hat and ||grad mu||^2.  It returns mu and
+    keeps only what a later step reads (u, u_hat, mu_hat) and the terms
+    of the a-priori scalars, which `apriori` evaluates when first read
+    (the ledger reads them for every state; the cdep pair never does) and
+    then releases.
     """
 
-    __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq", "apriori",
-                 "_pw", "_a_u")
+    __slots__ = ("u", "nl", "rows", "u_hat", "energy", "mu_hat", "grad_mu_sq",
+                 "_apriori", "_pw", "_a_u", "_terms")
 
     def __init__(self, u: ScalarField, p):
         nl = as_nonlinearity(p)
@@ -97,49 +126,65 @@ class State:
         w = grid.cell_volume
         eta = nl.params.eta
         self.u, self.nl = u, nl
+        self.rows = rows = len(vals) if u.batch else None  # None: one state
         self._pw = pw.beta, pw.beta1, pw.beta2, pw.g  # the part complete() reads
         self.u_hat = gr.transform_forward(u)
-        self._a_u = gr.transform_backward(ev * self.u_hat, grid).values
+        self._a_u = gr.transform_backward(ev * self.u_hat, grid, u.batch).values
         om_vals = self._a_u + (pw.beta - nl.params.lam * vals)  # -lap(u) + f(u)
-        willmore = 0.5 * float(np.sum(om_vals**2)) * w
-        ch_grad = 0.5 * eta * float(_spectral_sq(ev, self.u_hat)) * w
-        ch_pot = eta * float(np.sum(pw.F)) * w
+        willmore = 0.5 * _sum(om_vals**2, rows) * w
+        ch_grad = 0.5 * eta * _spectral_sq(ev, self.u_hat, rows) * w
+        ch_pot = eta * _sum(pw.F, rows) * w
         self.energy = EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
-        self.mu_hat = self.grad_mu_sq = self.apriori = None
+        self.mu_hat = self.grad_mu_sq = self._apriori = self._terms = None
 
     def complete(self) -> ScalarField:
-        """Evaluate mu and the ledger scalars of an accepted state; return mu."""
-        grid, vals = self.u.grid, self.u.values
+        """Evaluate mu and ||grad mu||^2 of an accepted state; return mu."""
+        grid, rows = self.u.grid, self.rows
         ev = grid.symbol().eigenvalues
-        w = grid.cell_volume
         beta, _, _, g_vals = self._pw
         gsq = gr.grad_norm_sq_field(self.u).values
-        mu_field, beta_hat, b_vals, curv = _uom1(self.nl, grid, self.u_hat, self._a_u,
+        mu_field, beta_hat, b_vals, curv = _uom1(self.nl, self.u, self.u_hat, self._a_u,
                                                  *self._pw, gsq)
         self._pw = self._a_u = None
+        self._terms = beta, beta_hat, b_vals, curv, g_vals
         self.mu_hat = gr.transform_forward(mu_field)
-        self.grad_mu_sq = float(np.sqrt(_spectral_sq(ev, self.mu_hat) * w)) ** 2
-        self.apriori = AprioriDiagnostics(
-            beta_l2=float(np.sqrt(np.sum(beta**2) * w)),
-            grad_beta_l2=float(np.sqrt(_spectral_sq(ev, beta_hat) * w)),
-            beta_betaprime_l1=float(np.sum(np.abs(b_vals)) * w),
-            m_integral=float(np.sum(_M(np.abs(b_vals))) * w),
-            n_integral=float(np.sum(_N(np.abs(curv))) * w),
-            mu_mean=float(np.sum(curv + b_vals + g_vals)) / vals.size,
-        )
+        root = _sqrt(_spectral_sq(ev, self.mu_hat, rows) * grid.cell_volume)
+        # each row squared as a float, as a single State squares its one
+        self.grad_mu_sq = root**2 if rows is None else np.array([r**2 for r in root.tolist()])
         return mu_field
 
+    @property
+    def apriori(self) -> Optional[AprioriDiagnostics]:
+        """The a-priori scalars of a completed state (None before `complete`)."""
+        if self._terms is not None:
+            beta, beta_hat, b_vals, curv, g_vals = self._terms
+            grid, rows = self.u.grid, self.rows
+            ev, w = grid.symbol().eigenvalues, grid.cell_volume
+            self._terms = None
+            self._apriori = AprioriDiagnostics(
+                beta_l2=_sqrt(_sum(beta**2, rows) * w),
+                grad_beta_l2=_sqrt(_spectral_sq(ev, beta_hat, rows) * w),
+                beta_betaprime_l1=_sum(np.abs(b_vals), rows) * w,
+                m_integral=_sum(_M(np.abs(b_vals)), rows) * w,
+                n_integral=_sum(_N(np.abs(curv)), rows) * w,
+                mu_mean=_sum(curv + b_vals + g_vals, rows) / math.prod(grid.shape),
+            )
+        return self._apriori
 
-def _uom1(nl, grid, u_hat, a_u, beta, beta1, beta2, g_vals, gsq):
-    """UOM1 mu from u_hat, A u, pointwise terms and |grad u|^2, with beta_hat, B and curv."""
+
+def _uom1(nl, u, u_hat, a_u, beta, beta1, beta2, g_vals, gsq):
+    """UOM1 mu of u (one field or a batch) from u_hat, A u, pointwise terms and
+    |grad u|^2, with beta_hat, B and curv."""
+    grid = u.grid
     ev = grid.symbol().eigenvalues
-    beta_hat = gr.transform_forward(ScalarField(grid, beta))
-    lap_beta = -gr.transform_backward(beta_hat * ev, grid).values
-    lap2_u = gr.transform_backward(ev**2 * u_hat, grid).values
+    beta_hat = gr.transform_forward(ScalarField(grid, beta, u.batch))
+    lap_beta = -gr.transform_backward(beta_hat * ev, grid, u.batch).values
+    lap2_u = gr.transform_backward(ev**2 * u_hat, grid, u.batch).values
     b_vals = beta * beta1
     curv = beta2 * gsq
     common = b_vals + (2.0 * nl.params.lam - nl.params.eta) * -a_u + g_vals
-    return ScalarField(grid, lap2_u - 2.0 * lap_beta + curv + common), beta_hat, b_vals, curv
+    return (ScalarField(grid, lap2_u - 2.0 * lap_beta + curv + common, u.batch),
+            beta_hat, b_vals, curv)
 
 
 def omega(u: ScalarField, p, dealias: bool = False) -> ScalarField:

@@ -18,26 +18,35 @@ Two first-order integrators are provided:
   solves preconditioned by the IMEX operator, and an update damping that
   keeps iterates strictly inside the admissible set (the separation guard).
   Each iterate is evaluated once, for G and the Jacobian alike, through
-  the UOM1 assembly of `model.State`; no `State` is built per residual.
+  the UOM1 assembly of `model.State`; no `State` is built per residual,
+  G(u) comes from the previous state's mu_hat, and the Jacobian is built
+  only at an iterate that has not converged.
 
 Both steps share one set-up: they start from a completed `model.State` (a
 bare field is evaluated first) and read its u_hat and mu_hat.  They pin
-the mass mode and return the new state as a candidate `State`.
+the mass mode and return the new state as a candidate `State`.  A State
+may be a batch (`ScalarField.stack`, a leading axis of k rows): IMEX
+steps every row in the same array operations, with s1 and s2 from each
+row's sup norm, and Newton solves row by row; either way each row equals
+its step alone, bit for bit.
 Neither scheme is provably energy stable for this energy, so one adaptive
-step controller enforces dissipation a posteriori.  It steps k >= 1
-trajectories in lockstep with one shared dt: a trial step is rejected and
-retried with half the step size when any candidate's energy rises by more
-than ``energy_tol`` or any candidate leaves the admissible set, and a
-rejection at dt_min raises StepFloorError.  `advance` runs it on one
-trajectory and `diagnostics.cdep_experiment` on a pair.  An accepted
-candidate is completed once (mu, mu_hat and the ledger scalars) and serves
-both the ledger row and the next step.  Admissible constant states are
-exact fixed points of both schemes.  A single controller run is sequential
-and owns its workspace; independent runs may run concurrently.
+step controller, `_march`, enforces dissipation a posteriori.  It steps
+one State, so k trajectories batched into one State go in lockstep with
+one shared dt: a trial step is rejected and retried with half the step
+size when any row's energy rises by more than ``energy_tol`` or any row
+leaves the admissible set, and a rejection at dt_min raises
+StepFloorError.  `advance` runs it on one trajectory and
+`diagnostics.cdep_experiment` on a pair.  An accepted candidate is
+completed once, when first needed (by the ledger row or by the next
+step), so the state it supersedes is already released.  Admissible
+constant states are exact fixed points of both schemes.  A single
+controller run is sequential and owns its workspace; independent runs
+may run concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -135,36 +144,49 @@ def _nonlinearity(p, cfg: SolverConfig) -> Nonlinearity:
 
 
 def _completed(u, p) -> State:
-    """u itself when it is a (completed) State, else the completed State of u."""
-    if isinstance(u, State):
-        return u
-    state = State(u, p)
-    state.complete()
+    """The completed State of u: u itself if it is a State (completed now if it
+    was not yet), else the State of the bare field u."""
+    state = u if isinstance(u, State) else State(u, p)
+    if state.mu_hat is None:
+        state.complete()
     return state
 
 
 def _setup(u, dt: float, p, cfg: SolverConfig):
-    """The frame of both steps: nl, the completed State of u, s1, s2 and A's eigenvalues."""
+    """The frame of both steps: nl, the completed State of u, s1, s2 and A's eigenvalues.
+
+    s1 and s2 follow each row's sup norm: floats for one state, (k, 1, ..)
+    arrays broadcasting over the grid axes for a batch of k.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     nl = _nonlinearity(p, cfg)
     prev = _completed(u, nl)
-    s1, s2 = _resolve(cfg, nl.params, sup_u=float(np.max(np.abs(prev.u.values))))
-    return nl, prev, s1, s2, prev.u.grid.symbol().eigenvalues
+    grid, sup = prev.u.grid, np.abs(prev.u.values)
+    if prev.rows is None:
+        s1, s2 = _resolve(cfg, nl.params, sup_u=float(np.max(sup)))
+    else:
+        per_row = [_resolve(cfg, nl.params, sup_u=float(m))
+                   for m in sup.reshape(prev.rows, -1).max(axis=1)]
+        s1, s2 = np.array(per_row).T.reshape(2, prev.rows, *(1,) * grid.dim)
+    return nl, prev, s1, s2, grid.symbol().eigenvalues
 
 
 def _candidate(prev: State, new_hat: np.ndarray, nl: Nonlinearity, iters: int) -> StepResult:
-    """The candidate of coefficients new_hat, with the mass mode of prev pinned exactly."""
-    new_hat.flat[0] = prev.u_hat.flat[0]
-    if np.array_equal(new_hat, prev.u_hat):
-        u_new = prev.u.copy()  # spectral fixed point (e.g. constants): stay bit-identical
-    else:
-        u_new = gr.transform_backward(new_hat, prev.u.grid)
+    """The candidate of coefficients new_hat, with each row's mass mode pinned to prev's exactly."""
+    grid = prev.u.grid
+    mass = (Ellipsis,) + (0,) * grid.dim
+    new_hat[mass] = prev.u_hat[mass]
+    u_new = gr.transform_backward(new_hat, grid, prev.u.batch)
+    # a spectral fixed point (e.g. a constant) keeps its values bit-identical, row by row
+    fixed = np.all(new_hat == prev.u_hat, axis=tuple(range(-grid.dim, 0)))
+    if fixed.any():
+        u_new.values[fixed] = prev.u.values[fixed]
     return StepResult(State(u_new, nl), iters)
 
 
 def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
-    """One stabilized IMEX step from u, a completed State or a bare field."""
+    """One stabilized IMEX step from u, a completed State or a bare field (or a batch)."""
     nl, prev, s1, s2, ev = _setup(u, dt, p, cfg)
     u_hat = prev.u_hat
     # R_hat = mu_hat - a^2 u_hat isolates everything but the bilaplacian.
@@ -175,101 +197,128 @@ def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
 
 
 def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
-    """One damped Newton--Krylov step from u, a completed State or a bare field."""
+    """One damped Newton--Krylov step from u, a completed State or a bare field.
+
+    Each row of a batch is solved on its own, since lgmres solves one
+    system; the candidate's inner iterations are the most any row took.
+    """
     nl, prev, s1, s2, ev = _setup(u, dt, p, cfg)
-    u, grid = prev.u, prev.u.grid
+    grid = prev.u.grid
     bound = (1.0 if cfg.truncation is None else cfg.truncation.clamp_bound) - cfg.guard_eps
-    if np.max(np.abs(u.values)) > bound:
+    if np.max(np.abs(prev.u.values)) > bound:
         raise GuardViolation("initial state already violates the separation guard")
 
-    n_dof = u.values.size
-    precond_diag = 1.0 + dt * (ev**3 + s1 * ev**2 + s2 * ev)
+    n_dof = math.prod(grid.shape)
     lam, eta = nl.params.lam, nl.params.eta
+    linear_symbol = ev**2 - (2.0 * lam - eta) * ev
 
-    def linearize(v_vals: np.ndarray):
-        """G(v) and its analytic Frechet derivative J w = w + dt*A*(Dmu(v) w), one pass."""
+    def evaluate(v_vals: np.ndarray):
+        """Iterate v, its pointwise pass and its gradients: what G(v) and J(v) read."""
         v = ScalarField(grid, v_vals.reshape(grid.shape))
-        beta, beta1, beta2, beta3, g, g1, _ = nl.pointwise(v.values)
-        grads_v = [gr.gradient_axis(v, ax) for ax in range(grid.dim)]
+        pw = nl.pointwise(v.values)
+        grads = [gr.gradient_axis(v, ax) for ax in range(grid.dim)]
         gsq = np.zeros(grid.shape)  # summed as in grad_norm_sq_field
-        for grad in grads_v:
+        for grad in grads:
             gsq += grad**2
         np.maximum(gsq, 0.0, out=gsq)
+        return v, pw, grads, gsq
+
+    def mu_hat_of(v, pw, _grads, gsq) -> np.ndarray:
         v_hat = gr.transform_forward(v)
         a_v = gr.transform_backward(ev * v_hat, grid).values
-        mu_hat = gr.transform_forward(_uom1(nl, grid, v_hat, a_v, beta, beta1, beta2, g, gsq)[0])
-        lap_mu = gr.transform_backward(mu_hat * ev, grid).values  # A mu(v)
+        return gr.transform_forward(_uom1(nl, v, v_hat, a_v, pw.beta, pw.beta1, pw.beta2,
+                                          pw.g, gsq)[0])
+
+    def jacobian(v, pw, grads, gsq) -> LinearOperator:
+        """J w = w + dt*A*(Dmu(v) w), the analytic Frechet derivative of G at v."""
+        beta, beta1, beta2, beta3, _, g1, _ = pw
         zero_order = beta3 * gsq + beta1**2 + beta * beta2 + g1
 
         def jac_vec(w: np.ndarray) -> np.ndarray:
-            wf = ScalarField(grid, w.reshape(grid.shape))
-            w_hat = gr.transform_forward(wf)
-            linear = gr.transform_backward((ev**2 - (2.0 * lam - eta) * ev) * w_hat, grid)
+            w = w.reshape(grid.shape)
+            # w and beta' w go through one stacked transform each way
+            w_hat, bw_hat = gr.transform_forward(
+                ScalarField(grid, np.stack([w, beta1 * w]), batch=True))
+            linear, a_bw = gr.transform_backward(
+                np.stack([linear_symbol * w_hat, bw_hat * ev]), grid, batch=True).values
+            wf = ScalarField(grid, w)
             grad_dot = np.zeros(grid.shape)
             for ax in range(grid.dim):
-                grad_dot += grads_v[ax] * gr.gradient_axis(wf, ax)
-            dmu = (linear.values
-                   + 2.0 * gr.apply_A(ScalarField(grid, beta1 * w.reshape(grid.shape))).values
-                   + 2.0 * beta2 * grad_dot
-                   + zero_order * w.reshape(grid.shape))
-            return w + dt * gr.apply_A(ScalarField(grid, dmu)).values.ravel()
+                grad_dot += grads[ax] * gr.gradient_axis(wf, ax)
+            dmu = linear + 2.0 * a_bw + 2.0 * beta2 * grad_dot + zero_order * w
+            return (w + dt * gr.apply_A(ScalarField(grid, dmu)).values).ravel()
 
-        return ((v.values - u.values + dt * lap_mu).ravel(),
-                LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64))
+        return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64)
 
-    def precond(w: np.ndarray) -> np.ndarray:
-        w_hat = gr.transform_forward(ScalarField(grid, w.reshape(grid.shape)))
-        return gr.transform_backward(w_hat / precond_diag, grid).values.ravel()
+    def newton(u_vals: np.ndarray, mu_hat: np.ndarray, s1, s2):
+        """Damped Newton iterates from u (mu_hat: its mu's coefficients) to G(v) = 0."""
+        precond_diag = 1.0 + dt * (ev**3 + s1 * ev**2 + s2 * ev)
 
-    M = LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
-    v_vals = u.values.copy().ravel()
-    g_vec, J = linearize(v_vals)
-    tol = cfg.newton_tol * (float(np.linalg.norm(u.values)) * np.sqrt(grid.cell_volume))
+        def precond(w: np.ndarray) -> np.ndarray:
+            w_hat = gr.transform_forward(ScalarField(grid, w.reshape(grid.shape)))
+            return gr.transform_backward(w_hat / precond_diag, grid).values.ravel()
 
-    iters = 0
-    while True:
-        res = float(np.linalg.norm(g_vec)) * np.sqrt(grid.cell_volume)
-        if res <= tol:
-            break
-        if iters >= cfg.newton_max_iters:
-            raise NewtonDivergence(
-                f"no convergence in {cfg.newton_max_iters} iterations (residual {res:.3e})")
-        iters += 1
-        delta, _ = lgmres(J, -g_vec, M=M, rtol=1e-4, atol=0.0, maxiter=40)
+        def residual(v_vals: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
+            """G(v) = v - u + dt*A*mu(v), from the coefficients of mu(v)."""
+            lap_mu = gr.transform_backward(mu_hat * ev, grid).values  # A mu(v)
+            return (v_vals.reshape(grid.shape) - u_vals + dt * lap_mu).ravel()
 
-        # damp the update so the iterate keeps the separation guard
-        theta = 1.0
-        dmax = float(np.max(np.abs(delta)))
-        if dmax > 0.0:
-            room = bound - np.abs(v_vals)
-            pushing = np.abs(v_vals + delta) > bound
-            if np.any(pushing):
-                theta = min(1.0, 0.95 * float(np.min(room[pushing] / np.abs(delta[pushing]))))
-        if theta < 1e-8:
-            raise GuardViolation("damping cannot keep the Newton iterate admissible")
-        v_vals = v_vals + theta * delta
-        np.clip(v_vals, -bound, bound, out=v_vals)
-        g_vec, J = linearize(v_vals)
+        M = LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
+        v_vals = u_vals.copy().ravel()
+        g_vec, terms = residual(v_vals, mu_hat), None  # G(u) from the completed prev
+        tol = cfg.newton_tol * (float(np.linalg.norm(u_vals)) * np.sqrt(grid.cell_volume))
+        iters = 0
+        while True:
+            res = float(np.linalg.norm(g_vec)) * np.sqrt(grid.cell_volume)
+            if res <= tol:
+                return v_vals.reshape(grid.shape), iters
+            if iters >= cfg.newton_max_iters:
+                raise NewtonDivergence(
+                    f"no convergence in {cfg.newton_max_iters} iterations (residual {res:.3e})")
+            iters += 1
+            terms = terms or evaluate(v_vals)  # u's pass is made only if u is not converged
+            delta, _ = lgmres(jacobian(*terms), -g_vec, M=M, rtol=1e-4, atol=0.0, maxiter=40)
 
-    new_hat = gr.transform_forward(ScalarField(grid, v_vals.reshape(grid.shape)))
+            # damp the update so the iterate keeps the separation guard
+            theta = 1.0
+            dmax = float(np.max(np.abs(delta)))
+            if dmax > 0.0:
+                room = bound - np.abs(v_vals)
+                pushing = np.abs(v_vals + delta) > bound
+                if np.any(pushing):
+                    theta = min(1.0, 0.95 * float(np.min(room[pushing] / np.abs(delta[pushing]))))
+            if theta < 1e-8:
+                raise GuardViolation("damping cannot keep the Newton iterate admissible")
+            v_vals = v_vals + theta * delta
+            np.clip(v_vals, -bound, bound, out=v_vals)
+            terms = evaluate(v_vals)
+            g_vec = residual(v_vals, mu_hat_of(*terms))
+
+    if prev.rows is None:
+        v_vals, iters = newton(prev.u.values, prev.mu_hat, s1, s2)
+    else:
+        solved = [newton(*row) for row in zip(prev.u.values, prev.mu_hat, s1, s2)]
+        v_vals, iters = np.stack([v for v, _ in solved]), max(i for _, i in solved)
+    new_hat = gr.transform_forward(ScalarField(grid, v_vals, prev.u.batch))
     return _candidate(prev, new_hat, nl, max(iters, 1))
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}
 
 
-def _march(states: list[State], t_end: float, nl: Nonlinearity, cfg: SolverConfig):
-    """Step completed States in lockstep to t_end with one shared dt.
+def _march(state: State, t_end: float, nl: Nonlinearity, cfg: SolverConfig):
+    """Step a completed State to t_end; the rows of a batch go in lockstep with one dt.
 
-    A trial step is rejected, and dt halved, when any candidate's energy
-    rises by more than ``energy_tol`` or any step leaves the admissible set
+    A trial step is rejected, and dt halved, when any row's energy rises
+    by more than ``energy_tol`` or the step leaves the admissible set
     (DomainError / guard errors in exact mode).  Rejection at dt_min raises
     StepFloorError.  dt grows by ``growth_factor`` up to dt_max after an
     accepted step whose inner solves were all fast.  After each accepted
-    step `states` holds the accepted states, completed, and
-    ``(t, dt, rejections)`` is yielded, with the rejections since the
-    previous accepted step.  The list is updated in place so that no
-    superseded state is alive while its successor is completed.
+    step ``(t, dt, rejections, state)`` is yielded, with the rejections
+    since the previous accepted step.  The accepted State is completed by
+    the next step, or earlier by a consumer that reads mu (`_completed`,
+    as the ledger does), so the state it supersedes, which nothing holds
+    any more, is released before the completion allocates.
     """
     step_fn = _STEPPERS[cfg.scheme]  # looked up per run, so a swapped-in wrapper takes effect
     t = 0.0
@@ -278,9 +327,8 @@ def _march(states: list[State], t_end: float, nl: Nonlinearity, cfg: SolverConfi
     while t < t_end - 1e-14 * t_end:
         dt_try = min(dt, t_end - t)
         try:
-            results = [step_fn(state, dt_try, nl, cfg) for state in states]
-            ok = all(r.state.energy.total <= state.energy.total + cfg.energy_tol
-                     for r, state in zip(results, states))
+            result = step_fn(state, dt_try, nl, cfg)
+            ok = np.all(result.state.energy.total <= state.energy.total + cfg.energy_tol)
         except (DomainError, GuardViolation, NewtonDivergence):
             ok = False
         if not ok:
@@ -292,13 +340,11 @@ def _march(states: list[State], t_end: float, nl: Nonlinearity, cfg: SolverConfi
             rejections += 1
             continue
 
-        states[:] = [r.state for r in results]
-        for state in states:
-            state.complete()
+        state = result.state
         t += dt_try
-        yield t, dt_try, rejections
+        yield t, dt_try, rejections, state
         rejections = 0
-        if max(r.inner_iters for r in results) <= _FAST_ITERS:
+        if result.inner_iters <= _FAST_ITERS:
             dt = min(cfg.dt_max, dt_try * cfg.growth_factor)
         else:
             dt = dt_try
@@ -317,14 +363,14 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     nl = _nonlinearity(p, cfg)
-    states = [_completed(u0, nl)]
+    state = _completed(u0, nl)
     if ledger is not None:
-        ledger.record(states[0], 0.0, 0.0, nl, rejections=0)
+        ledger.record(state, 0.0, 0.0, nl, rejections=0)
     steps = 0
-    for t, dt, rejections in _march(states, t_end, nl, cfg):
+    for t, dt, rejections, state in _march(state, t_end, nl, cfg):
         steps += 1
         if ledger is not None:
-            ledger.record(states[0], t, dt, nl, rejections=rejections)
+            ledger.record(state, t, dt, nl, rejections=rejections)
         if max_steps is not None and steps >= max_steps:
             break
-    return states[0].u
+    return state.u

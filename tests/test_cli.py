@@ -260,6 +260,15 @@ MALFORMED = {
                                                            "lengths = inf"), []),
     "initial_amplitude_nan": ("init", lambda text: text.replace("amplitude = 0.05",
                                                                 "amplitude = nan"), []),
+    # [initial] specs the grid cannot realize
+    "initial_mode_unresolvable": ("init", lambda text: text.replace(
+        "kind = noise", "kind = mode\nmode = 64"), []),
+    "initial_amplitude_past_margin": ("run", lambda text: text.replace(
+        "amplitude = 0.05", "amplitude = 0.8"), []),
+    "initial_noise_cutoff_0": ("init", lambda text: text.replace("cutoff = 10", "cutoff = 0"),
+                               []),
+    "initial_tanh_width_0": ("init", lambda text: text.replace(
+        "kind = noise", "kind = tanh\nwidth = 0"), []),
     "dispersion_amplitude_0": ("dispersion", "[dispersion]\namplitude = 0\n", []),
     "dispersion_amplitude_1.5": ("dispersion", "[dispersion]\namplitude = 1.5\n", []),
     "dispersion_amplitude_nan": ("dispersion", "[dispersion]\namplitude = nan\n", []),
@@ -359,4 +368,4 @@ class TestBadInputProperty:
             path = Path(tmp) / "run.ini"
             path.write_text(text)
             assert main(["init", "--config", str(path), "--out", str(Path(tmp) / "out"),
-                         *argv]) in (0, 1, 2)
+                         *argv]) in (0, 1)

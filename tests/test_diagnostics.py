@@ -164,6 +164,28 @@ class TestCdep:
             cdep_experiment(u01, u01 + bump, SPINODAL, cfg, t_end=1.0)
 
 
+class TestCdepBatch:
+    def test_pair_evaluated_once_per_step(self, monkeypatch):
+        # the pair is one batched State: one pointwise pass per state, not per row
+        from sixch.potential import Nonlinearity
+
+        calls = []
+        pointwise = Nonlinearity.pointwise
+
+        def counted(self, r):
+            calls.append(np.shape(r))
+            return pointwise(self, r)
+
+        monkeypatch.setattr(Nonlinearity, "pointwise", counted)
+        u01, u02 = TestCdep()._base(n=32)
+        dt = 2e-3
+        report = cdep_experiment(u01, u02, P0, SolverConfig(dt0=dt, dt_min=dt, dt_max=dt),
+                                 t_end=20 * dt)
+        n = len(report.times) - 1
+        assert n == 20
+        assert calls == [(2, 32)] * (n + 1)
+
+
 class TestCdepDualDistance:
     """The pair distance is read from the states' coefficients, mass mode left out."""
 

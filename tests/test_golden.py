@@ -13,7 +13,10 @@ the hash test is skipped rather than compared.
 The portable tier runs everywhere: the ledger rows of two runs, stored
 in `tests/golden/` (every `ROWS[name]`-th row), must agree column by
 column within `ROW_RTOL` times the column's largest |value|.  Other SIMD
-kernels move the rows by about 1e-13 of that scale.
+kernels move the rows by about 1e-13 of that scale.  A paired run's
+`times`, `dual_distance` and `fitted_C` (`CDEP_ROWS`, stored as
+`tests/golden/<name>.json`) are compared the same way, each within
+`ROW_RTOL` times its largest |value|.
 
 To re-record (only at a commit whose outputs are the reference):
 
@@ -24,6 +27,7 @@ To re-record (only at a commit whose outputs are the reference):
 import configparser
 import csv
 import hashlib
+import json
 import platform
 import sys
 from pathlib import Path
@@ -76,6 +80,9 @@ RUNS = {
 
 # name -> stride of the ledger rows kept in tests/golden/<name>.csv
 ROWS = {"bench1d_500": 5, "newton1d_20": 1}
+# paired runs whose cdep.json series are kept in tests/golden/<name>.json
+CDEP_ROWS = ("cdep_shipped",)
+CDEP_KEYS = ("times", "dual_distance", "fitted_C")
 ROW_RTOL = 1e-10
 
 RECORDED_ON = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64", "avx512f": True}
@@ -181,6 +188,18 @@ def test_ledger_rows_match_golden(name, tmp_path):
     assert not bad, f"columns off by more than {ROW_RTOL:g} x max|value|: {bad}"
 
 
+@pytest.mark.parametrize("name", CDEP_ROWS)
+def test_cdep_series_match_golden(name, tmp_path):
+    golden = json.loads((ROWS_DIR / f"{name}.json").read_text())
+    got = json.loads((run_outputs(name, tmp_path) / "cdep.json").read_text())
+    for key in CDEP_KEYS:
+        want, have = np.atleast_1d(golden[key]), np.atleast_1d(got[key])
+        assert have.shape == want.shape, key
+        worst = float(np.max(np.abs(have - want)))
+        scale = float(np.max(np.abs(want)))
+        assert worst <= ROW_RTOL * scale, f"{key} off by {worst:g} (scale {scale:g})"
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -191,6 +210,10 @@ if __name__ == "__main__":
                 lines = (run_outputs(run, Path(tmp)) / "ledger.csv").read_text().splitlines()
                 kept = [lines[0]] + lines[1:][::stride]
                 (ROWS_DIR / f"{run}.csv").write_text("\n".join(kept) + "\n")
+            for run in CDEP_ROWS:
+                got = json.loads((run_outputs(run, Path(tmp)) / "cdep.json").read_text())
+                series = {key: got[key] for key in CDEP_KEYS}
+                (ROWS_DIR / f"{run}.json").write_text(json.dumps(series, indent=1) + "\n")
         else:
             print(f"RECORDED_ON = {_environment()!r}", file=sys.stderr)
             for run in sorted(RUNS):

@@ -389,3 +389,49 @@ class TestSnapshots:
         raw, _ = write_snapshot(u, tmp_path / "s")
         data = np.frombuffer(raw.read_bytes(), dtype="<f8")
         assert np.array_equal(data, u.values)
+
+
+class TestBatch:
+    """A batch is an explicit leading axis of rows, each acted on as one field."""
+
+    GRIDS = [Grid((1.0,), (64,), gr.NEUMANN), Grid((1.0,), (64,), gr.PERIODIC),
+             Grid((1.0, 2.0), (8, 12), gr.PERIODIC), Grid((1.0,) * 3, (8,) * 3, gr.NEUMANN)]
+
+    def test_shape_never_inferred(self):
+        g = Grid((1.0,), (8,))
+        with pytest.raises(ShapeError):
+            ScalarField(g, np.zeros((8, 8)))  # a batch only when asked for
+        with pytest.raises(ShapeError):
+            ScalarField(g, np.zeros(8), batch=True)  # a batch needs its row axis
+        with pytest.raises(ShapeError):
+            ScalarField(g, np.zeros((2, 9)), batch=True)
+        with pytest.raises(ShapeError):
+            ScalarField(g, np.full((2, 8), np.inf), batch=True)
+
+    def test_stack_needs_single_fields_on_one_grid(self):
+        g = Grid((1.0,), (8,))
+        u = constant_field(g, 0.1)
+        pair = ScalarField.stack([u, u])
+        assert pair.batch and pair.values.shape == (2, 8)
+        with pytest.raises(ShapeError):
+            ScalarField.stack([pair, pair])
+        with pytest.raises(ShapeError):
+            ScalarField.stack([u, constant_field(Grid((2.0,), (8,)), 0.1)])
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.bc}{g.dim}d")
+    def test_rows_transform_and_differentiate_bitwise_alone(self, grid):
+        rows = [band_limited(grid, seed=s, cutoff=4) for s in (1, 2, 3)]
+        batch = ScalarField.stack(rows)
+        coeffs = gr.transform_forward(batch)
+        back = gr.transform_backward(coeffs, grid, batch=True)
+        smooth = gr.resolvent(batch, 0.1)
+        gsq = gr.grad_norm_sq_field(batch)
+        assert back.batch and smooth.batch and gsq.batch
+        for i, u in enumerate(rows):
+            c = gr.transform_forward(u)
+            assert np.array_equal(coeffs[i], c)
+            assert np.array_equal(back.values[i], gr.transform_backward(c, grid).values)
+            assert np.array_equal(smooth.values[i], gr.resolvent(u, 0.1).values)
+            assert np.array_equal(gsq.values[i], gr.grad_norm_sq_field(u).values)
+            for ax in range(grid.dim):
+                assert np.array_equal(gr.gradient_axis(batch, ax)[i], gr.gradient_axis(u, ax))

@@ -396,3 +396,45 @@ class TestOnePointwisePass:
         u = band_limited(grid, seed=3, amplitude=0.97)  # past the knee 0.95 of n = 10
         model.State(u, Nonlinearity(PotentialParams(1.0, 0.5), level)).complete()
         assert calls == {"check": 1, "eval_beta": 1}
+
+
+class TestBatchedState:
+    """A State of a (k, ...) batch equals the k single States bitwise."""
+
+    CASES = [(Grid((2 * np.pi,), (128,), gr.PERIODIC), None),
+             (Grid((2 * np.pi,), (128,), gr.PERIODIC), TruncationLevel(10)),
+             (Grid((4 * np.pi,), (96,), gr.NEUMANN), None),
+             (Grid((4 * np.pi,), (96,), gr.NEUMANN), TruncationLevel(10)),
+             (Grid((4 * np.pi,) * 3, (8,) * 3, gr.NEUMANN), None),
+             (Grid((4 * np.pi,) * 3, (8,) * 3, gr.NEUMANN), TruncationLevel(10))]
+
+    @pytest.mark.parametrize("grid, level", CASES,
+                             ids=[f"{g.bc}{g.dim}d-{'extended' if lvl else 'exact'}"
+                                  for g, lvl in CASES])
+    def test_rows_equal_single_states(self, grid, level):
+        nl = Nonlinearity(PotentialParams(3.0, 1.0), level)
+        # past the knee 0.95 of n = 10 in extended mode
+        amp = 0.97 if level else 0.8
+        rows = [band_limited(grid, seed=s, cutoff=4, amplitude=amp) for s in (1, 2)]
+        batch = model.State(ScalarField.stack(rows), nl)
+        assert batch.rows == 2
+        batch_mu = batch.complete()
+        for i, u in enumerate(rows):
+            single = model.State(u, nl)
+            mu = single.complete()
+            assert single.rows is None and isinstance(single.energy.total, float)
+            for name in ("willmore", "ch_grad", "ch_pot", "total"):
+                assert getattr(batch.energy, name)[i] == getattr(single.energy, name), name
+            for name in single.apriori.__dataclass_fields__:
+                assert getattr(batch.apriori, name)[i] == getattr(single.apriori, name), name
+            assert batch.grad_mu_sq[i] == single.grad_mu_sq
+            assert np.array_equal(batch.u_hat[i], single.u_hat)
+            assert np.array_equal(batch.mu_hat[i], single.mu_hat)
+            assert np.array_equal(batch_mu.values[i], mu.values)
+
+    def test_one_row_outside_the_domain_raises(self):
+        grid = Grid((1.0,), (32,), gr.PERIODIC)
+        inside = constant_field(grid, 0.5)
+        outside = constant_field(grid, 1.0)
+        with pytest.raises(DomainError):
+            model.State(ScalarField.stack([inside, outside]), P0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from sixch import grid as gr
 from sixch.diagnostics import RunLedger
@@ -130,6 +131,37 @@ class TestNewtonEvaluations:
         assert out.inner_iters >= 2
         assert counts == {"State": 1, "pointwise": out.inner_iters + 2}
 
+    def test_no_jacobian_at_the_converged_iterate(self, monkeypatch):
+        # G(u) comes from the completed prev's mu_hat, a Jacobian is built
+        # per Newton iteration only, and its matvec makes 6 r2r transforms
+        # in 1D (w and beta' w share one transform each way)
+        from sixch import stepper
+
+        grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
+        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
+        prev = State(noise_state(grid, cutoff=20), SPINODAL)
+        prev.complete()
+        ops, r2r = [], []
+
+        def recording(*args, **kwargs):
+            ops.append(LinearOperator(*args, **kwargs))
+            return ops[-1]
+
+        monkeypatch.setattr(stepper, "LinearOperator", recording)
+        out = step_implicit(prev, 1e-4, SPINODAL, cfg)
+        assert out.inner_iters >= 2
+        assert len(ops) == 1 + out.inner_iters  # the preconditioner, then the Jacobians
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                r2r.append(fn)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("dct", "dst"):
+            monkeypatch.setattr(gr, name, counted(getattr(gr, name)))
+        ops[1].matvec(np.linspace(-1.0, 1.0, 512))
+        assert len(r2r) == 6
+
 
 class TestEnergyDissipation:
     def test_energy_decreases_every_accepted_step(self):
@@ -226,3 +258,24 @@ class TestStabilizationDefaults:
             SolverConfig(growth_factor=0.9)
         with pytest.raises(ValueError):
             SolverConfig(guard_eps=0.25, truncation=TruncationLevel(5))
+
+
+class TestBatchedSteps:
+    """Both steps on a (k, ...) batch equal the per-row steps bitwise."""
+
+    @pytest.mark.parametrize("stepper", [step_imex, step_implicit])
+    @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
+    def test_rows_step_as_alone(self, stepper, bc):
+        grid = Grid((4 * np.pi,), (64,), bc)
+        # rows of different sup norms, so s1 differs from row to row
+        rows = [noise_state(grid, seed=3, amplitude=0.05),
+                noise_state(grid, seed=4, amplitude=0.75),
+                constant_field(grid, 0.2)]  # a fixed point
+        cfg = bare_cfg(1e-4, scheme="newton" if stepper is step_implicit else "imex")
+        batch = stepper(ScalarField.stack(rows), 1e-4, SPINODAL, cfg)
+        alone = [stepper(u, 1e-4, SPINODAL, cfg) for u in rows]
+        assert batch.inner_iters == max(r.inner_iters for r in alone)
+        for i, r in enumerate(alone):
+            assert np.array_equal(batch.field.values[i], r.field.values)
+            assert batch.state.energy.total[i] == r.state.energy.total
+        assert np.array_equal(batch.field.values[2], rows[2].values)
