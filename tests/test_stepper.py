@@ -151,6 +151,7 @@ class TestNewtonEvaluations:
         out = step_implicit(prev, 1e-4, SPINODAL, cfg)
         assert out.inner_iters >= 2
         assert len(ops) == 1 + out.inner_iters  # the preconditioner, then the Jacobians
+
         def counted(fn):
             def wrapper(*args, **kwargs):
                 r2r.append(fn)
