@@ -117,10 +117,11 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
             **{key: conv(sol[key]) for key, conv in _SOLVER_KEYS.items() if key in sol})
 
         run = cp["run"] if cp.has_section("run") else {}
-        t_end = float(run.get("t_end", 1.0)) if run else 1.0
-        max_steps_raw = run.get("max_steps", "").strip() if run else ""
-        max_steps = int(max_steps_raw) if max_steps_raw else None
-        snapshot_every = int(run.get("snapshot_every", 0)) if run else 0
+        t_end = float(run.get("t_end", 1.0))
+        max_steps = int(run["max_steps"]) if run.get("max_steps", "").strip() else None
+        snapshot_every = int(run.get("snapshot_every", 0))
+        if snapshot_every < 0:
+            raise ConfigError("[run] snapshot_every must be >= 0 (0: no cadence snapshots)")
 
         extras = _experiments(cp, grid, params, solver, t_end, max_steps)
         return RunConfig(grid, params, spec, solver, t_end, max_steps, snapshot_every, extras)
@@ -149,18 +150,22 @@ def _experiments(cp, grid, params, solver, t_end, max_steps) -> dict:
             "bump": initdata.InitialSpec(kind="mode", mean_m=0.0, mode=int(c.get("mode", 1)),
                                          amplitude=float(c.get("amplitude", 1e-6)))}
     initdata.check_realizable(cdep["bump"], grid)
-    max_steps_raw = w.get("max_steps", "").strip()
     sweep = {"t_end": float(w.get("t_end", t_end)),
-             "max_steps": int(max_steps_raw) if max_steps_raw else max_steps,
-             "runs": [(potential.PotentialParams(lam, eta),
+             "max_steps": int(w["max_steps"]) if w.get("max_steps", "").strip() else max_steps,
+             "runs": [(f"lam{lam:g}_eta{eta:g}_n{n}", potential.PotentialParams(lam, eta),
                        replace(solver, truncation=potential.TruncationLevel(n) if n else None))
                       for lam in _floats(w.get("lambdas", str(params.lam)))
                       for eta in _floats(w.get("etas", str(params.eta)))
                       for n in _ints(w.get("truncations", "0"))]}
     if not sweep["runs"]:
         raise ConfigError("[sweep] needs at least one lambda, eta and truncation")
+    names = [name for name, _, _ in sweep["runs"]]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"[sweep] two runs would share an output directory: {names}")
     if not all(0.0 < x < np.inf for x in (t_end, cdep["t_end"], sweep["t_end"])):  # NaN too
         raise ConfigError("t_end ([run], [cdep], [sweep]) must be positive and finite")
+    if any(n is not None and n < 1 for n in (max_steps, sweep["max_steps"])):
+        raise ConfigError("max_steps ([run], [sweep]) must be >= 1")
     return {"dispersion": (pairs, dispersion), "cdep": cdep, "sweep": sweep}
 
 
@@ -283,9 +288,8 @@ def cmd_cdep(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
 
 
 def _sweep_worker(args) -> str:
-    cfg, outdir, config_path, (params, solver) = args
-    n = solver.truncation.n if solver.truncation else 0
-    sub = outdir / f"lam{params.lam:g}_eta{params.eta:g}_n{n}"
+    cfg, outdir, config_path, (name, params, solver) = args
+    sub = outdir / name
     sub.mkdir(parents=True, exist_ok=True)
     sweep = cfg.extras["sweep"]
     cmd_run(replace(cfg, params=params, solver=solver, t_end=sweep["t_end"],

@@ -14,6 +14,11 @@ eigenvalues >= 0 and a one-dimensional kernel of constants (mode 0).  On
 zero-mean fields its inverse N = A^{-1} defines the dual norm
 ``||g||_{V0'} = ||grad(N g)|| = sqrt(<g, N g>)``.
 
+The spectral kernels (the transforms, `gradient_axis`, `grad_norm_sq`)
+act on ndarrays over their trailing ``grid.dim`` axes, so leading axes
+are a batch; the field calculus above them takes `ScalarField`s, which
+check shape and finiteness when built.
+
 All quadrature is uniform (equal weights x cell volume); sums use numpy's
 pairwise reduction, which is deterministic for a fixed array layout.
 Transforms allocate per-call scratch, so grids and fields can be shared
@@ -130,9 +135,8 @@ class ScalarField:
 
     A batch is explicit: ``batch=True`` (or `ScalarField.stack`) gives the
     values one leading axis of rows, each row a field on the grid; it is
-    never inferred from the shape.  The transforms, `apply_symbol`,
-    `gradient_axis` and `grad_norm_sq_field` act on each row; the
-    reductions and norms take one field.
+    never inferred from the shape.  `apply_symbol` and the operators built
+    on it act on each row; the reductions and norms take one field.
     """
 
     __slots__ = ("grid", "values", "batch")
@@ -194,40 +198,34 @@ def constant_field(grid: Grid, value: float) -> ScalarField:
 # transforms
 
 
-def _fft_axes(grid: Grid, batch: bool):
-    """fftn's axes: every axis of one field, the trailing grid axes of a batch."""
-    return tuple(range(-grid.dim, 0)) if batch else None
-
-
-def transform_forward(u: ScalarField) -> np.ndarray:
-    """Orthonormal spectral coefficients diagonalizing A.
+def transform_forward(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Orthonormal spectral coefficients diagonalizing A, over the trailing
+    grid axes of `values` (so any leading axes are a batch).
 
     The coefficient array is real (cosine basis) for neumann grids and
     complex (Fourier basis) for periodic grids; index (0,..,0) is the mass
-    mode in both layouts.  A batch is transformed row by row, over its
-    trailing grid axes.
+    mode in both layouts.
     """
-    values, grid = u.values, u.grid
     if grid.bc == NEUMANN:
         for ax in range(-grid.dim, 0):
             values = dct(values, type=2, axis=ax, norm="ortho")
         return values
-    return fftn(values, axes=_fft_axes(grid, u.batch), norm="ortho")
+    return fftn(values, axes=tuple(range(-grid.dim, 0)), norm="ortho")
 
 
-def transform_backward(coeffs: np.ndarray, grid: Grid, batch: bool = False) -> ScalarField:
-    """Inverse of :func:`transform_forward`; `batch` for the coefficients of a batch."""
+def transform_backward(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of :func:`transform_forward`: real sample values."""
     if grid.bc == NEUMANN:
         for ax in range(-grid.dim, 0):
             coeffs = dct(coeffs, type=3, axis=ax, norm="ortho")
-        return ScalarField(grid, coeffs, batch)
-    return ScalarField(grid, np.real(ifftn(coeffs, axes=_fft_axes(grid, batch), norm="ortho")),
-                       batch)
+        return coeffs
+    return np.real(ifftn(coeffs, axes=tuple(range(-grid.dim, 0)), norm="ortho"))
 
 
 def apply_symbol(u: ScalarField, multiplier: np.ndarray) -> ScalarField:
     """Apply a spectral multiplier (diagonal operator) to a field."""
-    return transform_backward(transform_forward(u) * multiplier, u.grid, u.batch)
+    coeffs = transform_forward(u.values, u.grid) * multiplier
+    return ScalarField(u.grid, transform_backward(coeffs, u.grid), u.batch)
 
 
 def apply_A(u: ScalarField, power: int = 1) -> ScalarField:
@@ -253,10 +251,10 @@ def inv_A_zero_mean(g: ScalarField) -> ScalarField:
     if abs(gbar) > _MEAN_RTOL * lp_norm(g, 2):
         raise MeanError(f"input must have zero mean, got {gbar:.3e}")
     ev = g.grid.symbol().eigenvalues
-    coeffs = transform_forward(g)
+    coeffs = transform_forward(g.values, g.grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(ev > 0.0, coeffs / np.where(ev > 0.0, ev, 1.0), 0.0)
-    return transform_backward(out, g.grid)
+    return ScalarField(g.grid, transform_backward(out, g.grid))
 
 
 def resolvent(u: ScalarField, tau: float) -> ScalarField:
@@ -293,18 +291,17 @@ def inner(u: ScalarField, v: ScalarField) -> float:
     return float(np.sum(u.values * _vals(v, u.grid)) * u.grid.cell_volume)
 
 
-def gradient_axis(u: ScalarField, axis: int) -> np.ndarray:
-    """Spectral partial derivative along one axis, sampled on the grid."""
-    grid = u.grid
+def gradient_axis(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """Spectral partial derivative along one grid axis, sampled on the grid."""
     n = grid.counts[axis]
     ax = axis - grid.dim  # counted from the end, so that a batch axis may lead
     rest = (slice(None),) * (grid.dim - 1 - axis)  # the grid axes after it
     k = grid.symbol().wavenumbers[axis].reshape((n,) + (1,) * len(rest))
     if grid.bc == PERIODIC:
-        coeffs = fftn(u.values, axes=(ax,))
+        coeffs = fftn(values, axes=(ax,))
         return np.real(ifftn(1j * k * coeffs, axes=(ax,)))
     # cosine series -> sine series: d/dx cos(m pi x/L) = -(m pi/L) sin(...)
-    y = dct(u.values, type=2, axis=ax)
+    y = dct(values, type=2, axis=ax)
     c = y / n
     c[(Ellipsis, 0) + rest] = 0.0  # constant mode has zero derivative
     b = -k * c
@@ -313,19 +310,19 @@ def gradient_axis(u: ScalarField, axis: int) -> np.ndarray:
     return dst(z, type=3, axis=ax) / 2.0
 
 
-def grad_norm_sq_field(u: ScalarField) -> ScalarField:
-    """Pointwise |grad u|^2; tiny negative roundoff is floored to zero."""
-    acc = np.zeros(u.values.shape)
-    for ax in range(u.grid.dim):
-        acc += gradient_axis(u, ax) ** 2
+def grad_norm_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Pointwise |grad u|^2 of u's values; tiny negative roundoff is floored to zero."""
+    acc = np.zeros(values.shape)
+    for ax in range(grid.dim):
+        acc += gradient_axis(values, grid, ax) ** 2
     np.maximum(acc, 0.0, out=acc)
-    return ScalarField(u.grid, acc, u.batch)
+    return acc
 
 
 def h1_seminorm(u: ScalarField) -> float:
     """||grad u|| computed spectrally: sqrt(sum_m lambda_m |c_m|^2 * w)."""
     ev = u.grid.symbol().eigenvalues
-    coeffs = transform_forward(u)
+    coeffs = transform_forward(u.values, u.grid)
     w = u.grid.cell_volume
     return float(np.sqrt(np.sum(ev * np.abs(coeffs) ** 2) * w))
 
@@ -388,13 +385,12 @@ def _fourier_blocks(coarse: tuple[int, ...], fine: tuple[int, ...]):
 
 def interpolate(u: ScalarField, fine: Grid) -> ScalarField:
     coarse = u.grid
-    c = transform_forward(u)
     if coarse.bc == NEUMANN:
         out = np.zeros(fine.shape)
-        out[tuple(slice(0, n) for n in coarse.shape)] = c
+        out[tuple(slice(0, n) for n in coarse.shape)] = transform_forward(u.values, coarse)
         # orthonormal DCT scaling depends on N: rescale by sqrt(prod(2n/n))
         out *= np.sqrt(np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)]))
-        return transform_backward(out, fine)
+        return ScalarField(fine, transform_backward(out, fine))
     out = np.zeros(fine.shape, dtype=complex)
     src = fftn(u.values)
     for kept, placed in _fourier_blocks(coarse.shape, fine.shape):
@@ -406,10 +402,10 @@ def interpolate(u: ScalarField, fine: Grid) -> ScalarField:
 def restrict(u: ScalarField, coarse: Grid) -> ScalarField:
     fine = u.grid
     if fine.bc == NEUMANN:
-        c = transform_forward(u)
+        c = transform_forward(u.values, fine)
         kept = c[tuple(slice(0, n) for n in coarse.shape)].copy()
         kept /= np.sqrt(np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)]))
-        return transform_backward(kept, coarse)
+        return ScalarField(coarse, transform_backward(kept, coarse))
     src = fftn(u.values)
     out = np.zeros(coarse.shape, dtype=complex)
     for kept, placed in _fourier_blocks(coarse.shape, fine.shape):

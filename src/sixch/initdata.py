@@ -116,9 +116,8 @@ def generate(spec: InitialSpec, grid: Grid) -> ScalarField:
         coeffs[box] = rng.standard_normal(coeffs[box].shape)
         coeffs.flat[0] = 0.0
         if grid.bc == gr.PERIODIC:
-            dev = gr.transform_backward(coeffs.astype(complex), grid).values
-        else:
-            dev = gr.transform_backward(coeffs, grid).values
+            coeffs = coeffs.astype(complex)
+        dev = gr.transform_backward(coeffs, grid)
         dev -= dev.mean()
         peak = np.max(np.abs(dev))
         if peak == 0.0:

@@ -128,8 +128,8 @@ class State:
         self.u, self.nl = u, nl
         self.rows = rows = len(vals) if u.batch else None  # None: one state
         self._pw = pw.beta, pw.beta1, pw.beta2, pw.g  # the part complete() reads
-        self.u_hat = gr.transform_forward(u)
-        self._a_u = gr.transform_backward(ev * self.u_hat, grid, u.batch).values
+        self.u_hat = gr.transform_forward(vals, grid)
+        self._a_u = gr.transform_backward(ev * self.u_hat, grid)
         om_vals = self._a_u + (pw.beta - nl.params.lam * vals)  # -lap(u) + f(u)
         willmore = 0.5 * _sum(om_vals**2, rows) * w
         ch_grad = 0.5 * eta * _spectral_sq(ev, self.u_hat, rows) * w
@@ -142,12 +142,13 @@ class State:
         grid, rows = self.u.grid, self.rows
         ev = grid.symbol().eigenvalues
         beta, _, _, g_vals = self._pw
-        gsq = gr.grad_norm_sq_field(self.u).values
-        mu_field, beta_hat, b_vals, curv = _uom1(self.nl, self.u, self.u_hat, self._a_u,
-                                                 *self._pw, gsq)
+        gsq = gr.grad_norm_sq(self.u.values, grid)
+        mu_vals, beta_hat, b_vals, curv = _uom1(self.nl, grid, self.u_hat, self._a_u,
+                                                *self._pw, gsq)
+        mu_field = ScalarField(grid, mu_vals, self.u.batch)  # mu leaves the state: checked
         self._pw = self._a_u = None
         self._terms = beta, beta_hat, b_vals, curv, g_vals
-        self.mu_hat = gr.transform_forward(mu_field)
+        self.mu_hat = gr.transform_forward(mu_vals, grid)
         root = _sqrt(_spectral_sq(ev, self.mu_hat, rows) * grid.cell_volume)
         # each row squared as a float, as a single State squares its one
         self.grad_mu_sq = root**2 if rows is None else np.array([r**2 for r in root.tolist()])
@@ -172,19 +173,17 @@ class State:
         return self._apriori
 
 
-def _uom1(nl, u, u_hat, a_u, beta, beta1, beta2, g_vals, gsq):
-    """UOM1 mu of u (one field or a batch) from u_hat, A u, pointwise terms and
-    |grad u|^2, with beta_hat, B and curv."""
-    grid = u.grid
+def _uom1(nl, grid, u_hat, a_u, beta, beta1, beta2, g_vals, gsq):
+    """The values of the UOM1 mu of u (one state or a batch on `grid`) from u_hat,
+    A u, pointwise terms and |grad u|^2, with beta_hat, B and curv."""
     ev = grid.symbol().eigenvalues
-    beta_hat = gr.transform_forward(ScalarField(grid, beta, u.batch))
-    lap_beta = -gr.transform_backward(beta_hat * ev, grid, u.batch).values
-    lap2_u = gr.transform_backward(ev**2 * u_hat, grid, u.batch).values
+    beta_hat = gr.transform_forward(beta, grid)
+    lap_beta = -gr.transform_backward(beta_hat * ev, grid)
+    lap2_u = gr.transform_backward(ev**2 * u_hat, grid)
     b_vals = beta * beta1
     curv = beta2 * gsq
     common = b_vals + (2.0 * nl.params.lam - nl.params.eta) * -a_u + g_vals
-    return (ScalarField(grid, lap2_u - 2.0 * lap_beta + curv + common, u.batch),
-            beta_hat, b_vals, curv)
+    return lap2_u - 2.0 * lap_beta + curv + common, beta_hat, b_vals, curv
 
 
 def omega(u: ScalarField, p, dealias: bool = False) -> ScalarField:
@@ -200,7 +199,7 @@ def omega(u: ScalarField, p, dealias: bool = False) -> ScalarField:
         nl.check(u.values)
         fine = gr.interpolate(u, gr.refined(u.grid))
         return gr.restrict(omega(fine, nl), u.grid)
-    return gr.laplacian(u) * (-1.0) + ScalarField(u.grid, nl.f(u.values))
+    return ScalarField(u.grid, gr.apply_A(u).values + nl.f(u.values))
 
 
 def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1,
@@ -218,21 +217,20 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1,
     if form is MuFormulation.CASCADE:
         om = omega(u, nl)
         fp = nl.fprime(u.values)
-        react = ScalarField(u.grid, (fp + eta) * om.values)
-        return gr.laplacian(om) * (-1.0) + react
+        return ScalarField(u.grid, gr.apply_A(om).values + (fp + eta) * om.values)
 
     beta, beta1, beta2, _, g_vals, _, _ = nl.pointwise(u.values)
     ev = u.grid.symbol().eigenvalues
-    u_hat = gr.transform_forward(u)
-    lap_u = gr.transform_backward(-ev * u_hat, u.grid).values
-    lap2_u = gr.transform_backward(ev**2 * u_hat, u.grid).values
+    u_hat = gr.transform_forward(u.values, u.grid)
+    lap_u = gr.transform_backward(-ev * u_hat, u.grid)
+    lap2_u = gr.transform_backward(ev**2 * u_hat, u.grid)
     common = beta * beta1 + (2.0 * lam - eta) * lap_u + g_vals
 
     if form is MuFormulation.UOM:
-        lap_beta = gr.laplacian(ScalarField(u.grid, beta)).values
+        lap_beta = -gr.transform_backward(gr.transform_forward(beta, u.grid) * ev, u.grid)
         out = lap2_u - lap_beta - beta1 * lap_u + common
     elif form is MuFormulation.UOM2:
-        gsq = gr.grad_norm_sq_field(u).values
+        gsq = gr.grad_norm_sq(u.values, u.grid)
         out = lap2_u - 2.0 * beta1 * lap_u - beta2 * gsq + common
     else:
         raise ValueError(f"unknown formulation {form!r}")
@@ -264,8 +262,7 @@ def arcsin_functional(u: ScalarField) -> float:
     """
     if np.any(np.abs(u.values) > 1.0):
         raise DomainError("arcsin functional needs |u| <= 1")
-    theta = ScalarField(u.grid, np.arcsin(u.values))
-    integrand = gr.grad_norm_sq_field(theta).values
+    integrand = gr.grad_norm_sq(np.arcsin(u.values), u.grid)
     if np.any(integrand > 1e300):
         raise OverflowSignal("arcsin-gradient integrand exceeded 1e300")
     return float(np.sum(integrand)) * u.grid.cell_volume
@@ -284,8 +281,8 @@ def arcsin_gateaux(u: ScalarField, phi: ScalarField) -> float:
     w = u.grid.cell_volume
     dot = np.zeros(u.grid.shape)
     for ax in range(u.grid.dim):
-        dot += gr.gradient_axis(u, ax) * gr.gradient_axis(phi, ax)
-    gsq = gr.grad_norm_sq_field(u).values
+        dot += gr.gradient_axis(u.values, u.grid, ax) * gr.gradient_axis(phi.values, u.grid, ax)
+    gsq = gr.grad_norm_sq(u.values, u.grid)
     return float(np.sum(a * dot) + 0.5 * np.sum(a1 * gsq * phi.values)) * w
 
 

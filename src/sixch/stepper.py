@@ -177,12 +177,12 @@ def _candidate(prev: State, new_hat: np.ndarray, nl: Nonlinearity, iters: int) -
     grid = prev.u.grid
     mass = (Ellipsis,) + (0,) * grid.dim
     new_hat[mass] = prev.u_hat[mass]
-    u_new = gr.transform_backward(new_hat, grid, prev.u.batch)
+    u_new = gr.transform_backward(new_hat, grid)
     # a spectral fixed point (e.g. a constant) keeps its values bit-identical, row by row
     fixed = np.all(new_hat == prev.u_hat, axis=tuple(range(-grid.dim, 0)))
     if fixed.any():
-        u_new.values[fixed] = prev.u.values[fixed]
-    return StepResult(State(u_new, nl), iters)
+        u_new[fixed] = prev.u.values[fixed]
+    return StepResult(State(ScalarField(grid, u_new, prev.u.batch), nl), iters)
 
 
 def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
@@ -214,20 +214,20 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
 
     def evaluate(v_vals: np.ndarray):
         """Iterate v, its pointwise pass and its gradients: what G(v) and J(v) read."""
-        v = ScalarField(grid, v_vals.reshape(grid.shape))
-        pw = nl.pointwise(v.values)
-        grads = [gr.gradient_axis(v, ax) for ax in range(grid.dim)]
-        gsq = np.zeros(grid.shape)  # summed as in grad_norm_sq_field
+        v = ScalarField(grid, v_vals.reshape(grid.shape)).values  # an iterate: checked
+        pw = nl.pointwise(v)
+        grads = [gr.gradient_axis(v, grid, ax) for ax in range(grid.dim)]
+        gsq = np.zeros(grid.shape)  # summed as in grad_norm_sq
         for grad in grads:
             gsq += grad**2
         np.maximum(gsq, 0.0, out=gsq)
         return v, pw, grads, gsq
 
     def mu_hat_of(v, pw, _grads, gsq) -> np.ndarray:
-        v_hat = gr.transform_forward(v)
-        a_v = gr.transform_backward(ev * v_hat, grid).values
-        return gr.transform_forward(_uom1(nl, v, v_hat, a_v, pw.beta, pw.beta1, pw.beta2,
-                                          pw.g, gsq)[0])
+        v_hat = gr.transform_forward(v, grid)
+        a_v = gr.transform_backward(ev * v_hat, grid)
+        return gr.transform_forward(_uom1(nl, grid, v_hat, a_v, pw.beta, pw.beta1, pw.beta2,
+                                          pw.g, gsq)[0], grid)
 
     def jacobian(v, pw, grads, gsq) -> LinearOperator:
         """J w = w + dt*A*(Dmu(v) w), the analytic Frechet derivative of G at v."""
@@ -237,16 +237,15 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
         def jac_vec(w: np.ndarray) -> np.ndarray:
             w = w.reshape(grid.shape)
             # w and beta' w go through one stacked transform each way
-            w_hat, bw_hat = gr.transform_forward(
-                ScalarField(grid, np.stack([w, beta1 * w]), batch=True))
+            w_hat, bw_hat = gr.transform_forward(np.stack([w, beta1 * w]), grid)
             linear, a_bw = gr.transform_backward(
-                np.stack([linear_symbol * w_hat, bw_hat * ev]), grid, batch=True).values
-            wf = ScalarField(grid, w)
+                np.stack([linear_symbol * w_hat, bw_hat * ev]), grid)
             grad_dot = np.zeros(grid.shape)
             for ax in range(grid.dim):
-                grad_dot += grads[ax] * gr.gradient_axis(wf, ax)
+                grad_dot += grads[ax] * gr.gradient_axis(w, grid, ax)
             dmu = linear + 2.0 * a_bw + 2.0 * beta2 * grad_dot + zero_order * w
-            return (w + dt * gr.apply_A(ScalarField(grid, dmu)).values).ravel()
+            a_dmu = gr.transform_backward(gr.transform_forward(dmu, grid) * ev, grid)
+            return (w + dt * a_dmu).ravel()
 
         return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64)
 
@@ -255,12 +254,12 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
         precond_diag = 1.0 + dt * (ev**3 + s1 * ev**2 + s2 * ev)
 
         def precond(w: np.ndarray) -> np.ndarray:
-            w_hat = gr.transform_forward(ScalarField(grid, w.reshape(grid.shape)))
-            return gr.transform_backward(w_hat / precond_diag, grid).values.ravel()
+            w_hat = gr.transform_forward(w.reshape(grid.shape), grid)
+            return gr.transform_backward(w_hat / precond_diag, grid).ravel()
 
         def residual(v_vals: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
             """G(v) = v - u + dt*A*mu(v), from the coefficients of mu(v)."""
-            lap_mu = gr.transform_backward(mu_hat * ev, grid).values  # A mu(v)
+            lap_mu = gr.transform_backward(mu_hat * ev, grid)  # A mu(v)
             return (v_vals.reshape(grid.shape) - u_vals + dt * lap_mu).ravel()
 
         M = LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
@@ -299,7 +298,7 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
     else:
         solved = [newton(*row) for row in zip(prev.u.values, prev.mu_hat, s1, s2)]
         v_vals, iters = np.stack([v for v, _ in solved]), max(i for _, i in solved)
-    new_hat = gr.transform_forward(ScalarField(grid, v_vals, prev.u.batch))
+    new_hat = gr.transform_forward(v_vals, grid)
     return _candidate(prev, new_hat, nl, max(iters, 1))
 
 
@@ -362,6 +361,8 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be at least 1")  # the limit is read after a step
     nl = _nonlinearity(p, cfg)
     state = _completed(u0, nl)
     if ledger is not None:

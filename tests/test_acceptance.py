@@ -143,7 +143,7 @@ def test_criterion_6_gateaux_derivative(criterion):
         coeffs = np.zeros(grid.shape, dtype=complex)
         coeffs[1:9] = rng.standard_normal(8)
         base = gr.transform_backward(coeffs, grid)
-        u = ScalarField(grid, 0.7 * base.values / np.max(np.abs(base.values)))
+        u = ScalarField(grid, 0.7 * base / np.max(np.abs(base)))
         phliv = rng.standard_normal(grid.shape)
         phi = ScalarField(grid, phliv / (5.0 * np.max(np.abs(phliv))))
         h = 1e-5

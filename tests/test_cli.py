@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from sixch.cli import main, parse_config
 from sixch.errors import ConfigError
+from sixch.initdata import generate
+from sixch.model import energy
 from sixch.snapshots import read_snapshot
 from sixch.stepper import SolverConfig
 
@@ -231,6 +234,22 @@ class TestSweepCommand:
         for sub in subdirs:
             assert (out / sub / "ledger.csv").exists()
 
+    def test_each_run_writes_the_directory_parsed_for_it(self, tmp_path):
+        text = NOISE_CONFIG.replace("t_end = 0.05", "t_end = 0.01")
+        path = write_config(tmp_path, text + "\n[sweep]\nlambdas = 0 3\netas = 1 2\n")
+        cfg = parse_config(path)
+        runs = cfg.extras["sweep"]["runs"]
+        names = [name for name, _, _ in runs]
+        assert names == ["lam0_eta1_n0", "lam0_eta2_n0", "lam3_eta1_n0", "lam3_eta2_n0"]
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == names
+        u0 = generate(cfg.initial, cfg.grid)
+        for name, params, _ in runs:  # the initial energy shows whose run a directory holds
+            with open(out / name / "ledger.csv") as fh:
+                first = next(csv.DictReader(fh))
+            assert float(first["E_total"]) == energy(u0, params).total
+
 
 # config edits that each ended in a traceback, or failed only after the
 # output directory was made, instead of exit 1; a string is appended to
@@ -272,6 +291,18 @@ MALFORMED = {
     "dispersion_amplitude_0": ("dispersion", "[dispersion]\namplitude = 0\n", []),
     "dispersion_amplitude_1.5": ("dispersion", "[dispersion]\namplitude = 1.5\n", []),
     "dispersion_amplitude_nan": ("dispersion", "[dispersion]\namplitude = nan\n", []),
+    # a step limit below 1 still took one step
+    "run_max_steps_0": ("run", lambda text: text.replace("t_end = 0.05",
+                                                         "t_end = 0.05\nmax_steps = 0"), []),
+    "run_max_steps_negative": ("run", lambda text: text.replace(
+        "t_end = 0.05", "t_end = 0.05\nmax_steps = -3"), []),
+    "sweep_max_steps_0": ("sweep", "[sweep]\nmax_steps = 0\n", []),
+    "sweep_max_steps_negative": ("sweep", "[sweep]\nmax_steps = -3\n", []),
+    "run_snapshot_every_negative": ("run", lambda text: text.replace(
+        "t_end = 0.05", "t_end = 0.05\nsnapshot_every = -1"), []),
+    # sweep runs whose output directories coincide
+    "sweep_lambdas_repeated": ("sweep", "[sweep]\nlambdas = 3 3\n", []),
+    "sweep_lambdas_one_directory": ("sweep", "[sweep]\nlambdas = 3.0000001 3.0000002\n", []),
 }
 
 
@@ -331,7 +362,7 @@ FAULTS = {"counts": (-2, 0, 3), "lengths": (0.0, -1.0, NAN, INF),
 
 
 @st.composite
-def init_invocations(draw):
+def init_invocations(draw, max_count=40):
     """A small [grid] + [potential] + [initial] config and its argv; at most
     one field is drawn from FAULTS, the others are admissible."""
     fault = draw(st.sampled_from([None, *FAULTS]))
@@ -341,8 +372,8 @@ def init_invocations(draw):
 
     dim = draw(st.integers(1, 2))
     axis = draw(st.integers(0, dim - 1))  # the axis a grid fault goes to
-    counts = [value("counts", st.integers(4, 40)) if ax == axis else draw(st.integers(4, 40))
-              for ax in range(dim)]
+    counts = [value("counts", st.integers(4, max_count)) if ax == axis
+              else draw(st.integers(4, max_count)) for ax in range(dim)]
     lengths = [value("lengths", st.floats(0.5, 20.0)) if ax == axis
                else draw(st.floats(0.5, 20.0)) for ax in range(dim)]
     text = (f"[grid]\ndim = {dim}\ncounts = {' '.join(map(str, counts))}\n"
@@ -359,6 +390,23 @@ def init_invocations(draw):
     return text, [] if seed is None else ["--seed", str(seed)]
 
 
+RUN_FAULTS = {"t_end": (0.0, -1.0, NAN, INF), "max_steps": (-3, 0)}
+
+
+@st.composite
+def run_invocations(draw):
+    """An `init_invocations` config on at most 16 samples per axis, with a
+    [run] section of at most 3 steps; at most one [run] field is drawn from
+    RUN_FAULTS."""
+    text, argv = draw(init_invocations(max_count=16))
+    fault = draw(st.sampled_from([None, *RUN_FAULTS]))
+    t_end = draw(st.sampled_from(RUN_FAULTS["t_end"]) if fault == "t_end"
+                 else st.floats(1e-4, 5e-3))
+    max_steps = draw(st.sampled_from(RUN_FAULTS["max_steps"]) if fault == "max_steps"
+                     else st.integers(1, 3))
+    return text + f"[run]\nt_end = {t_end!r}\nmax_steps = {max_steps}\n", argv
+
+
 class TestBadInputProperty:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(init_invocations())
@@ -369,3 +417,14 @@ class TestBadInputProperty:
             path.write_text(text)
             assert main(["init", "--config", str(path), "--out", str(Path(tmp) / "out"),
                          *argv]) in (0, 1)
+
+    @pytest.mark.parametrize("command", ["run", "cdep"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(invocation=run_invocations())
+    def test_run_and_cdep_exit_with_a_code_never_a_traceback(self, command, invocation):
+        text, argv = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text)
+            assert main([command, "--config", str(path), "--out", str(Path(tmp) / "out"),
+                         *argv]) in (0, 1, 2)

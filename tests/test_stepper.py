@@ -106,6 +106,43 @@ class TestSchemeAgreement:
             assert 1.7 <= s <= 2.3, (diffs, slopes)
 
 
+class TestFieldConstructions:
+    """A ScalarField is built, and so checked, only where a value enters or
+    leaves a State: the candidate's u, each Newton iterate and mu."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        counts = []
+        init = ScalarField.__init__
+
+        def counting(self, *args, **kwargs):
+            counts.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScalarField, "__init__", counting)
+        return counts
+
+    @pytest.fixture
+    def prev(self):
+        grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
+        state = State(noise_state(grid, cutoff=20), SPINODAL)
+        state.complete()
+        return state
+
+    def test_imex_step_and_completion_build_one_each(self, prev, constructions):
+        out = step_imex(prev, 1e-4, SPINODAL, SolverConfig(dt0=1e-4))
+        assert len(constructions) == 1  # the candidate's u
+        out.state.complete()
+        assert len(constructions) == 2  # and mu
+
+    def test_newton_step_builds_one_per_iterate(self, prev, constructions):
+        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
+        out = step_implicit(prev, 1e-4, SPINODAL, cfg)
+        assert out.inner_iters >= 2
+        # u and each iterate, then the candidate's u
+        assert len(constructions) == out.inner_iters + 2
+
+
 class TestNewtonEvaluations:
     def test_each_iterate_evaluated_once(self, monkeypatch):
         # the newton1d benchmark problem: one pointwise pass per Newton
