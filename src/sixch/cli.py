@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import diagnostics as diag
 from . import grid as gr
-from . import initdata, potential, snapshots, stepper
+from . import initdata, model, potential, snapshots, stepper
 from .errors import ConfigError, EngineError
 
 # [solver] keys that map one to one onto SolverConfig fields, with their
@@ -145,6 +145,13 @@ def _experiments(cp, grid, params, solver, t_end, max_steps) -> dict:
     if not 0.0 < dispersion["amplitude"] < 1.0:  # NaN too
         raise ConfigError("[dispersion] amplitude must lie in (0, 1)")
     gr.Grid((dispersion["length"],), (dispersion["n_samples"],), gr.PERIODIC)
+    # a neutral mode is an error if named, and left out of the default modes
+    # (mode 1 is neutral at the run's own lambda:eta = 3:1)
+    rated = [j for j in dispersion["k_indices"] if _has_rate(j, dispersion["length"], pairs)]
+    if not rated or ("k_indices" in d and rated != dispersion["k_indices"]):
+        raise ConfigError(f"[dispersion] modes {sorted({*dispersion['k_indices']} - {*rated})}"
+                          " have no finite, nonzero growth rate at some lambda:eta pair")
+    dispersion["k_indices"] = rated
     cdep = {"t_end": float(c.get("t_end", t_end)),
             "fit_skip": float(c["fit_skip"]) if "fit_skip" in c else None,
             "bump": initdata.InitialSpec(kind="mode", mean_m=0.0, mode=int(c.get("mode", 1)),
@@ -167,6 +174,15 @@ def _experiments(cp, grid, params, solver, t_end, max_steps) -> dict:
     if any(n is not None and n < 1 for n in (max_steps, sweep["max_steps"])):
         raise ConfigError("max_steps ([run], [sweep]) must be >= 1")
     return {"dispersion": (pairs, dispersion), "cdep": cdep, "sweep": sweep}
+
+
+def _has_rate(k_index: int, length: float, pairs) -> bool:
+    """Whether mode k_index has a finite, nonzero growth rate at every pair."""
+    try:
+        k = diag.dispersion_wavenumber(k_index, length)
+        return all(0.0 < abs(model.dispersion_sigma(k, p)) < np.inf for p in pairs)
+    except OverflowError:  # k or k^2 past the float range
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +330,10 @@ def cmd_verify(cfg: Optional[RunConfig], outdir: Path,
     from .verify import run_invariant_suite
 
     results = run_invariant_suite()
-    width = max(len(name) for name, _ in results)
+    width = max(len(name) for name, _, _ in results)
     failures = []
-    for name, ok in results:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}")
+    for name, ok, why in results:
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}{f'  ({why})' if why else ''}")
         if not ok:
             failures.append(name)
     if failures:

@@ -18,8 +18,8 @@ import numpy as np
 from . import grid as gr
 from .errors import MeanMismatch, RangeError
 from .grid import ScalarField
-from .model import AprioriDiagnostics, EnergyBreakdown, State
-from .stepper import SolverConfig, _completed, _march, _nonlinearity
+from .model import AprioriDiagnostics, EnergyBreakdown, State, dispersion_sigma
+from .stepper import SolverConfig, _completed, _march, _nonlinearity, step_imex
 
 CSV_COLUMNS = ["t", "dt", "mass", "E_total", "E_willmore", "E_ch_grad", "E_ch_pot",
                "grad_mu_sq", "min_u", "max_u", "delta_sep", "beta_l2", "grad_beta_l2",
@@ -104,7 +104,8 @@ class RunLedger:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for row in self.rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v
+                # the repr of a float64 scalar names its type; a Python float's does not
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v
                                  for v in row.as_csv_values()])
 
 
@@ -275,12 +276,17 @@ class DispersionRow:
     rel_error: float
 
 
+def dispersion_wavenumber(k_index: int, length: float) -> float:
+    """The wavenumber of mode k_index on a periodic interval of that length."""
+    return 2.0 * np.pi * k_index / length
+
+
 def dispersion_experiment(p, k_indices: Sequence[int], length: float = 2.0 * np.pi,
                           n_samples: int = 64, amplitude: float = 1e-6,
-                          steps: int = 60, bc: str = gr.PERIODIC) -> list[DispersionRow]:
+                          steps: int = 60) -> list[DispersionRow]:
     """Measure per-mode decay rates of tiny single-mode states.
 
-    Each wavenumber runs `steps` IMEX steps with stabilization switched off.
+    Each mode runs `steps` IMEX steps with stabilization switched off.
     The scheme's one-step multiplier is (1 - dt*a)/(1 + dt*b) with
     a = k^2*(P(k) - k^4) explicit and b = k^6 implicit, whose log-rate bias
     is dt*|a - b|/2 relative; dt is chosen from both scales so the bias
@@ -288,19 +294,12 @@ def dispersion_experiment(p, k_indices: Sequence[int], length: float = 2.0 * np.
     slope of log|mode amplitude| against time, compared with the closed
     form.
     """
-    from .model import dispersion_sigma
-    from .stepper import step_imex
-
-    grid = gr.Grid((length,), (n_samples,), bc)
+    grid = gr.Grid((length,), (n_samples,), gr.PERIODIC)
     x = grid.axis_coords(0)
     out = []
     for j in k_indices:
-        if bc == gr.PERIODIC:
-            k = 2.0 * np.pi * j / length
-            profile = np.cos(k * x)
-        else:
-            k = np.pi * j / length
-            profile = np.cos(k * x)
+        k = dispersion_wavenumber(j, length)
+        profile = np.cos(k * x)
         sigma = dispersion_sigma(k, p)
         if sigma == 0.0:
             raise ValueError(f"mode {j} is neutral; no rate to measure")

@@ -19,10 +19,10 @@ whose nonlinear terms are exactly the quantities the diagnostic functionals
 below monitor.  `State` evaluates a state once: one pointwise pass of the
 nonlinearities (`Nonlinearity.pointwise`), the energy breakdown the
 dissipation test reads and, for an accepted state, the UOM1 mu and the
-diagnostic scalars.  A `State` of a batch (`ScalarField.stack`, a leading
-axis of k rows) evaluates the k states in the same array operations, so
-trajectories stepped in lockstep share every call; its scalars are (k,)
-arrays, bit-equal row by row to the floats of k single States.
+diagnostic scalars.  A batch is a leading shape, (k,) for a
+`ScalarField.stack` of k and () for one field, and one path serves both,
+so trajectories stepped in lockstep share every call; the scalars are per
+row (float64 scalars or (k,) arrays), each bit-equal to its single State's.
 `energy`, `apriori_diagnostics`, `mu_mean` and the UOM1 branch of `mu`
 delegate to it; its UOM1 assembly, `_uom1`, also serves the Newton
 residual.
@@ -54,7 +54,7 @@ class MuFormulation(Enum):
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """The energy and its terms: floats for one state, (k,) arrays for a batch."""
+    """The energy and its terms, per row (float64 scalars or (k,) arrays)."""
 
     willmore: float  # 1/2 ||omega||^2
     ch_grad: float  # eta/2 ||grad u||^2
@@ -64,8 +64,8 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class AprioriDiagnostics:
-    """Norms of the singular terms that the analysis keeps bounded (floats for
-    one state, (k,) arrays for a batch)."""
+    """Norms of the singular terms that the analysis keeps bounded, per row
+    (float64 scalars for one field, (k,) arrays for a batch)."""
 
     beta_l2: float
     grad_beta_l2: float
@@ -75,31 +75,22 @@ class AprioriDiagnostics:
     mu_mean: float
 
 
-def _spectral_sq(ev: np.ndarray, coeffs: np.ndarray, rows):
+def _spectral_sq(ev: np.ndarray, coeffs: np.ndarray, lead: tuple):
     """sum_m lambda_m |c_m|^2, the squared H1 seminorm before quadrature."""
-    return _sum(ev * np.abs(coeffs) ** 2, rows)
+    return _sum(ev * np.abs(coeffs) ** 2, lead)
 
 
-def _sum(x: np.ndarray, rows):
-    """Sum over the grid axes: a float for one state (rows None), else a (rows,)
-    array whose entries are bit-equal to each row's own flat sum."""
-    if rows is None:
-        return float(np.sum(x))
-    return x.reshape(rows, -1).sum(axis=1)
-
-
-def _sqrt(x):
-    """Square root of a `_sum` result, a float staying a float."""
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+def _sum(x: np.ndarray, lead: tuple):
+    """Sum over the grid axes after the leading shape `lead`, each row flat."""
+    return x.reshape(*lead, -1).sum(axis=-1)
 
 
 class State:
     """One evaluated state u: every quantity of it is computed here, at most once.
 
-    u is one field or a batch of k (`ScalarField.stack`; `rows` is k, or
-    None for one field).  A batch's scalars (the energy breakdown,
-    ||grad mu||^2, the a-priori scalars) are (k,) arrays, each row summed
-    on its own.
+    u is one field or a batch of k (`ScalarField.stack`): the leading shape
+    () or (k,).  The scalars (the energy breakdown, ||grad mu||^2, the
+    a-priori scalars) are per row: float64 scalars, or (k,) arrays.
 
     Construction evaluates a candidate.  One pointwise pass checks the
     domain once (|u| < 1 in exact mode, every row) and gives beta, beta',
@@ -114,8 +105,8 @@ class State:
     then releases.
     """
 
-    __slots__ = ("u", "nl", "rows", "u_hat", "energy", "mu_hat", "grad_mu_sq",
-                 "_apriori", "_pw", "_a_u", "_terms")
+    __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq",
+                 "_lead", "_apriori", "_pw", "_a_u", "_terms")
 
     def __init__(self, u: ScalarField, p):
         nl = as_nonlinearity(p)
@@ -126,20 +117,20 @@ class State:
         w = grid.cell_volume
         eta = nl.params.eta
         self.u, self.nl = u, nl
-        self.rows = rows = len(vals) if u.batch else None  # None: one state
+        self._lead = lead = vals.shape[:-grid.dim]
         self._pw = pw.beta, pw.beta1, pw.beta2, pw.g  # the part complete() reads
         self.u_hat = gr.transform_forward(vals, grid)
         self._a_u = gr.transform_backward(ev * self.u_hat, grid)
         om_vals = self._a_u + (pw.beta - nl.params.lam * vals)  # -lap(u) + f(u)
-        willmore = 0.5 * _sum(om_vals**2, rows) * w
-        ch_grad = 0.5 * eta * _spectral_sq(ev, self.u_hat, rows) * w
-        ch_pot = eta * _sum(pw.F, rows) * w
+        willmore = 0.5 * _sum(om_vals**2, lead) * w
+        ch_grad = 0.5 * eta * _spectral_sq(ev, self.u_hat, lead) * w
+        ch_pot = eta * _sum(pw.F, lead) * w
         self.energy = EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
         self.mu_hat = self.grad_mu_sq = self._apriori = self._terms = None
 
     def complete(self) -> ScalarField:
         """Evaluate mu and ||grad mu||^2 of an accepted state; return mu."""
-        grid, rows = self.u.grid, self.rows
+        grid, lead = self.u.grid, self._lead
         ev = grid.symbol().eigenvalues
         beta, _, _, g_vals = self._pw
         gsq = gr.grad_norm_sq(self.u.values, grid)
@@ -149,9 +140,9 @@ class State:
         self._pw = self._a_u = None
         self._terms = beta, beta_hat, b_vals, curv, g_vals
         self.mu_hat = gr.transform_forward(mu_vals, grid)
-        root = _sqrt(_spectral_sq(ev, self.mu_hat, rows) * grid.cell_volume)
-        # each row squared as a float, as a single State squares its one
-        self.grad_mu_sq = root**2 if rows is None else np.array([r**2 for r in root.tolist()])
+        root = np.sqrt(_spectral_sq(ev, self.mu_hat, lead) * grid.cell_volume)
+        # each row squared as a Python float (libm pow), not by the array square
+        self.grad_mu_sq = np.reshape([r**2 for r in np.ravel(root).tolist()], lead)[()]
         return mu_field
 
     @property
@@ -159,16 +150,16 @@ class State:
         """The a-priori scalars of a completed state (None before `complete`)."""
         if self._terms is not None:
             beta, beta_hat, b_vals, curv, g_vals = self._terms
-            grid, rows = self.u.grid, self.rows
+            grid, lead = self.u.grid, self._lead
             ev, w = grid.symbol().eigenvalues, grid.cell_volume
             self._terms = None
             self._apriori = AprioriDiagnostics(
-                beta_l2=_sqrt(_sum(beta**2, rows) * w),
-                grad_beta_l2=_sqrt(_spectral_sq(ev, beta_hat, rows) * w),
-                beta_betaprime_l1=_sum(np.abs(b_vals), rows) * w,
-                m_integral=_sum(_M(np.abs(b_vals)), rows) * w,
-                n_integral=_sum(_N(np.abs(curv)), rows) * w,
-                mu_mean=_sum(curv + b_vals + g_vals, rows) / math.prod(grid.shape),
+                beta_l2=np.sqrt(_sum(beta**2, lead) * w),
+                grad_beta_l2=np.sqrt(_spectral_sq(ev, beta_hat, lead) * w),
+                beta_betaprime_l1=_sum(np.abs(b_vals), lead) * w,
+                m_integral=_sum(_M(np.abs(b_vals)), lead) * w,
+                n_integral=_sum(_N(np.abs(curv)), lead) * w,
+                mu_mean=_sum(curv + b_vals + g_vals, lead) / math.prod(grid.shape),
             )
         return self._apriori
 

@@ -24,11 +24,11 @@ Two first-order integrators are provided:
 
 Both steps share one set-up: they start from a completed `model.State` (a
 bare field is evaluated first) and read its u_hat and mu_hat.  They pin
-the mass mode and return the new state as a candidate `State`.  A State
-may be a batch (`ScalarField.stack`, a leading axis of k rows): IMEX
-steps every row in the same array operations, with s1 and s2 from each
-row's sup norm, and Newton solves row by row; either way each row equals
-its step alone, bit for bit.
+the mass mode and return the new state as a candidate `State`.  One
+field (leading shape ()) and a batch (`ScalarField.stack`, (k,)) take one
+path: IMEX steps the rows in the same array operations, with s1 from each
+row's sup norm, and Newton loops over the rows, since lgmres solves one
+system; each row equals its step alone, bit for bit.
 Neither scheme is provably energy stable for this energy, so one adaptive
 step controller, `_march`, enforces dissipation a posteriori.  It steps
 one State, so k trajectories batched into one State go in lockstep with
@@ -115,24 +115,15 @@ def default_stabilization(p: PotentialParams, truncation: Optional[TruncationLev
     is unbounded, so the default majorizes over |r| up to the midpoint
     between the state's sup norm and 1 (states drift toward the binodal,
     never quite reaching it) and relies on the energy-rejection backstop
-    beyond that.
+    beyond that (a sup norm >= 1 gives b = 1 - 1e-6).  An array `sup_u`,
+    one sup norm per row, gives an array s1.
     """
     if truncation is not None:
         b = truncation.clamp_bound
     else:
-        b = min(0.5 * (1.0 + min(sup_u, 1.0)), 1.0 - 1e-6)
-        b = max(b, 0.9)
+        b = np.maximum(np.minimum(0.5 * (1.0 + sup_u), 1.0 - 1e-6), 0.9)
     s1 = 2.0 / ((1.0 - b) * (1.0 + b))
     s2 = abs(2.0 * p.lam - p.eta)
-    return s1, s2
-
-
-def _resolve(cfg: SolverConfig, p: PotentialParams, sup_u: float = 0.9) -> tuple[float, float]:
-    s1, s2 = default_stabilization(p, cfg.truncation, sup_u=sup_u)
-    if cfg.s1 is not None:
-        s1 = cfg.s1
-    if cfg.s2 is not None:
-        s2 = cfg.s2
     return s1, s2
 
 
@@ -155,20 +146,18 @@ def _completed(u, p) -> State:
 def _setup(u, dt: float, p, cfg: SolverConfig):
     """The frame of both steps: nl, the completed State of u, s1, s2 and A's eigenvalues.
 
-    s1 and s2 follow each row's sup norm: floats for one state, (k, 1, ..)
-    arrays broadcasting over the grid axes for a batch of k.
+    One evaluation for all rows: s1 follows each row's sup norm (unless
+    set), with a 1 per grid axis to broadcast over them; s2 is shared.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     nl = _nonlinearity(p, cfg)
     prev = _completed(u, nl)
-    grid, sup = prev.u.grid, np.abs(prev.u.values)
-    if prev.rows is None:
-        s1, s2 = _resolve(cfg, nl.params, sup_u=float(np.max(sup)))
-    else:
-        per_row = [_resolve(cfg, nl.params, sup_u=float(m))
-                   for m in sup.reshape(prev.rows, -1).max(axis=1)]
-        s1, s2 = np.array(per_row).T.reshape(2, prev.rows, *(1,) * grid.dim)
+    grid, vals = prev.u.grid, prev.u.values
+    sup = np.abs(vals).reshape(*vals.shape[:-grid.dim], -1).max(axis=-1)
+    s1, s2 = default_stabilization(nl.params, cfg.truncation, sup_u=sup)
+    s1 = np.asarray(s1 if cfg.s1 is None else cfg.s1)[(...,) + (None,) * grid.dim]
+    s2 = s2 if cfg.s2 is None else cfg.s2
     return nl, prev, s1, s2, grid.symbol().eigenvalues
 
 
@@ -199,8 +188,8 @@ def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
 def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
     """One damped Newton--Krylov step from u, a completed State or a bare field.
 
-    Each row of a batch is solved on its own, since lgmres solves one
-    system; the candidate's inner iterations are the most any row took.
+    Each row is solved on its own, since lgmres solves one system; the
+    candidate's inner iterations are the most any row took.
     """
     nl, prev, s1, s2, ev = _setup(u, dt, p, cfg)
     grid = prev.u.grid
@@ -249,9 +238,8 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
 
         return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64)
 
-    def newton(u_vals: np.ndarray, mu_hat: np.ndarray, s1, s2):
+    def newton(u_vals: np.ndarray, mu_hat: np.ndarray, precond_diag: np.ndarray):
         """Damped Newton iterates from u (mu_hat: its mu's coefficients) to G(v) = 0."""
-        precond_diag = 1.0 + dt * (ev**3 + s1 * ev**2 + s2 * ev)
 
         def precond(w: np.ndarray) -> np.ndarray:
             w_hat = gr.transform_forward(w.reshape(grid.shape), grid)
@@ -293,13 +281,13 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
             terms = evaluate(v_vals)
             g_vec = residual(v_vals, mu_hat_of(*terms))
 
-    if prev.rows is None:
-        v_vals, iters = newton(prev.u.values, prev.mu_hat, s1, s2)
-    else:
-        solved = [newton(*row) for row in zip(prev.u.values, prev.mu_hat, s1, s2)]
-        v_vals, iters = np.stack([v for v, _ in solved]), max(i for _, i in solved)
-    new_hat = gr.transform_forward(v_vals, grid)
-    return _candidate(prev, new_hat, nl, max(iters, 1))
+    u_vals = prev.u.values
+    precond_diag = np.broadcast_to(1.0 + dt * (ev**3 + s1 * ev**2 + s2 * ev), u_vals.shape)
+    v_vals, iters = np.empty_like(u_vals), 1
+    for row in np.ndindex(u_vals.shape[:-grid.dim]):  # () for one field
+        v_vals[row], row_iters = newton(u_vals[row], prev.mu_hat[row], precond_diag[row])
+        iters = max(iters, row_iters)
+    return _candidate(prev, gr.transform_forward(v_vals, grid), nl, iters)
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}

@@ -2,9 +2,10 @@
 
 Runs every numerically checkable structural property of the engine with
 safe solver defaults and fixed seeds, independent of whatever (possibly
-hostile) solver settings a user config carries.  Each check returns a
-(name, passed) pair; the CLI renders the table and maps failures to exit
-code 3.
+hostile) solver settings a user config carries.  The suite returns a
+(name, passed, why) triple per check, where `why` names the exception a
+failing check raised ("" when it returned); the CLI renders the table and
+maps failures to exit code 3.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .potential import (PotentialParams, TruncationLevel, eval_a, eval_beta, eva
 from .stepper import SolverConfig, advance
 
 
-def run_invariant_suite() -> list[tuple[str, bool]]:
+def run_invariant_suite() -> list[tuple[str, bool, str]]:
     checks = [
         ("potential oddness and parity", _check_parity),
         ("potential derivative consistency", _check_derivatives),
@@ -42,9 +43,9 @@ def run_invariant_suite() -> list[tuple[str, bool]]:
     results = []
     for name, fn in checks:
         try:
-            results.append((name, bool(fn())))
-        except Exception:
-            results.append((name, False))
+            results.append((name, bool(fn()), ""))
+        except Exception as exc:
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sixch.cli import main, parse_config
+from sixch.diagnostics import dispersion_wavenumber
 from sixch.errors import ConfigError
 from sixch.initdata import generate
 from sixch.model import energy
@@ -169,6 +170,19 @@ class TestVerifyCommand:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    def test_a_raising_check_says_why(self, capsys, monkeypatch):
+        def broken():
+            raise ZeroDivisionError("no samples to divide by")
+
+        monkeypatch.setattr("sixch.verify._check_roundtrip", broken)
+        assert main(["verify"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if "FAIL" in line and "verify:" not in line]
+        assert len(failed) == 1 and failed[0].startswith("transform round trip")
+        assert failed[0].endswith("FAIL  (ZeroDivisionError: no samples to divide by)")
+        assert lines[-1] == "verify: 1 failing invariant(s): transform round trip"
+        assert all(line.endswith("  PASS") for line in lines[:-1] if line not in failed)
+
 
 class TestDispersionCommand:
     def test_rates_csv(self, tmp_path):
@@ -291,6 +305,10 @@ MALFORMED = {
     "dispersion_amplitude_0": ("dispersion", "[dispersion]\namplitude = 0\n", []),
     "dispersion_amplitude_1.5": ("dispersion", "[dispersion]\namplitude = 1.5\n", []),
     "dispersion_amplitude_nan": ("dispersion", "[dispersion]\namplitude = nan\n", []),
+    # mode 1 is neutral at lambda = 2, eta = 0 on the default length 2 pi
+    "dispersion_mode_neutral": ("dispersion", "[dispersion]\npairs = 2:0\nk_indices = 1\n", []),
+    "dispersion_mode_past_float_range": ("dispersion",
+                                         f"[dispersion]\nk_indices = {10**200}\n", []),
     # a step limit below 1 still took one step
     "run_max_steps_0": ("run", lambda text: text.replace("t_end = 0.05",
                                                          "t_end = 0.05\nmax_steps = 0"), []),
@@ -362,10 +380,11 @@ FAULTS = {"counts": (-2, 0, 3), "lengths": (0.0, -1.0, NAN, INF),
 
 
 @st.composite
-def init_invocations(draw, max_count=40):
+def init_invocations(draw, max_count=40, faults=True):
     """A small [grid] + [potential] + [initial] config and its argv; at most
-    one field is drawn from FAULTS, the others are admissible."""
-    fault = draw(st.sampled_from([None, *FAULTS]))
+    one field is drawn from FAULTS (none if not `faults`), the others are
+    admissible."""
+    fault = draw(st.sampled_from([None, *FAULTS])) if faults else None
 
     def value(name, good):
         return draw(st.sampled_from(FAULTS[name]) if name == fault else good)
@@ -394,17 +413,83 @@ RUN_FAULTS = {"t_end": (0.0, -1.0, NAN, INF), "max_steps": (-3, 0)}
 
 
 @st.composite
-def run_invocations(draw):
+def run_invocations(draw, faults=True):
     """An `init_invocations` config on at most 16 samples per axis, with a
     [run] section of at most 3 steps; at most one [run] field is drawn from
-    RUN_FAULTS."""
-    text, argv = draw(init_invocations(max_count=16))
-    fault = draw(st.sampled_from([None, *RUN_FAULTS]))
+    RUN_FAULTS (none if not `faults`)."""
+    text, argv = draw(init_invocations(max_count=16, faults=faults))
+    fault = draw(st.sampled_from([None, *RUN_FAULTS])) if faults else None
     t_end = draw(st.sampled_from(RUN_FAULTS["t_end"]) if fault == "t_end"
                  else st.floats(1e-4, 5e-3))
     max_steps = draw(st.sampled_from(RUN_FAULTS["max_steps"]) if fault == "max_steps"
                      else st.integers(1, 3))
     return text + f"[run]\nt_end = {t_end!r}\nmax_steps = {max_steps}\n", argv
+
+
+DISPERSION_FAULTS = {"k_indices": ("0", "-1", "", "x"), "steps": (0, 1), "samples": (2, 3),
+                     "amplitude": (0.0, 1.5, NAN), "length": (0.0, -1.0, NAN, INF),
+                     "pairs": ("1", "a:b", "nan:0")}
+
+
+@st.composite
+def dispersion_invocations(draw):
+    """An admissible `init_invocations` config with a [dispersion] section of
+    at most 16 samples and 3 steps; half the time one [dispersion] field is
+    drawn from DISPERSION_FAULTS, and a last pair may make one drawn mode
+    neutral."""
+    text, argv = draw(init_invocations(max_count=16, faults=False))
+    fault = draw(st.none() | st.sampled_from(list(DISPERSION_FAULTS)))
+
+    def value(name, good):
+        return draw(st.sampled_from(DISPERSION_FAULTS[name]) if name == fault else good)
+
+    k_indices = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    length = value("length", st.just(2.0 * np.pi) | st.floats(0.5, 20.0))
+    pairs = draw(st.lists(st.tuples(st.floats(-5.0, 10.0), st.floats(-5.0, 5.0)),
+                          min_size=1, max_size=2))
+    if draw(st.booleans()) and 0.0 < length < INF:
+        # sigma(k) = -k^2 (k^2 + 1 - lambda)(k^2 + 1 - lambda + eta) vanishes
+        # exactly at lambda = k^2 + 1, or at eta = lambda - (k^2 + 1)
+        k2 = dispersion_wavenumber(draw(st.sampled_from(k_indices)), length) ** 2
+        x = draw(st.floats(-5.0, 10.0))
+        pairs.append(draw(st.sampled_from([(k2 + 1.0, x), (x, x - (k2 + 1.0))])))
+    pairs_text = value("pairs", st.just(", ".join(f"{lam!r}:{eta!r}" for lam, eta in pairs)))
+    return text + ("[dispersion]\n"
+                   f"k_indices = {value('k_indices', st.just(' '.join(map(str, k_indices))))}\n"
+                   f"length = {length!r}\npairs = {pairs_text}\n"
+                   f"samples = {value('samples', st.integers(4, 16))}\n"
+                   f"steps = {value('steps', st.integers(2, 3))}\n"
+                   f"amplitude = {value('amplitude', st.floats(1e-8, 0.5))!r}\n"), argv
+
+
+SWEEP_FAULTS = {"lambdas": ("x", "3 3", "nan"), "etas": ("inf", "1 1.0000001"),
+                "truncations": ("2", "-1", "x"), "t_end": (0.0, NAN, INF),
+                "max_steps": (0, -3), "--threads": (0, -1)}
+
+
+@st.composite
+def sweep_invocations(draw):
+    """An admissible `run_invocations` config with a [sweep] section of at most
+    two values per axis and runs of at most 3 steps; half the time one
+    [sweep] field (or --threads) is drawn from SWEEP_FAULTS."""
+    text, argv = draw(run_invocations(faults=False))
+    fault = draw(st.none() | st.sampled_from(list(SWEEP_FAULTS)))
+
+    def value(name, good):
+        return draw(st.sampled_from(SWEEP_FAULTS[name]) if name == fault else good)
+
+    def axis(name, values):
+        return value(name, st.lists(values, min_size=1, max_size=2, unique=True).map(
+            lambda xs: " ".join(map(repr, xs))))
+
+    threads = value("--threads", st.just(1))
+    return text + ("[sweep]\n"
+                   f"lambdas = {axis('lambdas', st.floats(-2.0, 6.0))}\n"
+                   f"etas = {axis('etas', st.floats(-2.0, 2.0))}\n"
+                   f"truncations = {axis('truncations', st.sampled_from([0, 3, 10, 40]))}\n"
+                   f"t_end = {value('t_end', st.floats(1e-4, 5e-3))!r}\n"
+                   f"max_steps = {value('max_steps', st.integers(1, 3))}\n"), \
+        [*argv, "--threads", str(threads)]
 
 
 class TestBadInputProperty:
@@ -427,4 +512,24 @@ class TestBadInputProperty:
             path = Path(tmp) / "run.ini"
             path.write_text(text)
             assert main([command, "--config", str(path), "--out", str(Path(tmp) / "out"),
+                         *argv]) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(invocation=dispersion_invocations())
+    def test_dispersion_exits_with_a_code_never_a_traceback(self, invocation):
+        text, argv = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text)
+            assert main(["dispersion", "--config", str(path), "--out", str(Path(tmp) / "out"),
+                         *argv]) in (0, 1, 2)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(invocation=sweep_invocations())
+    def test_sweep_exits_with_a_code_never_a_traceback(self, invocation):
+        text, argv = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            path.write_text(text)
+            assert main(["sweep", "--config", str(path), "--out", str(Path(tmp) / "out"),
                          *argv]) in (0, 1, 2)

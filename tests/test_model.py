@@ -398,7 +398,8 @@ class TestOnePointwisePass:
 
 
 class TestBatchedState:
-    """A State of a (k, ...) batch equals the k single States bitwise."""
+    """A State of a (k, ...) batch equals the k single States bitwise, for k = 2
+    and for a batch of one."""
 
     CASES = [(Grid((2 * np.pi,), (128,), gr.PERIODIC), None),
              (Grid((2 * np.pi,), (128,), gr.PERIODIC), TruncationLevel(10)),
@@ -407,21 +408,29 @@ class TestBatchedState:
              (Grid((4 * np.pi,) * 3, (8,) * 3, gr.NEUMANN), None),
              (Grid((4 * np.pi,) * 3, (8,) * 3, gr.NEUMANN), TruncationLevel(10))]
 
-    @pytest.mark.parametrize("grid, level", CASES,
-                             ids=[f"{g.bc}{g.dim}d-{'extended' if lvl else 'exact'}"
-                                  for g, lvl in CASES])
+    IDS = [f"{g.bc}{g.dim}d-{'extended' if lvl else 'exact'}" for g, lvl in CASES]
+
+    @pytest.mark.parametrize("grid, level", CASES, ids=IDS)
     def test_rows_equal_single_states(self, grid, level):
+        self.check_rows(grid, level, seeds=(1, 2))
+
+    @pytest.mark.parametrize("grid, level", CASES, ids=IDS)
+    def test_one_row_equals_the_single_state(self, grid, level):
+        self.check_rows(grid, level, seeds=(1,))
+
+    @staticmethod
+    def check_rows(grid, level, seeds):
         nl = Nonlinearity(PotentialParams(3.0, 1.0), level)
         # past the knee 0.95 of n = 10 in extended mode
         amp = 0.97 if level else 0.8
-        rows = [band_limited(grid, seed=s, cutoff=4, amplitude=amp) for s in (1, 2)]
+        rows = [band_limited(grid, seed=s, cutoff=4, amplitude=amp) for s in seeds]
         batch = model.State(ScalarField.stack(rows), nl)
-        assert batch.rows == 2
+        assert batch.energy.total.shape == (len(seeds),)
         batch_mu = batch.complete()
         for i, u in enumerate(rows):
             single = model.State(u, nl)
             mu = single.complete()
-            assert single.rows is None and isinstance(single.energy.total, float)
+            assert not single.u.batch and isinstance(single.energy.total, float)
             for name in ("willmore", "ch_grad", "ch_pot", "total"):
                 assert getattr(batch.energy, name)[i] == getattr(single.energy, name), name
             for name in single.apriori.__dataclass_fields__:

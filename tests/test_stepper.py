@@ -286,8 +286,9 @@ class TestStabilizationDefaults:
 
     def test_config_overrides(self):
         cfg = SolverConfig(s1=7.0, s2=0.5)
-        from sixch.stepper import _resolve
-        assert _resolve(cfg, SPINODAL) == (7.0, 0.5)
+        from sixch.stepper import _setup
+        u = constant_field(Grid((1.0,), (8,), gr.NEUMANN), 0.2)
+        assert _setup(u, 1e-3, SPINODAL, cfg)[2:4] == (7.0, 0.5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -299,7 +300,8 @@ class TestStabilizationDefaults:
 
 
 class TestBatchedSteps:
-    """Both steps on a (k, ...) batch equal the per-row steps bitwise."""
+    """Both steps on a (k, ...) batch equal the per-row steps bitwise, for k = 3
+    and for a batch of one."""
 
     @pytest.mark.parametrize("stepper", [step_imex, step_implicit])
     @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
@@ -317,3 +319,15 @@ class TestBatchedSteps:
             assert np.array_equal(batch.field.values[i], r.field.values)
             assert batch.state.energy.total[i] == r.state.energy.total
         assert np.array_equal(batch.field.values[2], rows[2].values)
+
+    @pytest.mark.parametrize("stepper", [step_imex, step_implicit])
+    @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
+    def test_one_row_steps_as_alone(self, stepper, bc):
+        grid = Grid((4 * np.pi,), (64,), bc)
+        u = noise_state(grid, seed=4, amplitude=0.75)
+        cfg = bare_cfg(1e-4, scheme="newton" if stepper is step_implicit else "imex")
+        batch = stepper(ScalarField.stack([u]), 1e-4, SPINODAL, cfg)
+        alone = stepper(u, 1e-4, SPINODAL, cfg)
+        assert batch.inner_iters == alone.inner_iters
+        assert np.array_equal(batch.field.values[0], alone.field.values)
+        assert batch.state.energy.total[0] == alone.state.energy.total
