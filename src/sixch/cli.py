@@ -215,7 +215,7 @@ def cmd_run(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
     u0 = initdata.generate(cfg.initial, cfg.grid)
     if cfg.solver.truncation is not None:
         u0 = initdata.regularize_initial(u0, cfg.solver.truncation)
-    ledger = diag.RunLedger(dim=cfg.grid.dim)
+    ledger = diag.RunLedger()
     outputs: list[Path] = []
 
     if cfg.snapshot_every > 0:

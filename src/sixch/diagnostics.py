@@ -50,9 +50,9 @@ class LedgerRow:
 class RunLedger:
     """Single-writer time series of per-state diagnostics."""
 
-    def __init__(self, dim: Optional[int] = None):
+    def __init__(self):
         self.rows: list[LedgerRow] = []
-        self.dim = dim
+        self.dim: Optional[int] = None  # the grid dimension of the first recorded state
         self.on_record = None  # optional hook(u, row, index), e.g. for snapshots
 
     def record(self, u, t: float, dt: float, p=None, rejections: int = 0) -> LedgerRow:
@@ -259,8 +259,7 @@ def separation_report(ledger: RunLedger, tau: float) -> SeparationReport:
     if not deltas:
         raise RangeError("no recorded states at or after tau")
     delta_min = float(min(deltas))
-    guarantee = ledger.dim in (1, 2) if ledger.dim is not None else False
-    return SeparationReport(delta_min, delta_min > 0.0, guarantee)
+    return SeparationReport(delta_min, delta_min > 0.0, ledger.dim in (1, 2))
 
 
 # ---------------------------------------------------------------------------

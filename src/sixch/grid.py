@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 from scipy.fft import dct, dst, fftfreq, fftn, ifftn
@@ -236,11 +235,6 @@ def apply_A(u: ScalarField, power: int = 1) -> ScalarField:
     return apply_symbol(u, ev**power)
 
 
-def laplacian(u: ScalarField) -> ScalarField:
-    """Pointwise Laplacian: -A u."""
-    return -apply_A(u, 1)
-
-
 def inv_A_zero_mean(g: ScalarField) -> ScalarField:
     """Solve A v = g with mean(v) = 0, for zero-mean g.
 
@@ -344,71 +338,3 @@ def dual_norm_coeffs(coeffs: np.ndarray, grid: Grid) -> float:
     ev = grid.symbol().eigenvalues
     live = ev > 0.0
     return float(np.sqrt(np.sum(np.abs(coeffs[live]) ** 2 / ev[live]) * grid.cell_volume))
-
-
-# ---------------------------------------------------------------------------
-# dealiased products (optional 2x zero-padded evaluation)
-
-
-def refined(grid: Grid, factor: int = 2) -> Grid:
-    """The same box sampled `factor` times finer along every axis."""
-    return Grid(grid.lengths, tuple(factor * n for n in grid.counts), grid.bc)
-
-
-def pad_eval(func, *fields: ScalarField) -> ScalarField:
-    """Evaluate a pointwise function of fields on a 2x-refined grid.
-
-    Each field is spectrally interpolated onto a grid with doubled counts,
-    the function is applied there, and the result is truncated back.  The
-    singular nonlinearities are not polynomial, so this mitigates rather
-    than removes aliasing; it exists for convergence studies.
-    """
-    grid = fields[0].grid
-    fine = refined(grid)
-    fine_vals = func(*(interpolate(f, fine).values for f in fields))
-    return restrict(ScalarField(fine, fine_vals), grid)
-
-
-def _fourier_blocks(coarse: tuple[int, ...], fine: tuple[int, ...]):
-    """Pairs of index blocks (coarse, fine) holding the same Fourier modes.
-
-    Per axis, coarse indices 0..n//2 keep their place and the negative
-    frequencies n//2+1..n-1 move to the end of the fine axis, so the
-    modes form 2^d rectangular blocks.
-    """
-    per_axis = [((slice(0, n // 2 + 1), slice(0, n // 2 + 1)),
-                 (slice(n // 2 + 1, n), slice(fn - n + n // 2 + 1, fn)))
-                for n, fn in zip(coarse, fine)]
-    for combo in product(*per_axis):
-        yield tuple(c for c, _ in combo), tuple(f for _, f in combo)
-
-
-def interpolate(u: ScalarField, fine: Grid) -> ScalarField:
-    coarse = u.grid
-    if coarse.bc == NEUMANN:
-        out = np.zeros(fine.shape)
-        out[tuple(slice(0, n) for n in coarse.shape)] = transform_forward(u.values, coarse)
-        # orthonormal DCT scaling depends on N: rescale by sqrt(prod(2n/n))
-        out *= np.sqrt(np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)]))
-        return ScalarField(fine, transform_backward(out, fine))
-    out = np.zeros(fine.shape, dtype=complex)
-    src = fftn(u.values)
-    for kept, placed in _fourier_blocks(coarse.shape, fine.shape):
-        out[placed] = src[kept]
-    out *= np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)])
-    return ScalarField(fine, np.real(ifftn(out)))
-
-
-def restrict(u: ScalarField, coarse: Grid) -> ScalarField:
-    fine = u.grid
-    if fine.bc == NEUMANN:
-        c = transform_forward(u.values, fine)
-        kept = c[tuple(slice(0, n) for n in coarse.shape)].copy()
-        kept /= np.sqrt(np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)]))
-        return ScalarField(coarse, transform_backward(kept, coarse))
-    src = fftn(u.values)
-    out = np.zeros(coarse.shape, dtype=complex)
-    for kept, placed in _fourier_blocks(coarse.shape, fine.shape):
-        out[kept] = src[placed]
-    out /= np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)])
-    return ScalarField(coarse, np.real(ifftn(out)))

@@ -72,8 +72,10 @@ def check_realizable(spec: InitialSpec, grid: Grid) -> None:
     """Raise SpecError unless `generate` can build `spec` on `grid`; builds nothing.
 
     Checks the amplitude margin, the constant level, that a single mode is
-    resolvable, that noise has at least one mode below its cutoff, and the
-    interface width.  Only a degenerate noise draw is left to `generate`.
+    resolvable, that noise has at least one mode below its cutoff, and that
+    the interface position and width are finite (the width positive) and
+    give a profile that varies on the grid.  Only a degenerate noise draw
+    is left to `generate`.
     """
     m = spec.mean_m
     if spec.kind == CONSTANT:
@@ -87,8 +89,22 @@ def check_realizable(spec: InitialSpec, grid: Grid) -> None:
         raise SpecError("mode index must be resolvable on the grid")
     if spec.kind == BAND_NOISE and min(spec.cutoff, min(grid.counts) // 2 - 1) < 1:
         raise SpecError("grid too coarse for band-limited noise")
-    if spec.kind == TANH_INTERFACE and spec.width is not None and not spec.width > 0:  # NaN too
-        raise SpecError("interface width must be positive")
+    if spec.kind == TANH_INTERFACE:
+        if spec.position is not None and not np.isfinite(spec.position):
+            raise SpecError("interface position must be finite")
+        if spec.width is not None and not 0.0 < spec.width < np.inf:  # NaN too
+            raise SpecError("interface width must be positive and finite")
+        if np.ptp(_tanh_profile(spec, grid, grid.axis_coords(0))) == 0.0:
+            raise SpecError("interface profile is constant on the grid")
+
+
+def _tanh_profile(spec: InitialSpec, grid: Grid, x: np.ndarray) -> np.ndarray:
+    """tanh((x - position)/width) at first-axis coordinates x, uncentred."""
+    l = grid.lengths[0]
+    x0 = spec.position if spec.position is not None else 0.5 * l
+    w = spec.width if spec.width is not None else 0.05 * l
+    with np.errstate(over="ignore"):  # a tiny width: tanh(+-inf) is the step
+        return np.tanh((x - x0) / w)
 
 
 def generate(spec: InitialSpec, grid: Grid) -> ScalarField:
@@ -125,11 +141,7 @@ def generate(spec: InitialSpec, grid: Grid) -> ScalarField:
         return ScalarField(grid, m + spec.amplitude * dev / peak)
 
     # tanh interface along the first axis
-    l = grid.lengths[0]
-    x0 = spec.position if spec.position is not None else 0.5 * l
-    w = spec.width if spec.width is not None else 0.05 * l
-    x = grid.meshgrid()[0]
-    profile = np.tanh((x - x0) / w)
+    profile = _tanh_profile(spec, grid, grid.meshgrid()[0])
     profile -= profile.mean()
     peak = np.max(np.abs(profile))
     return ScalarField(grid, m + spec.amplitude * profile / peak)

@@ -177,30 +177,14 @@ def _uom1(nl, grid, u_hat, a_u, beta, beta1, beta2, g_vals, gsq):
     return lap2_u - 2.0 * lap_beta + curv + common, beta_hat, b_vals, curv
 
 
-def omega(u: ScalarField, p, dealias: bool = False) -> ScalarField:
-    """Fourth-order chemical potential omega = -lap(u) + f(u).
-
-    With ``dealias=True`` the whole evaluation runs on a 2x zero-padded
-    grid and is truncated back (aliasing mitigation for convergence
-    studies; exact dealiasing is impossible for these non-polynomial
-    nonlinearities).
-    """
-    nl = as_nonlinearity(p)
-    if dealias:
-        nl.check(u.values)
-        fine = gr.interpolate(u, gr.refined(u.grid))
-        return gr.restrict(omega(fine, nl), u.grid)
-    return ScalarField(u.grid, gr.apply_A(u).values + nl.f(u.values))
+def omega(u: ScalarField, p) -> ScalarField:
+    """Fourth-order chemical potential omega = -lap(u) + f(u)."""
+    return ScalarField(u.grid, gr.apply_A(u).values + as_nonlinearity(p).f(u.values))
 
 
-def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1,
-       dealias: bool = False) -> ScalarField:
+def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1) -> ScalarField:
     """Chemical potential of the sixth-order flow, per the selected form."""
     nl = as_nonlinearity(p)
-    if dealias:
-        nl.check(u.values)
-        fine = gr.interpolate(u, gr.refined(u.grid))
-        return gr.restrict(mu(fine, nl, form), u.grid)
     if form is MuFormulation.UOM1:
         return State(u, nl).complete()
     lam, eta = nl.params.lam, nl.params.eta

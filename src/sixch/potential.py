@@ -15,9 +15,8 @@ expression.  All evaluators here are pure functions of their inputs and
 accept scalars or numpy arrays.
 
 Exact evaluators raise :class:`DomainError` outside their domain, NaN
-included, instead of clamping; clamping is the explicit, separate
-:func:`truncate` operation.  The solver reads a state's nonlinearities in
-one pass, :meth:`Nonlinearity.pointwise`: one beta, beta', beta'' trio,
+included, instead of clamping.  The solver reads a state's nonlinearities
+in one pass, :meth:`Nonlinearity.pointwise`: one beta, beta', beta'' trio,
 with the one domain check, also gives beta''', g, g' and F.  The truncated
 mode takes the trio at the samples clipped to the knee 1 - 1/(2n) and
 continues every quantity past it by one rule, its Taylor polynomial there.
@@ -194,15 +193,6 @@ def _taylor(d, *derivs):
     return sum((c / math.factorial(k) * d**k for k, c in enumerate(derivs[1:], 1)), derivs[0])
 
 
-def truncate(r: ArrayLike, lvl: TruncationLevel) -> FloatOrArray:
-    """Clamp r into [-1+1/n, 1-1/n]; accepts any real, idempotent."""
-    arr = _as_array(r)
-    out = np.clip(arr, -lvl.clamp_bound, lvl.clamp_bound)
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
 # Every nonlinearity at one set of samples, from one evaluation.
 Pointwise = namedtuple("Pointwise", "beta beta1 beta2 beta3 g g1 F")
 
@@ -283,16 +273,6 @@ class Nonlinearity:
 
     def g(self, r: ArrayLike):
         return self.pointwise(r).g
-
-
-def exact_nonlinearity(p: PotentialParams) -> Nonlinearity:
-    """Exact singular evaluators on (-1, 1)."""
-    return Nonlinearity(p, None)
-
-
-def extended_nonlinearity(lvl: TruncationLevel, p: PotentialParams) -> Nonlinearity:
-    """Globally defined C^2 continuation of the nonlinearities past the knee."""
-    return Nonlinearity(p, lvl)
 
 
 def as_nonlinearity(p) -> Nonlinearity:

@@ -100,10 +100,6 @@ class StepResult:
     state: State  # the candidate, evaluated but not completed
     inner_iters: int
 
-    @property
-    def field(self) -> ScalarField:
-        return self.state.u
-
 
 def default_stabilization(p: PotentialParams, truncation: Optional[TruncationLevel] = None,
                           sup_u: float = 0.9) -> tuple[float, float]:

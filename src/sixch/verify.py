@@ -16,8 +16,8 @@ from . import grid as gr
 from . import model
 from .grid import Grid, ScalarField
 from .initdata import InitialSpec, generate
-from .potential import (PotentialParams, TruncationLevel, eval_a, eval_beta, eval_f,
-                        eval_g, extended_nonlinearity)
+from .potential import (Nonlinearity, PotentialParams, TruncationLevel, eval_a, eval_beta,
+                        eval_f, eval_g)
 from .stepper import SolverConfig, advance
 
 
@@ -110,7 +110,7 @@ def _check_domination() -> bool:
 def _check_extension() -> bool:
     p = PotentialParams(0.9, -0.4)
     lvl = TruncationLevel(10)
-    nl = extended_nonlinearity(lvl, p)
+    nl = Nonlinearity(p, lvl)
     r = np.linspace(-lvl.knee, lvl.knee, 513)
     be, b1e, b2e = nl.beta_all(r)
     b, b1, b2 = eval_beta(r)
@@ -251,7 +251,7 @@ def _benchmark_run():
     cfg = SolverConfig(scheme="imex", dt0=1e-4, dt_min=1e-9, dt_max=1e-2,
                        energy_tol=0.0, growth_factor=1.3)
     from .diagnostics import RunLedger
-    ledger = RunLedger(dim=1)
+    ledger = RunLedger()
     advance(u0, 0.05, p, cfg, ledger=ledger)
     return ledger
 

@@ -49,7 +49,7 @@ def bench_10k():
     """The 10^4-step adaptive benchmark run shared by criteria 1 and 2."""
     grid = bench_grid()
     u0 = bench_initial(grid)
-    ledger = RunLedger(dim=1)
+    ledger = RunLedger()
     start = time.perf_counter()
     advance(u0, 1e9, BENCH_P, bench_cfg(), ledger=ledger, max_steps=10_000)
     wall = time.perf_counter() - start
@@ -77,7 +77,7 @@ def test_criterion_2_energy_law(bench_10k, criterion):
         dts = [4e-4, 2e-4, 1e-4, 5e-5]
         residuals = []
         for dt in dts:
-            led = RunLedger(dim=1)
+            led = RunLedger()
             advance(u0, 0.5, BENCH_P,
                     SolverConfig(dt0=dt, dt_min=dt, dt_max=dt, energy_tol=1e-3),
                     ledger=led)
@@ -159,7 +159,7 @@ def test_criterion_7_strict_separation(criterion):
         def delta_min(n, dt0, dt_max):
             grid = bench_grid(n)
             u0 = bench_initial(grid)
-            led = RunLedger(dim=1)
+            led = RunLedger()
             advance(u0, 1.0, BENCH_P, bench_cfg(dt0=dt0, dt_max=dt_max), ledger=led)
             report = separation_report(led, 0.1)
             return report.delta_min, report.attained
@@ -226,7 +226,7 @@ def test_criterion_11_long_time_dissipativity(criterion):
         grid = Grid((2.6,), (32,), gr.NEUMANN)  # single unstable Neumann mode
         u0 = generate(InitialSpec(kind="noise", mean_m=0.2, amplitude=0.1,
                                   seed=7, cutoff=4), grid)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         advance(u0, 50.0, BENCH_P, bench_cfg(), ledger=ledger)
         wall = time.perf_counter() - start
         t = ledger.times

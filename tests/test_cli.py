@@ -335,6 +335,19 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()  # rejected before any work
 
+    # each made `init` and `run` exit 2 on a non-finite field, after making
+    # the output directory
+    @pytest.mark.parametrize("command", ["init", "run"])
+    @pytest.mark.parametrize("edit", ["position = nan", "position = inf", "position = 1e9",
+                                      "width = inf"])
+    def test_tanh_profile_finite_and_varying(self, tmp_path, capsys, command, edit):
+        text = NOISE_CONFIG.replace("kind = noise", f"kind = tanh\n{edit}")
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
     def test_pool_no_larger_than_the_job_count(self, tmp_path, monkeypatch):
         sizes = []
 
@@ -376,15 +389,15 @@ NAN, INF = float("nan"), float("inf")
 # the out-of-range values each field of an invocation may take
 FAULTS = {"counts": (-2, 0, 3), "lengths": (0.0, -1.0, NAN, INF),
           "mean": (NAN, -1.0, 1.0, 1.5), "amplitude": (NAN, -0.1, 2.0),
-          "mode": (-1, 0, 41), "cutoff": (-1, 0), "seed": (-3, -1), "--seed": (-3, -1)}
+          "mode": (-1, 0, 41), "cutoff": (-1, 0), "position": (NAN, INF, -INF, 1e9),
+          "width": (0.0, -1.0, NAN, INF), "seed": (-3, -1), "--seed": (-3, -1)}
+RUN_FAULTS = {"t_end": (0.0, -1.0, NAN, INF), "max_steps": (-3, 0)}
 
 
-@st.composite
-def init_invocations(draw, max_count=40, faults=True):
-    """A small [grid] + [potential] + [initial] config and its argv; at most
-    one field is drawn from FAULTS (none if not `faults`), the others are
+def _init_invocation(draw, fault, max_count):
+    """A small [grid] + [potential] + [initial] config and its argv; the
+    field named `fault` (if any) is drawn from FAULTS, the others are
     admissible."""
-    fault = draw(st.sampled_from([None, *FAULTS])) if faults else None
 
     def value(name, good):
         return draw(st.sampled_from(FAULTS[name]) if name == fault else good)
@@ -395,6 +408,8 @@ def init_invocations(draw, max_count=40, faults=True):
               else draw(st.integers(4, max_count)) for ax in range(dim)]
     lengths = [value("lengths", st.floats(0.5, 20.0)) if ax == axis
                else draw(st.floats(0.5, 20.0)) for ax in range(dim)]
+    interface = (f"{fault} = {draw(st.sampled_from(FAULTS[fault]))!r}\n"
+                 if fault in ("position", "width") else "")  # else the default interface
     text = (f"[grid]\ndim = {dim}\ncounts = {' '.join(map(str, counts))}\n"
             f"lengths = {' '.join(map(repr, lengths))}\n"
             f"bc = {draw(st.sampled_from(['neumann', 'periodic']))}\n"
@@ -404,21 +419,26 @@ def init_invocations(draw, max_count=40, faults=True):
             f"amplitude = {value('amplitude', st.floats(0.0, 0.4))!r}\n"
             f"mode = {value('mode', st.integers(1, 3))}\n"
             f"cutoff = {value('cutoff', st.integers(1, 20))}\n"
-            f"seed = {value('seed', st.integers(0, 50))}\n")
+            f"seed = {value('seed', st.integers(0, 50))}\n" + interface)
     seed = value("--seed", st.none() | st.integers(0, 50))
     return text, [] if seed is None else ["--seed", str(seed)]
 
 
-RUN_FAULTS = {"t_end": (0.0, -1.0, NAN, INF), "max_steps": (-3, 0)}
+@st.composite
+def init_invocations(draw, max_count=40, faults=True):
+    """An `_init_invocation`; half the time (never if not `faults`) one
+    field is drawn from FAULTS."""
+    fault = draw(st.none() | st.sampled_from(list(FAULTS))) if faults else None
+    return _init_invocation(draw, fault, max_count)
 
 
 @st.composite
 def run_invocations(draw, faults=True):
-    """An `init_invocations` config on at most 16 samples per axis, with a
-    [run] section of at most 3 steps; at most one [run] field is drawn from
-    RUN_FAULTS (none if not `faults`)."""
-    text, argv = draw(init_invocations(max_count=16, faults=faults))
-    fault = draw(st.sampled_from([None, *RUN_FAULTS])) if faults else None
+    """An `_init_invocation` on at most 16 samples per axis, with a [run]
+    section of at most 3 steps; half the time (never if not `faults`) one
+    field of the whole invocation is drawn from FAULTS or RUN_FAULTS."""
+    fault = draw(st.none() | st.sampled_from([*FAULTS, *RUN_FAULTS])) if faults else None
+    text, argv = _init_invocation(draw, fault, 16)
     t_end = draw(st.sampled_from(RUN_FAULTS["t_end"]) if fault == "t_end"
                  else st.floats(1e-4, 5e-3))
     max_steps = draw(st.sampled_from(RUN_FAULTS["max_steps"]) if fault == "max_steps"

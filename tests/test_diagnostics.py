@@ -27,7 +27,7 @@ def spinodal_ledger(t_end=0.2, n=128, seed=7, dt0=1e-4, dt_max=5e-3, fixed_dt=No
         cfg = SolverConfig(dt0=fixed_dt, dt_min=fixed_dt, dt_max=fixed_dt)
     else:
         cfg = SolverConfig(dt0=dt0, dt_min=1e-10, dt_max=dt_max)
-    ledger = RunLedger(dim=1)
+    ledger = RunLedger()
     advance(u0, t_end, SPINODAL, cfg, ledger=ledger)
     return ledger
 
@@ -35,7 +35,7 @@ def spinodal_ledger(t_end=0.2, n=128, seed=7, dt0=1e-4, dt_max=5e-3, fixed_dt=No
 class TestRecord:
     def test_zero_state_row(self):
         grid = Grid((1.0,), (32,), gr.NEUMANN)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         row = ledger.record(constant_field(grid, 0.0), 0.0, 0.0, P0)
         assert row.mass == 0.0
         assert row.energy.total == 0.0
@@ -45,7 +45,7 @@ class TestRecord:
 
     def test_half_constant_row(self):
         grid = Grid((1.0,), (64,), gr.NEUMANN)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         row = ledger.record(constant_field(grid, 0.5), 0.0, 0.0, P0)
         assert row.mass == pytest.approx(0.5, abs=1e-15)
         assert row.energy.willmore == pytest.approx(0.5 * BETA_HALF**2, rel=1e-13)
@@ -58,7 +58,7 @@ class TestRecord:
 
     def test_monotone_time_enforced(self):
         grid = Grid((1.0,), (32,), gr.NEUMANN)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         ledger.record(constant_field(grid, 0.0), 0.0, 0.0, P0)
         with pytest.raises(RangeError):
             ledger.record(constant_field(grid, 0.0), 0.0, 0.0, P0)
@@ -90,7 +90,7 @@ class TestEnergyIdentity:
     def test_constant_run_is_exact_zero(self):
         grid = Grid((1.0,), (32,), gr.NEUMANN)
         u0 = constant_field(grid, 0.3)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         advance(u0, 1.0, SPINODAL, SolverConfig(dt0=0.05, dt_min=1e-9, dt_max=0.05),
                 ledger=ledger)
         assert energy_identity_residual(ledger, 0.0, 1.0) == 0.0
@@ -256,7 +256,7 @@ class TestTruncationConvergence:
 class TestSeparationReport:
     def test_constant_run(self):
         grid = Grid((1.0,), (32,), gr.NEUMANN)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         advance(constant_field(grid, 0.2), 0.5, P0,
                 SolverConfig(dt0=0.05, dt_min=1e-9, dt_max=0.1), ledger=ledger)
         report = separation_report(ledger, 0.1)
@@ -266,7 +266,7 @@ class TestSeparationReport:
 
     def test_three_d_flagged_as_unguaranteed(self):
         grid = Grid((1.0, 1.0, 1.0), (8, 8, 8), gr.NEUMANN)
-        ledger = RunLedger(dim=3)
+        ledger = RunLedger()
         ledger.record(constant_field(grid, 0.0), 0.0, 0.0, P0)
         ledger.record(constant_field(grid, 0.0), 0.1, 0.1, P0)
         report = separation_report(ledger, 0.0)

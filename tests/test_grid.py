@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.fft import fftn, ifftn
 
 from sixch import grid as gr
 from sixch.errors import MeanError, ShapeError
@@ -303,73 +302,6 @@ class TestOperatorSymbol:
         m = np.arange(n)
         assert np.all(np.sin(m * np.pi * 0.0 / L) == 0.0)
         assert np.max(np.abs(np.sin(m * np.pi * L / L))) <= 1e-14
-
-
-class TestPadEval:
-    def test_identity_on_band_limited(self):
-        grid = Grid((1.0,), (64,), gr.NEUMANN)
-        u = band_limited(grid, seed=16, cutoff=10)
-        out = gr.pad_eval(lambda v: v, u)
-        assert np.max(np.abs(out.values - u.values)) <= 1e-12
-
-    def test_product_dealiasing_improves(self):
-        # cubic of a high-mode cosine aliases at N; padding must reduce the error
-        grid = Grid((1.0,), (32,), gr.NEUMANN)
-        fine = Grid((1.0,), (256,), gr.NEUMANN)
-        x, xf = grid.axis_coords(0), fine.axis_coords(0)
-        u = ScalarField(grid, 0.9 * np.cos(11 * np.pi * x))
-        cube = lambda v: v**3
-        direct = ScalarField(grid, cube(u.values))
-        padded = gr.pad_eval(cube, u)
-        exact_fine = ScalarField(fine, cube(0.9 * np.cos(11 * np.pi * xf)))
-        exact_coeffs = gr.transform_forward(exact_fine.values, fine)[:32]
-
-        def coeff_err(f):
-            c = gr.transform_forward(f.values, grid)
-            scale = np.sqrt(fine.counts[0] / grid.counts[0])
-            return np.max(np.abs(c - exact_coeffs / scale))
-
-        assert coeff_err(padded) < 0.5 * coeff_err(direct)
-
-
-def _loop_interpolate(u, fine):
-    """Mode-by-mode reference for periodic spectral interpolation."""
-    coarse = u.grid
-    src = fftn(u.values)
-    out = np.zeros(fine.shape, dtype=complex)
-    for idx in np.ndindex(*coarse.shape):
-        tgt = tuple(i if i <= n // 2 else i + fn - n
-                    for i, n, fn in zip(idx, coarse.shape, fine.shape))
-        out[tgt] = src[idx]
-    out *= np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)])
-    return np.real(ifftn(out))
-
-
-def _loop_restrict(u, coarse):
-    """Mode-by-mode reference for periodic spectral restriction."""
-    fine = u.grid
-    src = fftn(u.values)
-    out = np.zeros(coarse.shape, dtype=complex)
-    for idx in np.ndindex(*coarse.shape):
-        srcidx = tuple(i if i <= n // 2 else i + fn - n
-                       for i, n, fn in zip(idx, coarse.shape, fine.shape))
-        out[idx] = src[srcidx]
-    out /= np.prod([fn / cn for fn, cn in zip(fine.counts, coarse.counts)])
-    return np.real(ifftn(out))
-
-
-class TestPeriodicResampling:
-    """Block slicing moves the same modes as the per-mode loop, bit for bit."""
-
-    @pytest.mark.parametrize("counts", [(8, 6), (7, 5), (6, 9), (4, 6, 8), (5, 7, 9),
-                                        (6, 5, 4)])
-    def test_interpolate_and_restrict_match_mode_loop(self, counts):
-        grid = Grid((1.0, 2.0, 0.5)[:len(counts)], counts, gr.PERIODIC)
-        fine = gr.refined(grid)
-        u = random_field(grid, seed=sum(counts))
-        assert np.array_equal(gr.interpolate(u, fine).values, _loop_interpolate(u, fine))
-        v = random_field(fine, seed=len(counts))
-        assert np.array_equal(gr.restrict(v, grid).values, _loop_restrict(v, grid))
 
 
 class TestSnapshots:

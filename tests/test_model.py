@@ -100,7 +100,7 @@ class TestMu:
         mu_u = model.mu(u, p, MuFormulation.UOM1)
         beta, beta1, beta2 = eval_beta(u.values)
         g_vals = eval_g(p, u.values)[0]
-        lap_u = gr.laplacian(u)
+        lap_u = -gr.apply_A(u)
         gsq = gr.grad_norm_sq(u.values, grid)
         for seed in range(10):
             phi = band_limited(grid, seed=100 + seed, cutoff=12, amplitude=1.0)
@@ -329,31 +329,6 @@ class TestDispersion:
         assert dispersion_sigma(1.2, p) > 0.0
         assert dispersion_sigma(1.0, p) == 0.0
         assert dispersion_sigma(2.0, p) < 0.0
-
-
-class TestDealiasedEvaluation:
-    def test_band_limited_field_unchanged(self):
-        grid = Grid((1.0,), (128,), gr.PERIODIC)
-        u = band_limited(grid, seed=20, cutoff=6, amplitude=0.4)
-        p = PotentialParams(1.0, 0.5)
-        plain = model.mu(u, p)
-        padded = model.mu(u, p, dealias=True)
-        sup = gr.lp_norm(plain, np.inf)
-        assert gr.lp_norm(plain - padded, np.inf) <= 1e-9 * (1 + sup)
-
-    def test_padding_removes_product_aliasing(self):
-        # reference: the same coarse samples evaluated with 4x padding; the
-        # 2x-padded result must be essentially converged in the padding
-        # factor, unlike the collocation evaluation
-        p = PotentialParams(1.0, -0.5)
-        coarse = Grid((1.0,), (48,), gr.PERIODIC)
-        x = coarse.axis_coords(0)
-        u = ScalarField(coarse, 0.8 * np.tanh(np.sin(2 * np.pi * x) / 0.25))
-        u4 = gr.interpolate(u, gr.refined(coarse, 4))
-        ref = gr.restrict(model.mu(u4, p), coarse)
-        err_plain = gr.lp_norm(model.mu(u, p) - ref, 2)
-        err_padded = gr.lp_norm(model.mu(u, p, dealias=True) - ref, 2)
-        assert err_padded < 1e-3 * err_plain
 
 
 class TestTruncatedEvaluation:

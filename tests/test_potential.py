@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from sixch.errors import DomainError
 from sixch.potential import (Nonlinearity, PotentialParams, TruncationLevel, eval_a,
-                             eval_beta, eval_F, eval_f, eval_g, exact_nonlinearity,
-                             extended_nonlinearity, truncate)
+                             eval_beta, eval_F, eval_f, eval_g)
 
 LN2 = 0.6931471805599453
 BETA_HALF = 0.5493061443340548  # atanh(1/2)
@@ -118,15 +117,6 @@ class TestG:
 
 
 class TestTruncate:
-    def test_clamps(self):
-        assert truncate(0.999, TruncationLevel(10)) == pytest.approx(0.9, abs=1e-15)
-        assert truncate(-5.0, TruncationLevel(4)) == pytest.approx(-0.75, abs=1e-15)
-
-    def test_interior_unchanged_and_idempotent(self):
-        lvl = TruncationLevel(10)
-        assert truncate(0.0, lvl) == 0.0
-        assert truncate(truncate(3.0, lvl), lvl) == truncate(3.0, lvl)
-
     def test_level_validation(self):
         with pytest.raises(ValueError):
             TruncationLevel(2)
@@ -136,7 +126,7 @@ class TestExtension:
     def setup_method(self):
         self.p = PotentialParams(1.0, -0.5)
         self.lvl = TruncationLevel(10)
-        self.nl = extended_nonlinearity(self.lvl, self.p)
+        self.nl = Nonlinearity(self.p, self.lvl)
 
     def test_interior_agreement_is_bit_exact(self):
         r = np.linspace(-self.lvl.knee, self.lvl.knee, 1001)
@@ -244,7 +234,7 @@ class TestProperties:
 
 class TestNonlinearityBundle:
     def test_exact_mode_checks_domain(self):
-        nl = exact_nonlinearity(PotentialParams(0.0, 0.0))
+        nl = Nonlinearity(PotentialParams(0.0, 0.0))
         with pytest.raises(DomainError):
             nl.check(np.array([0.2, 1.0]))
         nl.check(np.array([0.2, 1.0]), closed=True)  # closed interval is fine
@@ -262,7 +252,7 @@ class TestNonlinearityBundle:
     @pytest.mark.parametrize("evaluate", [
         eval_beta,
         lambda r: eval_F(PotentialParams(1.0, 1.0), r),
-        lambda r: exact_nonlinearity(PotentialParams(1.0, 1.0)).pointwise(r),
+        lambda r: Nonlinearity(PotentialParams(1.0, 1.0)).pointwise(r),
     ], ids=["eval_beta", "eval_F", "pointwise"])
     def test_nan_is_outside_the_domain(self, evaluate):
         with pytest.raises(DomainError):
@@ -273,7 +263,7 @@ class TestNonlinearityBundle:
     def test_exact_pointwise_matches_reference_evaluators(self):
         p = PotentialParams(0.9, -0.4)
         r = np.linspace(-1.0, 1.0, 2001)[1:-1]
-        pw = exact_nonlinearity(p).pointwise(r)
+        pw = Nonlinearity(p).pointwise(r)
         b, b1, b2 = eval_beta(r)
         g, g1 = eval_g(p, r)
         for got, want in [(pw.beta, b), (pw.beta1, b1), (pw.beta2, b2),

@@ -35,14 +35,14 @@ class TestFixedPoints:
         u = constant_field(grid, 0.3)
         cfg = bare_cfg(0.05)
         out = stepper(u, 0.05, SPINODAL, cfg)
-        assert np.array_equal(out.field.values, u.values)
+        assert np.array_equal(out.state.u.values, u.values)
         assert out.inner_iters <= 1
 
     def test_constant_advance_identical_with_clean_ledger(self):
         grid = Grid((2.0,), (32,), gr.NEUMANN)
         u = constant_field(grid, -0.4)
         cfg = SolverConfig(dt0=0.01, dt_min=1e-8, dt_max=0.5)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         out = advance(u, 1.0, SPINODAL, cfg, ledger=ledger)
         assert np.array_equal(out.values, u.values)
         assert all(r.rejections == 0 for r in ledger.rows)
@@ -57,13 +57,13 @@ class TestMassConservation:
         u = noise_state(grid, seed=3, mean=0.1)
         cfg = bare_cfg(1e-4, newton_tol=1e-6)
         out = stepper(u, 1e-4, SPINODAL, cfg)
-        assert abs(gr.mean(out.field) - gr.mean(u)) <= 1e-14
+        assert abs(gr.mean(out.state.u) - gr.mean(u)) <= 1e-14
 
     def test_mass_constant_along_run(self):
         grid = Grid((4 * np.pi,), (128,), gr.NEUMANN)
         u0 = noise_state(grid, seed=5)
         cfg = SolverConfig(dt0=1e-4, dt_min=1e-10, dt_max=1e-2)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         advance(u0, 0.2, SPINODAL, cfg, ledger=ledger)
         mass = ledger.column("mass")
         assert np.max(np.abs(mass - mass[0])) <= 1e-12
@@ -81,7 +81,7 @@ class TestLinearRegime:
         amps = []
         for _ in range(100):
             amps.append(float(np.sum(u.values * proj)))
-            u = step_imex(u, 1e-4, P0, cfg).field
+            u = step_imex(u, 1e-4, P0, cfg).state.u
         slope = np.polyfit(1e-4 * np.arange(100), np.log(np.abs(amps)), 1)[0]
         sigma = dispersion_sigma(k, P0)
         assert sigma == -k**2 * (k**2 + 1) ** 2
@@ -98,8 +98,8 @@ class TestSchemeAgreement:
         diffs = []
         for dt in (4e-5, 2e-5, 1e-5):
             cfg = bare_cfg(dt, newton_tol=1e-11, newton_max_iters=50)
-            a = step_imex(u, dt, p, cfg).field
-            b = step_implicit(u, dt, p, cfg).field
+            a = step_imex(u, dt, p, cfg).state.u
+            b = step_implicit(u, dt, p, cfg).state.u
             diffs.append(gr.lp_norm(a - b, 2))
         slopes = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
         for s in slopes:
@@ -207,7 +207,7 @@ class TestEnergyDissipation:
         u0 = noise_state(grid, seed=11, mean=0.0)
         cfg = SolverConfig(dt0=1e-4, dt_min=1e-10, dt_max=5e-3,
                            energy_tol=0.0, growth_factor=1.3)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         advance(u0, 0.3, SPINODAL, cfg, ledger=ledger)
         e = ledger.column("E_total")
         assert np.all(np.diff(e) <= 0.0)
@@ -217,7 +217,7 @@ class TestEnergyDissipation:
         u0 = noise_state(grid, seed=13, mean=0.0, cutoff=8)
         cfg = SolverConfig(scheme="newton", dt0=1e-3, dt_min=1e-9, dt_max=1e-2,
                            energy_tol=0.0, newton_tol=1e-10, newton_max_iters=60)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         advance(u0, 0.02, SPINODAL, cfg, ledger=ledger)
         e = ledger.column("E_total")
         assert len(e) > 3
@@ -229,7 +229,7 @@ class TestAdaptivity:
         grid = Grid((1.0,), (64,), gr.NEUMANN)
         u0 = noise_state(grid, seed=17, mean=0.1, amplitude=1e-4)
         cfg = SolverConfig(dt0=1e-5, dt_min=1e-12, dt_max=1e-2, growth_factor=1.5)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         advance(u0, 0.5, P0, cfg, ledger=ledger)
         dts = ledger.column("dt")[1:]
         assert dts[-1] == pytest.approx(1e-2, rel=1e-9) or np.max(dts) > 100 * dts[0]
@@ -247,7 +247,7 @@ class TestAdaptivity:
     def test_final_time_hit_exactly(self):
         grid = Grid((1.0,), (32,), gr.NEUMANN)
         u0 = constant_field(grid, 0.2)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         advance(u0, 0.0173, P0, SolverConfig(dt0=1e-3, dt_min=1e-9, dt_max=1e-3),
                 ledger=ledger)
         assert ledger.rows[-1].t == pytest.approx(0.0173, abs=1e-15)
@@ -262,7 +262,7 @@ class TestTruncatedMode:
         cfg = SolverConfig(scheme="newton", dt0=5e-4, dt_min=1e-10, dt_max=5e-3,
                            truncation=lvl, guard_eps=0.01, newton_tol=1e-9,
                            newton_max_iters=60)
-        ledger = RunLedger(dim=1)
+        ledger = RunLedger()
         advance(u0, 5e-3, SPINODAL, cfg, ledger=ledger)
         for row in ledger.rows:
             assert max(abs(row.min_u), abs(row.max_u)) <= lvl.clamp_bound + 1e-12
@@ -316,9 +316,9 @@ class TestBatchedSteps:
         alone = [stepper(u, 1e-4, SPINODAL, cfg) for u in rows]
         assert batch.inner_iters == max(r.inner_iters for r in alone)
         for i, r in enumerate(alone):
-            assert np.array_equal(batch.field.values[i], r.field.values)
+            assert np.array_equal(batch.state.u.values[i], r.state.u.values)
             assert batch.state.energy.total[i] == r.state.energy.total
-        assert np.array_equal(batch.field.values[2], rows[2].values)
+        assert np.array_equal(batch.state.u.values[2], rows[2].values)
 
     @pytest.mark.parametrize("stepper", [step_imex, step_implicit])
     @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
@@ -329,5 +329,5 @@ class TestBatchedSteps:
         batch = stepper(ScalarField.stack([u]), 1e-4, SPINODAL, cfg)
         alone = stepper(u, 1e-4, SPINODAL, cfg)
         assert batch.inner_iters == alone.inner_iters
-        assert np.array_equal(batch.field.values[0], alone.field.values)
+        assert np.array_equal(batch.state.u.values[0], alone.state.u.values)
         assert batch.state.energy.total[0] == alone.state.energy.total
