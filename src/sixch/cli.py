@@ -49,7 +49,7 @@ _SECTIONS = {
 @dataclass
 class RunConfig:
     grid: gr.Grid
-    params: potential.PotentialParams
+    potential: potential.Nonlinearity  # the params and the truncation level, if any
     initial: initdata.InitialSpec
     solver: stepper.SolverConfig
     t_end: float
@@ -92,6 +92,7 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
         trunc = None
         if pot.get("truncation", "").strip():
             trunc = potential.TruncationLevel(pot.getint("truncation"))
+        nl = potential.Nonlinearity(params, trunc)
 
         ini = cp["initial"] if cp.has_section("initial") else {}
         spec = initdata.InitialSpec(
@@ -113,7 +114,7 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
             return None if raw in ("", "auto") else float(raw)
 
         solver = stepper.SolverConfig(
-            s1=_opt("s1"), s2=_opt("s2"), truncation=trunc,
+            s1=_opt("s1"), s2=_opt("s2"),
             **{key: conv(sol[key]) for key, conv in _SOLVER_KEYS.items() if key in sol})
 
         run = cp["run"] if cp.has_section("run") else {}
@@ -123,15 +124,20 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
         if snapshot_every < 0:
             raise ConfigError("[run] snapshot_every must be >= 0 (0: no cadence snapshots)")
 
-        extras = _experiments(cp, grid, params, solver, t_end, max_steps)
-        return RunConfig(grid, params, spec, solver, t_end, max_steps, snapshot_every, extras)
+        extras = _experiments(cp, grid, params, t_end, max_steps)
+        # the Newton guard |u| <= clamp_bound - guard_eps must admit the
+        # regularized start, |u0n| <= 1 - 2/n, at the run's level and each sweep run's
+        levels = [nl.level, *(run_nl.level for _, run_nl in extras["sweep"]["runs"])]
+        if any(lvl is not None and solver.guard_eps >= 1.0 - lvl.clamp_bound for lvl in levels):
+            raise ConfigError("guard_eps must be smaller than 1 - clamp bound")
+        return RunConfig(grid, nl, spec, solver, t_end, max_steps, snapshot_every, extras)
     except (ValueError, KeyError, EngineError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
 
 
-def _experiments(cp, grid, params, solver, t_end, max_steps) -> dict:
+def _experiments(cp, grid, params, t_end, max_steps) -> dict:
     """Parse and range-check [dispersion], [cdep] and [sweep], defaults filled in."""
     d, c, w = (cp[s] if cp.has_section(s) else {} for s in ("dispersion", "cdep", "sweep"))
     pairs = [tok.split(":") for tok in d.get("pairs", f"{params.lam}:{params.eta}").split(",")]
@@ -159,14 +165,15 @@ def _experiments(cp, grid, params, solver, t_end, max_steps) -> dict:
     initdata.check_realizable(cdep["bump"], grid)
     sweep = {"t_end": float(w.get("t_end", t_end)),
              "max_steps": int(w["max_steps"]) if w.get("max_steps", "").strip() else max_steps,
-             "runs": [(f"lam{lam:g}_eta{eta:g}_n{n}", potential.PotentialParams(lam, eta),
-                       replace(solver, truncation=potential.TruncationLevel(n) if n else None))
+             "runs": [(f"lam{lam:g}_eta{eta:g}_n{n}",
+                       potential.Nonlinearity(potential.PotentialParams(lam, eta),
+                                              potential.TruncationLevel(n) if n else None))
                       for lam in _floats(w.get("lambdas", str(params.lam)))
                       for eta in _floats(w.get("etas", str(params.eta)))
                       for n in _ints(w.get("truncations", "0"))]}
     if not sweep["runs"]:
         raise ConfigError("[sweep] needs at least one lambda, eta and truncation")
-    names = [name for name, _, _ in sweep["runs"]]
+    names = [name for name, _ in sweep["runs"]]
     if len(set(names)) < len(names):
         raise ConfigError(f"[sweep] two runs would share an output directory: {names}")
     if not all(0.0 < x < np.inf for x in (t_end, cdep["t_end"], sweep["t_end"])):  # NaN too
@@ -213,8 +220,8 @@ def _json_out(path: Path, payload: dict) -> None:
 
 def cmd_run(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
     u0 = initdata.generate(cfg.initial, cfg.grid)
-    if cfg.solver.truncation is not None:
-        u0 = initdata.regularize_initial(u0, cfg.solver.truncation)
+    if cfg.potential.level is not None:
+        u0 = initdata.regularize_initial(u0, cfg.potential.level)
     ledger = diag.RunLedger()
     outputs: list[Path] = []
 
@@ -230,7 +237,7 @@ def cmd_run(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
 
         ledger.on_record = hook
 
-    final = stepper.advance(u0, cfg.t_end, cfg.params, cfg.solver,
+    final = stepper.advance(u0, cfg.t_end, cfg.potential, cfg.solver,
                             ledger=ledger, max_steps=cfg.max_steps)
     ledger_path = outdir / "ledger.csv"
     ledger.write_csv(ledger_path)
@@ -287,7 +294,7 @@ def cmd_cdep(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
     opts = cfg.extras["cdep"]
     u01 = initdata.generate(cfg.initial, cfg.grid)
     u02 = u01 + initdata.generate(opts["bump"], cfg.grid)
-    report = diag.cdep_experiment(u01, u02, cfg.params, cfg.solver, opts["t_end"],
+    report = diag.cdep_experiment(u01, u02, cfg.potential, cfg.solver, opts["t_end"],
                                   fit_skip=opts["fit_skip"])
     payload = {
         "fitted_C": report.fitted_C,
@@ -304,12 +311,12 @@ def cmd_cdep(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
 
 
 def _sweep_worker(args) -> str:
-    cfg, outdir, config_path, (name, params, solver) = args
+    cfg, outdir, config_path, (name, nl) = args
     sub = outdir / name
     sub.mkdir(parents=True, exist_ok=True)
     sweep = cfg.extras["sweep"]
-    cmd_run(replace(cfg, params=params, solver=solver, t_end=sweep["t_end"],
-                    max_steps=sweep["max_steps"]), sub, config_path)
+    cmd_run(replace(cfg, potential=nl, t_end=sweep["t_end"], max_steps=sweep["max_steps"]),
+            sub, config_path)
     return str(sub)
 
 
@@ -325,8 +332,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, config_path: Path, threads: int) -> 
     return 0
 
 
-def cmd_verify(cfg: Optional[RunConfig], outdir: Path,
-               config_path: Optional[Path]) -> int:
+def cmd_verify() -> int:
     from .verify import run_invariant_suite
 
     results = run_invariant_suite()
@@ -358,8 +364,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
-    if args.command == "verify" and not args.config:
-        return cmd_verify(None, Path("."), None)
+    if args.command == "verify":  # the suite reads no config and writes no files
+        return cmd_verify()
     if not args.config:
         print("error: --config is required", file=sys.stderr)
         return 1
@@ -388,8 +394,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_cdep(cfg, outdir, config_path)
         if args.command == "sweep":
             return cmd_sweep(cfg, outdir, config_path, args.threads)
-        if args.command == "verify":
-            return cmd_verify(cfg, outdir, config_path)
     except EngineError as exc:
         print(f"solver failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,8 @@ from . import grid as gr
 from .errors import MeanMismatch, RangeError
 from .grid import ScalarField
 from .model import AprioriDiagnostics, EnergyBreakdown, State, dispersion_sigma
-from .stepper import SolverConfig, _completed, _march, _nonlinearity, step_imex
+from .potential import Nonlinearity, PotentialParams, TruncationLevel, as_nonlinearity
+from .stepper import SolverConfig, _completed, _march, advance, step_imex
 
 CSV_COLUMNS = ["t", "dt", "mass", "E_total", "E_willmore", "E_ch_grad", "E_ch_pot",
                "grad_mu_sq", "min_u", "max_u", "delta_sep", "beta_l2", "grad_beta_l2",
@@ -161,12 +162,15 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
     dual norm.  C is fitted by least squares on log d^2(t), excluding the
     startup window t < 5*dt0; envelope_ok checks d^2(t) <= d^2(0) * exp(C t)
     with one percent slack on the rate.
+
+    p, PotentialParams or a Nonlinearity, is stepped as given: a level on
+    it steps the truncated mode.
     """
     if abs(gr.mean(u01) - gr.mean(u02)) > 1e-12:
         raise MeanMismatch(
             f"means differ by {abs(gr.mean(u01) - gr.mean(u02)):.3e} (> 1e-12)")
     identical = bool(np.array_equal(u01.values, u02.values))
-    nl = _nonlinearity(p, cfg)
+    nl = as_nonlinearity(p)
 
     def distance(pair: State) -> float:
         return gr.dual_norm_coeffs(pair.u_hat[0] - pair.u_hat[1], pair.u.grid)
@@ -209,19 +213,15 @@ class TruncationRow:
     distance: float
 
 
-def truncation_convergence(u0: ScalarField, p, cfg: SolverConfig,
+def truncation_convergence(u0: ScalarField, p: PotentialParams, cfg: SolverConfig,
                            levels: Sequence[int], t_end: float) -> list[TruncationRow]:
     """Distance at t_end between the level-n and level-2n truncated runs.
 
-    Each level n runs the truncated-potential solver from
+    Each level n steps Nonlinearity(p, TruncationLevel(n)) from
     regularize_initial(u0, n); the reported column ||u_n - u_2n||_L2 must
     decrease along an ascending level list as the scheme converges.
     """
-    from dataclasses import replace
-
     from .initdata import regularize_initial
-    from .potential import TruncationLevel
-    from .stepper import advance
 
     levels = list(levels)
     if levels != sorted(levels) or any(n < 3 for n in levels):
@@ -230,9 +230,7 @@ def truncation_convergence(u0: ScalarField, p, cfg: SolverConfig,
     finals: dict[int, ScalarField] = {}
     for n in needed:
         lvl = TruncationLevel(n)
-        cfg_n = replace(cfg, truncation=lvl)
-        start = regularize_initial(u0, lvl)
-        finals[n] = advance(start, t_end, p, cfg_n)
+        finals[n] = advance(regularize_initial(u0, lvl), t_end, Nonlinearity(p, lvl), cfg)
     return [TruncationRow(n, 2 * n, gr.lp_norm(finals[n] - finals[2 * n], 2))
             for n in levels]
 

@@ -74,7 +74,8 @@ def check_realizable(spec: InitialSpec, grid: Grid) -> None:
     Checks the amplitude margin, the constant level, that a single mode is
     resolvable, that noise has at least one mode below its cutoff, and that
     the interface position and width are finite (the width positive) and
-    give a profile that varies on the grid.  Only a degenerate noise draw
+    give a profile that varies on the grid by more than rounding (at least
+    1/AMP_MARGIN ulps of its largest value).  Only a degenerate noise draw
     is left to `generate`.
     """
     m = spec.mean_m
@@ -94,8 +95,9 @@ def check_realizable(spec: InitialSpec, grid: Grid) -> None:
             raise SpecError("interface position must be finite")
         if spec.width is not None and not 0.0 < spec.width < np.inf:  # NaN too
             raise SpecError("interface width must be positive and finite")
-        if np.ptp(_tanh_profile(spec, grid, grid.axis_coords(0))) == 0.0:
-            raise SpecError("interface profile is constant on the grid")
+        profile = _tanh_profile(spec, grid, grid.axis_coords(0))
+        if np.ptp(profile) < np.spacing(np.max(np.abs(profile))) / AMP_MARGIN:
+            raise SpecError("interface profile is constant on the grid, up to rounding")
 
 
 def _tanh_profile(spec: InitialSpec, grid: Grid, x: np.ndarray) -> np.ndarray:

@@ -22,6 +22,10 @@ Two first-order integrators are provided:
   G(u) comes from the previous state's mu_hat, and the Jacobian is built
   only at an iterate that has not converged.
 
+A step or run takes the potential as `PotentialParams` (exact mode) or as
+a `Nonlinearity`, whose level is the one setting of the truncated mode:
+it fixes the evaluators, the default s1 and the Newton guard bound.
+
 Both steps share one set-up: they start from a completed `model.State` (a
 bare field is evaluated first) and read its u_hat and mu_hat.  They pin
 the mass mode and return the new state as a candidate `State`.  One
@@ -57,7 +61,7 @@ from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
 from .grid import ScalarField
 from .model import State, _uom1
-from .potential import Nonlinearity, PotentialParams, TruncationLevel, as_nonlinearity
+from .potential import Nonlinearity, as_nonlinearity
 
 IMEX = "imex"
 NEWTON = "newton"
@@ -78,7 +82,6 @@ class SolverConfig:
     newton_tol: float = 1e-9
     newton_max_iters: int = 25
     guard_eps: float = 1e-3
-    truncation: Optional[TruncationLevel] = None
 
     def __post_init__(self):
         if not (0 < self.dt_min <= self.dt0 <= self.dt_max):
@@ -91,8 +94,6 @@ class SolverConfig:
             raise ValueError("guard_eps must lie in (0, 0.5)")
         if self.energy_tol < 0 or self.newton_tol <= 0 or self.newton_max_iters < 1:
             raise ValueError("invalid tolerance settings")
-        if self.truncation is not None and self.guard_eps >= 1.0 - self.truncation.clamp_bound:
-            raise ValueError("guard_eps must be smaller than 1 - clamp bound")
 
 
 @dataclass(frozen=True)
@@ -101,33 +102,25 @@ class StepResult:
     inner_iters: int
 
 
-def default_stabilization(p: PotentialParams, truncation: Optional[TruncationLevel] = None,
-                          sup_u: float = 0.9) -> tuple[float, float]:
-    """Stabilization constants majorizing the explicit frozen coefficients.
+def default_stabilization(nl: Nonlinearity, sup_u: float = 0.9) -> tuple[float, float]:
+    """Stabilization constants majorizing the explicit frozen coefficients of nl.
 
     s1 = max over the admissible range of 2*beta'(r) = 2/(1-r^2) and
-    s2 = |2*lam - eta|.  In truncated mode the range is [-b, b] with
-    b = 1 - 1/n, giving an exact bound.  In exact mode the open interval
+    s2 = |2*lam - eta|.  In truncated mode, nl.level = n, the range is
+    [-b, b] with b = 1 - 1/n, an exact bound.  In exact mode the open interval
     is unbounded, so the default majorizes over |r| up to the midpoint
     between the state's sup norm and 1 (states drift toward the binodal,
     never quite reaching it) and relies on the energy-rejection backstop
     beyond that (a sup norm >= 1 gives b = 1 - 1e-6).  An array `sup_u`,
     one sup norm per row, gives an array s1.
     """
-    if truncation is not None:
-        b = truncation.clamp_bound
+    if nl.level is not None:
+        b = nl.level.clamp_bound
     else:
         b = np.maximum(np.minimum(0.5 * (1.0 + sup_u), 1.0 - 1e-6), 0.9)
     s1 = 2.0 / ((1.0 - b) * (1.0 + b))
-    s2 = abs(2.0 * p.lam - p.eta)
+    s2 = abs(2.0 * nl.params.lam - nl.params.eta)
     return s1, s2
-
-
-def _nonlinearity(p, cfg: SolverConfig) -> Nonlinearity:
-    nl = as_nonlinearity(p)
-    if cfg.truncation is not None and nl.exact:
-        nl = Nonlinearity(nl.params, cfg.truncation)
-    return nl
 
 
 def _completed(u, p) -> State:
@@ -147,11 +140,11 @@ def _setup(u, dt: float, p, cfg: SolverConfig):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    nl = _nonlinearity(p, cfg)
+    nl = as_nonlinearity(p)
     prev = _completed(u, nl)
     grid, vals = prev.u.grid, prev.u.values
     sup = np.abs(vals).reshape(*vals.shape[:-grid.dim], -1).max(axis=-1)
-    s1, s2 = default_stabilization(nl.params, cfg.truncation, sup_u=sup)
+    s1, s2 = default_stabilization(nl, sup_u=sup)
     s1 = np.asarray(s1 if cfg.s1 is None else cfg.s1)[(...,) + (None,) * grid.dim]
     s2 = s2 if cfg.s2 is None else cfg.s2
     return nl, prev, s1, s2, grid.symbol().eigenvalues
@@ -189,7 +182,7 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
     """
     nl, prev, s1, s2, ev = _setup(u, dt, p, cfg)
     grid = prev.u.grid
-    bound = (1.0 if cfg.truncation is None else cfg.truncation.clamp_bound) - cfg.guard_eps
+    bound = (1.0 if nl.level is None else nl.level.clamp_bound) - cfg.guard_eps
     if np.max(np.abs(prev.u.values)) > bound:
         raise GuardViolation("initial state already violates the separation guard")
 
@@ -347,7 +340,7 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
         raise ValueError("t_end must be positive")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be at least 1")  # the limit is read after a step
-    nl = _nonlinearity(p, cfg)
+    nl = as_nonlinearity(p)
     state = _completed(u0, nl)
     if ledger is not None:
         ledger.record(state, 0.0, 0.0, nl, rejections=0)

@@ -4,11 +4,17 @@
 traced benchmark run starts; a name it reads that sixch no longer has makes
 every traced run raise.  These tests load the tracer by path (it needs only
 the standard library at import) and check each name `Tracer.install` reads,
-without installing it.
+without installing it in this process.  The last ones check that each span
+name `sixbench/run.py` sums is one the tracer reports.
 """
 
+import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +65,57 @@ def test_stepper_krylov_and_scheme_table():
     stepper = sixch_module("stepper")
     assert callable(stepper.lgmres)
     assert stepper._STEPPERS and all(callable(fn) for fn in stepper._STEPPERS.values())
+
+
+# `sixbench/run.py` sums the trace by span name, and a name the trace lacks
+# reads as 0 without error; a renamed step function would make every traced
+# run divide by zero.
+RUN_PATH = TRACER_PATH.with_name("run.py")
+
+
+def _summed_span_names() -> set[str]:
+    """The names run.py's `_per_layer` passes to calls() and total(), the
+    module-level tuples it unpacks there (EVALUATORS, FFT_SPANS) included."""
+    tree = ast.parse(RUN_PATH.read_text())
+    tuples = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and isinstance(node.value, ast.Tuple)}
+    per_layer = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_per_layer")
+    names = set()
+    for call in ast.walk(per_layer):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("calls", "total"):
+            for arg in call.args:
+                if isinstance(arg, ast.Starred):
+                    names.update(tuples[arg.value.id])
+                else:
+                    names.add(ast.literal_eval(arg))
+    return names
+
+
+SUMMED = sorted(_summed_span_names())
+
+
+@pytest.fixture(scope="module")
+def traced_names():
+    """Every span and counter name the tracer reports, read from an install in
+    a fresh interpreter (install rebinds sixch's functions process-wide)."""
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import sixch.cli; "
+              "from tracer import Tracer; t = Tracer(); t.install(); "
+              "print(json.dumps([*t.stats, *t.counts]))")
+    src = str(TRACER_PATH.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script, str(TRACER_PATH.parent)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    return set(json.loads(out))
+
+
+def test_summed_names_found():
+    assert {"stepper.step_imex", "stepper.step_implicit", "model.apriori_diagnostics",
+            "potential.eval_beta"} <= set(SUMMED)
+
+
+@pytest.mark.parametrize("name", SUMMED)
+def test_summed_span_is_traced(traced_names, name):
+    assert name in traced_names

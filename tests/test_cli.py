@@ -79,7 +79,7 @@ class TestConfigParsing:
     def test_parses_constant_config(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, CONSTANT_CONFIG))
         assert cfg.grid.counts == (32,)
-        assert cfg.params.lam == 3.0
+        assert cfg.potential.params.lam == 3.0
         assert cfg.initial.kind == "constant"
         assert cfg.t_end == 0.5
         assert cfg.snapshot_every == 10
@@ -183,6 +183,12 @@ class TestVerifyCommand:
         assert lines[-1] == "verify: 1 failing invariant(s): transform round trip"
         assert all(line.endswith("  PASS") for line in lines[:-1] if line not in failed)
 
+    def test_config_and_out_are_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("sixch.verify.run_invariant_suite", lambda: [("check", True, "")])
+        bad = write_config(tmp_path, NOISE_CONFIG.replace("counts = 64", "counts = 3"))
+        assert main(["verify", "--config", str(bad), "--out", str(tmp_path / "out")]) == 0
+        assert not (tmp_path / "out").exists()
+
 
 class TestDispersionCommand:
     def test_rates_csv(self, tmp_path):
@@ -253,16 +259,16 @@ class TestSweepCommand:
         path = write_config(tmp_path, text + "\n[sweep]\nlambdas = 0 3\netas = 1 2\n")
         cfg = parse_config(path)
         runs = cfg.extras["sweep"]["runs"]
-        names = [name for name, _, _ in runs]
+        names = [name for name, _ in runs]
         assert names == ["lam0_eta1_n0", "lam0_eta2_n0", "lam3_eta1_n0", "lam3_eta2_n0"]
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == names
         u0 = generate(cfg.initial, cfg.grid)
-        for name, params, _ in runs:  # the initial energy shows whose run a directory holds
+        for name, nl in runs:  # the initial energy shows whose run a directory holds
             with open(out / name / "ledger.csv") as fh:
                 first = next(csv.DictReader(fh))
-            assert float(first["E_total"]) == energy(u0, params).total
+            assert float(first["E_total"]) == energy(u0, nl).total
 
 
 # config edits that each ended in a traceback, or failed only after the
@@ -280,6 +286,12 @@ MALFORMED = {
     "cdep_t_end_nan": ("cdep", "[cdep]\nt_end = nan\n", []),
     "sweep_lambdas_x": ("sweep", "[sweep]\nlambdas = x\n", []),
     "sweep_truncation_2": ("sweep", "[sweep]\ntruncations = 2\n", []),
+    # a Newton guard, 1 - 1/n - guard_eps, below the regularized start's bound 1 - 2/n
+    "potential_truncation_5_guard_eps": ("run", lambda text: text.replace(
+        "eta = 1.0", "eta = 1.0\ntruncation = 5").replace(
+        "[solver]", "[solver]\nguard_eps = 0.25"), []),
+    "sweep_truncation_40_guard_eps": ("sweep", lambda text: text.replace(
+        "[solver]", "[solver]\nguard_eps = 0.03") + "\n[sweep]\ntruncations = 40\n", []),
     "sweep_threads_0": ("sweep", "", ["--threads", "0"]),
     "duplicate_section": ("run", "[grid]\nbc = periodic\n", []),
     "duplicate_key": ("run", "[cdep]\nmode = 1\nmode = 2\n", []),
@@ -336,10 +348,12 @@ class TestMalformedInput:
         assert not out.exists()  # rejected before any work
 
     # each made `init` and `run` exit 2 on a non-finite field, after making
-    # the output directory
+    # the output directory; position = 24 made an artefact instead: the
+    # interface lies 18 widths past the last sample, where tanh varies by
+    # rounding alone (ptp 2.2e-16), and `generate` stretched that to a ramp
     @pytest.mark.parametrize("command", ["init", "run"])
     @pytest.mark.parametrize("edit", ["position = nan", "position = inf", "position = 1e9",
-                                      "width = inf"])
+                                      "position = 24", "width = inf"])
     def test_tanh_profile_finite_and_varying(self, tmp_path, capsys, command, edit):
         text = NOISE_CONFIG.replace("kind = noise", f"kind = tanh\n{edit}")
         path = write_config(tmp_path, text)

@@ -4,7 +4,7 @@ import pytest
 from sixch import grid as gr
 from sixch.errors import SpecError
 from sixch.grid import Grid, ScalarField
-from sixch.initdata import InitialSpec, generate, regularize_initial
+from sixch.initdata import InitialSpec, check_realizable, generate, regularize_initial
 from sixch.potential import TruncationLevel, eval_beta
 
 
@@ -55,6 +55,21 @@ class TestGenerate:
         assert gr.mean(u) == pytest.approx(0.0, abs=1e-12)
         assert gr.lp_norm(u, np.inf) <= 0.8 + 1e-12
         assert np.all(np.isfinite(eval_beta(u.values)[0]))
+
+    # a tanh far past the domain varies by rounding alone: at position 1.9
+    # its 64 samples span 3.3e-16, which `generate` stretched into a 0 -> 0.5
+    # ramp over the last 3 samples; 1.3 and 1.5 (ptp 9e-6, 3e-9) and a wide,
+    # nearly linear profile (ptp ~1e-6 about 0) still vary
+    @pytest.mark.parametrize("position, width, ok", [(1.9, 0.05, False), (1.3, 0.05, True),
+                                                     (1.5, 0.05, True), (0.5, 1e6, True)])
+    def test_tanh_varying_only_by_rounding_rejected(self, position, width, ok):
+        grid = Grid((1.0,), (64,), gr.NEUMANN)
+        spec = InitialSpec(kind="tanh", amplitude=0.5, position=position, width=width)
+        if ok:
+            check_realizable(spec, grid)
+        else:
+            with pytest.raises(SpecError, match="rounding"):
+                check_realizable(spec, grid)
 
     def test_mean_validation(self):
         with pytest.raises(SpecError):

@@ -4,7 +4,7 @@ from scipy.sparse.linalg import LinearOperator
 
 from sixch import grid as gr
 from sixch.diagnostics import RunLedger
-from sixch.errors import StepFloorError
+from sixch.errors import GuardViolation, StepFloorError
 from sixch.grid import Grid, ScalarField, constant_field
 from sixch.initdata import InitialSpec, generate, regularize_initial
 from sixch.model import State, dispersion_sigma
@@ -260,10 +260,9 @@ class TestTruncatedMode:
         u0 = regularize_initial(noise_state(grid, seed=23, mean=0.3, amplitude=0.3,
                                             cutoff=6), lvl)
         cfg = SolverConfig(scheme="newton", dt0=5e-4, dt_min=1e-10, dt_max=5e-3,
-                           truncation=lvl, guard_eps=0.01, newton_tol=1e-9,
-                           newton_max_iters=60)
+                           guard_eps=0.01, newton_tol=1e-9, newton_max_iters=60)
         ledger = RunLedger()
-        advance(u0, 5e-3, SPINODAL, cfg, ledger=ledger)
+        advance(u0, 5e-3, Nonlinearity(SPINODAL, lvl), cfg, ledger=ledger)
         for row in ledger.rows:
             assert max(abs(row.min_u), abs(row.max_u)) <= lvl.clamp_bound + 1e-12
 
@@ -271,15 +270,33 @@ class TestTruncatedMode:
         lvl = TruncationLevel(10)
         grid = Grid((4 * np.pi,), (64,), gr.NEUMANN)
         u0 = regularize_initial(noise_state(grid, seed=29), lvl)
-        cfg = SolverConfig(dt0=1e-4, dt_min=1e-10, dt_max=1e-3, truncation=lvl)
-        out = advance(u0, 0.05, SPINODAL, cfg)
+        cfg = SolverConfig(dt0=1e-4, dt_min=1e-10, dt_max=1e-3)
+        out = advance(u0, 0.05, Nonlinearity(SPINODAL, lvl), cfg)
         assert np.all(np.isfinite(out.values))
+
+    # the level of the Nonlinearity a step is given sets s1 (20.51 by the
+    # clamp-bound rule, not the exact mode's 10.53 at sup |u| = 0.5) and the
+    # Newton guard (0.95 - guard_eps, not 1 - guard_eps)
+    def test_level_sets_the_stabilization(self):
+        from sixch.stepper import _setup
+        b = TruncationLevel(20).clamp_bound
+        u = constant_field(Grid((1.0,), (8,), gr.NEUMANN), 0.5)
+        nl = Nonlinearity(SPINODAL, TruncationLevel(20))
+        assert _setup(u, 1e-3, nl, SolverConfig())[2] == 2.0 / ((1.0 - b) * (1.0 + b))
+
+    def test_level_sets_the_newton_guard(self):
+        lvl = TruncationLevel(20)
+        cfg = SolverConfig(scheme="newton")
+        u = constant_field(Grid((1.0,), (8,), gr.NEUMANN), lvl.clamp_bound - 0.5 * cfg.guard_eps)
+        assert lvl.clamp_bound - cfg.guard_eps < u.values[0] < 1.0 - cfg.guard_eps
+        with pytest.raises(GuardViolation):
+            step_implicit(u, 1e-3, Nonlinearity(SPINODAL, lvl), cfg)
 
 
 class TestStabilizationDefaults:
     def test_rule(self):
         p = PotentialParams(2.0, -1.0)
-        s1, s2 = default_stabilization(p, TruncationLevel(10))
+        s1, s2 = default_stabilization(Nonlinearity(p, TruncationLevel(10)))
         b = 0.9
         assert s1 == pytest.approx(2.0 / (1 - b**2), rel=1e-12)
         assert s2 == abs(2 * p.lam - p.eta)
@@ -295,8 +312,6 @@ class TestStabilizationDefaults:
             SolverConfig(dt0=1e-3, dt_min=1e-2, dt_max=1.0)
         with pytest.raises(ValueError):
             SolverConfig(growth_factor=0.9)
-        with pytest.raises(ValueError):
-            SolverConfig(guard_eps=0.25, truncation=TruncationLevel(5))
 
 
 class TestBatchedSteps:
