@@ -294,6 +294,8 @@ def cmd_cdep(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
     opts = cfg.extras["cdep"]
     u01 = initdata.generate(cfg.initial, cfg.grid)
     u02 = u01 + initdata.generate(opts["bump"], cfg.grid)
+    if cfg.potential.level is not None:  # both members, as `cmd_run` regularizes its start
+        u01, u02 = (initdata.regularize_initial(u, cfg.potential.level) for u in (u01, u02))
     report = diag.cdep_experiment(u01, u02, cfg.potential, cfg.solver, opts["t_end"],
                                   fit_skip=opts["fit_skip"])
     payload = {

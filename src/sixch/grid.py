@@ -113,6 +113,15 @@ class OperatorSymbol:
         if np.any(ev < 0.0):
             raise ValueError("Laplacian symbol must be nonnegative")
 
+    # The symbols of A^2 and A^3, which every step reads: built once per grid.
+    @cached_property
+    def squared(self) -> np.ndarray:
+        return self.eigenvalues**2
+
+    @cached_property
+    def cubed(self) -> np.ndarray:
+        return self.eigenvalues**3
+
 
 @lru_cache(maxsize=64)
 def _symbol_cached(grid: Grid) -> OperatorSymbol:
@@ -207,7 +216,8 @@ def transform_forward(values: np.ndarray, grid: Grid) -> np.ndarray:
     """
     if grid.bc == NEUMANN:
         for ax in range(-grid.dim, 0):
-            values = dct(values, type=2, axis=ax, norm="ortho")
+            # past the first axis the input is this loop's own array: transform it in place
+            values = dct(values, type=2, axis=ax, norm="ortho", overwrite_x=ax > -grid.dim)
         return values
     return fftn(values, axes=tuple(range(-grid.dim, 0)), norm="ortho")
 
@@ -216,7 +226,7 @@ def transform_backward(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Inverse of :func:`transform_forward`: real sample values."""
     if grid.bc == NEUMANN:
         for ax in range(-grid.dim, 0):
-            coeffs = dct(coeffs, type=3, axis=ax, norm="ortho")
+            coeffs = dct(coeffs, type=3, axis=ax, norm="ortho", overwrite_x=ax > -grid.dim)
         return coeffs
     return np.real(ifftn(coeffs, axes=tuple(range(-grid.dim, 0)), norm="ortho"))
 

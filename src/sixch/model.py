@@ -16,16 +16,23 @@ oracles for one another.  The default used for time stepping is UOM1,
          + beta(u) beta'(u) + (2 lam - eta) lap(u) + g(u),
 
 whose nonlinear terms are exactly the quantities the diagnostic functionals
-below monitor.  `State` evaluates a state once: one pointwise pass of the
-nonlinearities (`Nonlinearity.pointwise`), the energy breakdown the
-dissipation test reads and, for an accepted state, the UOM1 mu and the
-diagnostic scalars.  A batch is a leading shape, (k,) for a
+below monitor.  Its linear terms are diagonal in the basis of A, with
+eigenvalues ev, so its coefficients are
+
+    mu_hat = (ev^2 - (2 lam - eta) ev) u_hat + 2 ev beta_hat
+             + F[beta''(u)|grad u|^2 + beta(u) beta'(u) + g(u)],
+
+and `_mu_hat` assembles them so, with beta and the nonlinear sum in one
+stacked forward transform: the one assembly of mu, for `State` and the
+Newton residual alike.  `State` evaluates a state once: one pointwise
+pass of the nonlinearities (`Nonlinearity.pointwise`), the energy
+breakdown the dissipation test reads and, for an accepted state, mu_hat
+and the diagnostic scalars.  A batch is a leading shape, (k,) for a
 `ScalarField.stack` of k and () for one field, and one path serves both,
 so trajectories stepped in lockstep share every call; the scalars are per
 row (float64 scalars or (k,) arrays), each bit-equal to its single State's.
 `energy`, `apriori_diagnostics`, `mu_mean` and the UOM1 branch of `mu`
-delegate to it; its UOM1 assembly, `_uom1`, also serves the Newton
-residual.
+delegate to it; `mu` makes the one backward transform of mu_hat.
 """
 
 from __future__ import annotations
@@ -38,9 +45,9 @@ from typing import Optional
 import numpy as np
 
 from . import grid as gr
-from .errors import DomainError, OverflowSignal
+from .errors import DomainError, OverflowSignal, ShapeError
 from .grid import ScalarField
-from .potential import PotentialParams, as_nonlinearity, eval_a
+from .potential import Pointwise, PotentialParams, as_nonlinearity, eval_a
 
 
 class MuFormulation(Enum):
@@ -94,19 +101,20 @@ class State:
 
     Construction evaluates a candidate.  One pointwise pass checks the
     domain once (|u| < 1 in exact mode, every row) and gives beta, beta',
-    beta'', g and F; then come the coefficients u_hat, A u and the energy
+    beta'', g and F; then come the coefficients u_hat and the energy
     breakdown, which is all the dissipation test reads.
 
-    `complete` finishes an accepted state: |grad u|^2, beta_hat, the UOM1
-    chemical potential mu, mu_hat and ||grad mu||^2.  It returns mu and
-    keeps only what a later step reads (u, u_hat, mu_hat) and the terms
-    of the a-priori scalars, which `apriori` evaluates when first read
-    (the ledger reads them for every state; the cdep pair never does) and
-    then releases.
+    `complete` finishes an accepted state: |grad u|^2, then mu_hat,
+    assembled in coefficient space with beta_hat by `_mu_hat`, and
+    ||grad mu||^2.  mu stays in coefficients: `model.mu` transforms it
+    back.  The state keeps only what a later step reads (u, u_hat,
+    mu_hat) and the terms of the a-priori scalars, which `apriori`
+    evaluates when first read (the ledger reads them for every state; the
+    cdep pair never does) and then releases.
     """
 
     __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq",
-                 "_lead", "_apriori", "_pw", "_a_u", "_terms")
+                 "_lead", "_apriori", "_pw", "_terms")
 
     def __init__(self, u: ScalarField, p):
         nl = as_nonlinearity(p)
@@ -118,38 +126,38 @@ class State:
         eta = nl.params.eta
         self.u, self.nl = u, nl
         self._lead = lead = vals.shape[:-grid.dim]
-        self._pw = pw.beta, pw.beta1, pw.beta2, pw.g  # the part complete() reads
-        self.u_hat = gr.transform_forward(vals, grid)
-        self._a_u = gr.transform_backward(ev * self.u_hat, grid)
-        om_vals = self._a_u + (pw.beta - nl.params.lam * vals)  # -lap(u) + f(u)
-        willmore = 0.5 * _sum(om_vals**2, lead) * w
-        ch_grad = 0.5 * eta * _spectral_sq(ev, self.u_hat, lead) * w
         ch_pot = eta * _sum(pw.F, lead) * w
+        self._pw = pw = Pointwise(*pw[:-1], None)  # the part complete() reads: not F
+        self.u_hat = gr.transform_forward(vals, grid)
+        om_vals = gr.transform_backward(ev * self.u_hat, grid) + (pw.beta - nl.params.lam * vals)
+        willmore = 0.5 * _sum(om_vals**2, lead) * w  # omega = A u + f(u)
+        ch_grad = 0.5 * eta * _spectral_sq(ev, self.u_hat, lead) * w
         self.energy = EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
         self.mu_hat = self.grad_mu_sq = self._apriori = self._terms = None
 
-    def complete(self) -> ScalarField:
-        """Evaluate mu and ||grad mu||^2 of an accepted state; return mu."""
-        grid, lead = self.u.grid, self._lead
-        ev = grid.symbol().eigenvalues
-        beta, _, _, g_vals = self._pw
+    def complete(self) -> None:
+        """Evaluate mu_hat and ||grad mu||^2 of an accepted state.
+
+        Raises ShapeError if mu_hat is not finite.
+        """
+        grid, lead, pw = self.u.grid, self._lead, self._pw
         gsq = gr.grad_norm_sq(self.u.values, grid)
-        mu_vals, beta_hat, b_vals, curv = _uom1(self.nl, grid, self.u_hat, self._a_u,
-                                                *self._pw, gsq)
-        mu_field = ScalarField(grid, mu_vals, self.u.batch)  # mu leaves the state: checked
-        self._pw = self._a_u = None
-        self._terms = beta, beta_hat, b_vals, curv, g_vals
-        self.mu_hat = gr.transform_forward(mu_vals, grid)
-        root = np.sqrt(_spectral_sq(ev, self.mu_hat, lead) * grid.cell_volume)
+        self.mu_hat, beta_hat, b_vals, curv, nonlinear = _mu_hat(self.nl, grid, pw, gsq,
+                                                                 u_hat=self.u_hat)
+        if not np.all(np.isfinite(self.mu_hat)):  # mu leaves the state: checked
+            raise ShapeError("mu_hat must be finite")
+        self._pw = None
+        self._terms = pw.beta, beta_hat, b_vals, curv, nonlinear
+        root = np.sqrt(_spectral_sq(grid.symbol().eigenvalues, self.mu_hat, lead)
+                       * grid.cell_volume)
         # each row squared as a Python float (libm pow), not by the array square
         self.grad_mu_sq = np.reshape([r**2 for r in np.ravel(root).tolist()], lead)[()]
-        return mu_field
 
     @property
     def apriori(self) -> Optional[AprioriDiagnostics]:
         """The a-priori scalars of a completed state (None before `complete`)."""
         if self._terms is not None:
-            beta, beta_hat, b_vals, curv, g_vals = self._terms
+            beta, beta_hat, b_vals, curv, nonlinear = self._terms
             grid, lead = self.u.grid, self._lead
             ev, w = grid.symbol().eigenvalues, grid.cell_volume
             self._terms = None
@@ -159,22 +167,37 @@ class State:
                 beta_betaprime_l1=_sum(np.abs(b_vals), lead) * w,
                 m_integral=_sum(_M(np.abs(b_vals)), lead) * w,
                 n_integral=_sum(_N(np.abs(curv)), lead) * w,
-                mu_mean=_sum(curv + b_vals + g_vals, lead) / math.prod(grid.shape),
+                mu_mean=_sum(nonlinear, lead) / math.prod(grid.shape),
             )
         return self._apriori
 
 
-def _uom1(nl, grid, u_hat, a_u, beta, beta1, beta2, g_vals, gsq):
-    """The values of the UOM1 mu of u (one state or a batch on `grid`) from u_hat,
-    A u, pointwise terms and |grad u|^2, with beta_hat, B and curv."""
-    ev = grid.symbol().eigenvalues
-    beta_hat = gr.transform_forward(beta, grid)
-    lap_beta = -gr.transform_backward(beta_hat * ev, grid)
-    lap2_u = gr.transform_backward(ev**2 * u_hat, grid)
-    b_vals = beta * beta1
-    curv = beta2 * gsq
-    common = b_vals + (2.0 * nl.params.lam - nl.params.eta) * -a_u + g_vals
-    return lap2_u - 2.0 * lap_beta + curv + common, beta_hat, b_vals, curv
+def _mu_hat(nl, grid, pw, gsq, u_hat=None, u=None):
+    """The coefficients of the UOM1 mu of u (one state or a batch on `grid`).
+
+    The linear terms are diagonal in the basis, so
+
+        mu_hat = (ev^2 - (2 lam - eta) ev) u_hat + 2 ev beta_hat + F[curv + B + g]
+
+    with B = beta beta' and curv = beta''|grad u|^2 from the pointwise pass
+    `pw` and gsq = |grad u|^2.  beta and the nonlinear sum go through one
+    stacked forward transform; given u's values `u` in place of `u_hat`,
+    u goes through the same call.  Returns mu_hat, beta_hat, B, curv and
+    the nonlinear sum.
+    """
+    sym = grid.symbol()
+    ev = sym.eigenvalues
+    b_vals = pw.beta * pw.beta1
+    curv = pw.beta2 * gsq
+    nonlinear = curv + b_vals + pw.g
+    rows = [pw.beta, nonlinear] if u is None else [u, pw.beta, nonlinear]
+    *u_row, beta_hat, n_hat = gr.transform_forward(np.stack(rows), grid)
+    u_hat = u_hat if u is None else u_row[0]
+    # summed in place (fewer temporaries), in the formula's order
+    mu_hat = (sym.squared - (2.0 * nl.params.lam - nl.params.eta) * ev) * u_hat
+    mu_hat += 2.0 * ev * beta_hat
+    mu_hat += n_hat
+    return mu_hat, beta_hat, b_vals, curv, nonlinear
 
 
 def omega(u: ScalarField, p) -> ScalarField:
@@ -186,7 +209,9 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1) -> ScalarFie
     """Chemical potential of the sixth-order flow, per the selected form."""
     nl = as_nonlinearity(p)
     if form is MuFormulation.UOM1:
-        return State(u, nl).complete()
+        state = State(u, nl)
+        state.complete()
+        return ScalarField(u.grid, gr.transform_backward(state.mu_hat, u.grid), u.batch)
     lam, eta = nl.params.lam, nl.params.eta
 
     if form is MuFormulation.CASCADE:

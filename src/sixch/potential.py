@@ -17,7 +17,9 @@ accept scalars or numpy arrays.
 Exact evaluators raise :class:`DomainError` outside their domain, NaN
 included, instead of clamping.  The solver reads a state's nonlinearities
 in one pass, :meth:`Nonlinearity.pointwise`: one beta, beta', beta'' trio,
-with the one domain check, also gives beta''', g, g' and F.  The truncated
+with the one domain check, also gives g and F (F from the trio's
+logarithms ln(1 +- r), which `eval_F` builds it from too), and beta''' and
+g' only for the caller that asks, the Newton Jacobian.  The truncated
 mode takes the trio at the samples clipped to the knee 1 - 1/(2n) and
 continues every quantity past it by one rule, its Taylor polynomial there.
 """
@@ -31,7 +33,6 @@ from typing import Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.special import xlogy
 
 from .errors import DomainError
 
@@ -97,21 +98,22 @@ def _one_minus_sq(r: NDArray[np.float64]) -> NDArray[np.float64]:
     return (1.0 - r) * (1.0 + r)
 
 
-def eval_beta(r: ArrayLike) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
+def eval_beta(r: ArrayLike, logs: bool = False) -> tuple[FloatOrArray, ...]:
     """Evaluate beta(r) = atanh(r) together with beta' and beta''.
 
     beta(r) = (1/2) ln((1+r)/(1-r)),  beta'(r) = 1/(1-r^2),
     beta''(r) = 2r/(1-r^2)^2.  Raises DomainError unless |r| < 1.
+    With ``logs`` the trio is followed by ln(1+r) and ln(1-r), the two
+    logarithms beta is built from (F is built from them too).
     """
     arr = _as_array(r)
     _check_open(arr)
     omr2 = _one_minus_sq(arr)
-    beta = 0.5 * (np.log1p(arr) - np.log1p(-arr))
-    beta1 = 1.0 / omr2
-    beta2 = 2.0 * arr / omr2**2
+    lp, lm = np.log1p(arr), np.log1p(-arr)
+    out = (0.5 * (lp - lm), 1.0 / omr2, 2.0 * arr / omr2**2) + ((lp, lm) if logs else ())
     if np.isscalar(r) or arr.ndim == 0:
-        return float(beta), float(beta1), float(beta2)
-    return beta, beta1, beta2
+        return tuple(float(v) for v in out)
+    return out
 
 
 def _beta3(r: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -127,16 +129,18 @@ def eval_F(p: PotentialParams, r: ArrayLike) -> FloatOrArray:
     """
     arr = _as_array(r)
     _check_closed(arr)
-    val = _F(p, arr)
+    with np.errstate(divide="ignore"):
+        lp, lm = np.log1p(arr), np.log1p(-arr)
+    # at r = -1 (r = 1) the factor of ln(1+r) (of ln(1-r)) is 0: its -inf reads as 0
+    val = _F(p, arr, np.where(arr == -1.0, 0.0, lp), np.where(arr == 1.0, 0.0, lm))
     if np.isscalar(r) or arr.ndim == 0:
         return float(val)
     return val
 
 
-def _F(p: PotentialParams, r: NDArray[np.float64]) -> NDArray[np.float64]:
-    """F(r) without a domain check."""
-    val = 0.5 * (xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r))
-    return val - 0.5 * p.lam * r**2
+def _F(p: PotentialParams, r, lp, lm):
+    """F(r) from lp = ln(1+r) and lm = ln(1-r), without a domain check."""
+    return 0.5 * ((1.0 + r) * lp + (1.0 - r) * lm) - 0.5 * p.lam * r**2
 
 
 def eval_f(p: PotentialParams, r: ArrayLike) -> FloatOrArray:
@@ -174,18 +178,23 @@ def eval_g(p: PotentialParams, r: ArrayLike) -> tuple[FloatOrArray, FloatOrArray
     Identically zero when lam = eta = 0.
     """
     arr = _as_array(r)
-    g, g1 = _g(p, arr, *eval_beta(arr))
+    beta, beta1, beta2 = eval_beta(arr)
+    g, g1 = _g(p, arr, beta, beta1), _g1(p, arr, beta1, beta2)
     if np.isscalar(r) or arr.ndim == 0:
         return float(g), float(g1)
     return g, g1
 
 
-def _g(p: PotentialParams, r, beta, beta1, beta2):
-    """g(r) and g'(r) from the beta trio at r."""
+def _g(p: PotentialParams, r, beta, beta1):
+    """g(r) from beta and beta' at r."""
     lam, eta = p.lam, p.eta
-    g = -lam * r * beta1 + (eta - lam) * beta + (lam**2 - lam * eta) * r
-    g1 = -lam * r * beta2 + (eta - 2.0 * lam) * beta1 + lam**2 - lam * eta
-    return g, g1
+    return -lam * r * beta1 + (eta - lam) * beta + (lam**2 - lam * eta) * r
+
+
+def _g1(p: PotentialParams, r, beta1, beta2):
+    """g'(r) from beta' and beta'' at r."""
+    lam, eta = p.lam, p.eta
+    return -lam * r * beta2 + (eta - 2.0 * lam) * beta1 + lam**2 - lam * eta
 
 
 def _taylor(d, *derivs):
@@ -227,26 +236,32 @@ class Nonlinearity:
 
     # -- evaluators ------------------------------------------------------
 
-    def pointwise(self, r: ArrayLike) -> Pointwise:
-        """beta, beta', beta'', beta''', g, g' and F at r, in one pass.
+    def pointwise(self, r: ArrayLike, jacobian: bool = False) -> Pointwise:
+        """beta, beta', beta'', g and F at r, in one pass; beta''' and g' as
+        well with ``jacobian`` (else None: only the Newton Jacobian reads them).
 
         One beta trio, with the one domain check, at r in exact mode (so F
-        too needs |r| < 1) or at r clipped to the knee in extended mode.
+        too needs |r| < 1) or at r clipped to the knee in extended mode.  F
+        is built from the trio's two logarithms.
         """
         arr = _as_array(r)
         p = self.params
         rc = arr if self.level is None else np.clip(arr, -self.level.knee, self.level.knee)
-        b, b1, b2 = eval_beta(rc)
-        b3 = _beta3(rc)
-        g, g1 = _g(p, rc, b, b1, b2)
-        F = _F(p, rc)
+        b, b1, b2, lp, lm = eval_beta(rc, logs=True)
+        g, F = _g(p, rc, b, b1), _F(p, rc, lp, lm)
         if self.level is None:
-            return Pointwise(b, b1, b2, b3, g, g1, F)
+            if not jacobian:
+                return Pointwise(b, b1, b2, None, g, None, F)
+            return Pointwise(b, b1, b2, _beta3(rc), g, _g1(p, rc, b1, b2), F)
+        # g is continued with g' and g'' at the knee, so these are always needed here
         d = arr - rc
+        b3, g1 = _beta3(rc), _g1(p, rc, b1, b2)
         g2 = -p.lam * rc * b3 + (p.eta - 3.0 * p.lam) * b2
-        return Pointwise(_taylor(d, b, b1, b2), _taylor(d, b1, b2), b2,
-                         np.where(d == 0.0, b3, 0.0), _taylor(d, g, g1, g2),
-                         _taylor(d, g1, g2), _taylor(d, F, b - p.lam * rc, b1 - p.lam, b2))
+        b3_ext, g1_ext = ((np.where(d == 0.0, b3, 0.0), _taylor(d, g1, g2)) if jacobian
+                          else (None, None))
+        return Pointwise(_taylor(d, b, b1, b2), _taylor(d, b1, b2), b2, b3_ext,
+                         _taylor(d, g, g1, g2), g1_ext,
+                         _taylor(d, F, b - p.lam * rc, b1 - p.lam, b2))
 
     def beta_all(self, r: ArrayLike):
         return self.pointwise(r)[:3]
@@ -256,7 +271,7 @@ class Nonlinearity:
 
     def beta3(self, r: ArrayLike):
         """Derivative of the beta'' evaluator (zero outside the knee)."""
-        return self.pointwise(r).beta3
+        return self.pointwise(r, jacobian=True).beta3
 
     def f(self, r: ArrayLike):
         return self.pointwise(r).beta - self.params.lam * _as_array(r)
@@ -269,7 +284,7 @@ class Nonlinearity:
         return eval_F(self.params, r) if self.level is None else self.pointwise(r).F
 
     def g_all(self, r: ArrayLike):
-        return self.pointwise(r)[4:6]
+        return self.pointwise(r, jacobian=True)[4:6]
 
     def g(self, r: ArrayLike):
         return self.pointwise(r).g

@@ -17,17 +17,20 @@ Two first-order integrators are provided:
   the analytic Frechet derivative of mu as Jacobian action, Krylov inner
   solves preconditioned by the IMEX operator, and an update damping that
   keeps iterates strictly inside the admissible set (the separation guard).
-  Each iterate is evaluated once, for G and the Jacobian alike, through
-  the UOM1 assembly of `model.State`; no `State` is built per residual,
-  G(u) comes from the previous state's mu_hat, and the Jacobian is built
-  only at an iterate that has not converged.
+  Each iterate is evaluated once, for G and the Jacobian alike: mu(v)
+  comes from `model._mu_hat`, the coefficient-space assembly that
+  completes a `model.State`, with v stacked into its one forward
+  transform.  No `State` is built per residual, G(u) comes from the
+  previous state's mu_hat, and the Jacobian is built only at an iterate
+  that has not converged.
 
 A step or run takes the potential as `PotentialParams` (exact mode) or as
 a `Nonlinearity`, whose level is the one setting of the truncated mode:
 it fixes the evaluators, the default s1 and the Newton guard bound.
 
 Both steps share one set-up: they start from a completed `model.State` (a
-bare field is evaluated first) and read its u_hat and mu_hat.  They pin
+bare field is evaluated first) and read its u_hat and mu_hat, and the
+grid's cached symbols of A, A^2 and A^3.  They pin
 the mass mode and return the new state as a candidate `State`.  One
 field (leading shape ()) and a batch (`ScalarField.stack`, (k,)) take one
 path: IMEX steps the rows in the same array operations, with s1 from each
@@ -60,7 +63,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
 from .grid import ScalarField
-from .model import State, _uom1
+from .model import State, _mu_hat
 from .potential import Nonlinearity, as_nonlinearity
 
 IMEX = "imex"
@@ -133,7 +136,7 @@ def _completed(u, p) -> State:
 
 
 def _setup(u, dt: float, p, cfg: SolverConfig):
-    """The frame of both steps: nl, the completed State of u, s1, s2 and A's eigenvalues.
+    """The frame of both steps: nl, the completed State of u, s1, s2 and A's symbol.
 
     One evaluation for all rows: s1 follows each row's sup norm (unless
     set), with a 1 per grid axis to broadcast over them; s2 is shared.
@@ -147,7 +150,7 @@ def _setup(u, dt: float, p, cfg: SolverConfig):
     s1, s2 = default_stabilization(nl, sup_u=sup)
     s1 = np.asarray(s1 if cfg.s1 is None else cfg.s1)[(...,) + (None,) * grid.dim]
     s2 = s2 if cfg.s2 is None else cfg.s2
-    return nl, prev, s1, s2, grid.symbol().eigenvalues
+    return nl, prev, s1, s2, grid.symbol()
 
 
 def _candidate(prev: State, new_hat: np.ndarray, nl: Nonlinearity, iters: int) -> StepResult:
@@ -165,12 +168,12 @@ def _candidate(prev: State, new_hat: np.ndarray, nl: Nonlinearity, iters: int) -
 
 def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
     """One stabilized IMEX step from u, a completed State or a bare field (or a batch)."""
-    nl, prev, s1, s2, ev = _setup(u, dt, p, cfg)
-    u_hat = prev.u_hat
+    nl, prev, s1, s2, sym = _setup(u, dt, p, cfg)
+    ev, u_hat = sym.eigenvalues, prev.u_hat
     # R_hat = mu_hat - a^2 u_hat isolates everything but the bilaplacian.
-    r_hat = prev.mu_hat - ev**2 * u_hat
-    stab = s1 * ev**2 + s2 * ev
-    new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (ev**3 + stab))
+    r_hat = prev.mu_hat - sym.squared * u_hat
+    stab = s1 * sym.squared + s2 * ev
+    new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (sym.cubed + stab))
     return _candidate(prev, new_hat, nl, 1)
 
 
@@ -180,20 +183,20 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
     Each row is solved on its own, since lgmres solves one system; the
     candidate's inner iterations are the most any row took.
     """
-    nl, prev, s1, s2, ev = _setup(u, dt, p, cfg)
-    grid = prev.u.grid
+    nl, prev, s1, s2, sym = _setup(u, dt, p, cfg)
+    grid, ev = prev.u.grid, sym.eigenvalues
     bound = (1.0 if nl.level is None else nl.level.clamp_bound) - cfg.guard_eps
     if np.max(np.abs(prev.u.values)) > bound:
         raise GuardViolation("initial state already violates the separation guard")
 
     n_dof = math.prod(grid.shape)
     lam, eta = nl.params.lam, nl.params.eta
-    linear_symbol = ev**2 - (2.0 * lam - eta) * ev
+    linear_symbol = sym.squared - (2.0 * lam - eta) * ev
 
     def evaluate(v_vals: np.ndarray):
         """Iterate v, its pointwise pass and its gradients: what G(v) and J(v) read."""
         v = ScalarField(grid, v_vals.reshape(grid.shape)).values  # an iterate: checked
-        pw = nl.pointwise(v)
+        pw = nl.pointwise(v, jacobian=True)
         grads = [gr.gradient_axis(v, grid, ax) for ax in range(grid.dim)]
         gsq = np.zeros(grid.shape)  # summed as in grad_norm_sq
         for grad in grads:
@@ -202,10 +205,7 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
         return v, pw, grads, gsq
 
     def mu_hat_of(v, pw, _grads, gsq) -> np.ndarray:
-        v_hat = gr.transform_forward(v, grid)
-        a_v = gr.transform_backward(ev * v_hat, grid)
-        return gr.transform_forward(_uom1(nl, grid, v_hat, a_v, pw.beta, pw.beta1, pw.beta2,
-                                          pw.g, gsq)[0], grid)
+        return _mu_hat(nl, grid, pw, gsq, u=v)[0]  # v goes into the stacked transform
 
     def jacobian(v, pw, grads, gsq) -> LinearOperator:
         """J w = w + dt*A*(Dmu(v) w), the analytic Frechet derivative of G at v."""
@@ -271,7 +271,8 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
             g_vec = residual(v_vals, mu_hat_of(*terms))
 
     u_vals = prev.u.values
-    precond_diag = np.broadcast_to(1.0 + dt * (ev**3 + s1 * ev**2 + s2 * ev), u_vals.shape)
+    precond_diag = np.broadcast_to(1.0 + dt * (sym.cubed + s1 * sym.squared + s2 * ev),
+                                   u_vals.shape)
     v_vals, iters = np.empty_like(u_vals), 1
     for row in np.ndindex(u_vals.shape[:-grid.dim]):  # () for one field
         v_vals[row], row_iters = newton(u_vals[row], prev.mu_hat[row], precond_diag[row])

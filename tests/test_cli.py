@@ -220,6 +220,24 @@ class TestCdepCommand:
         assert report["fitted_C"] < 0.0
 
 
+    def test_truncated_pair_is_regularized_as_a_run_start(self, tmp_path):
+        # sup|u0| ~ 0.9 lies past the Newton guard 1 - 1/5 - guard_eps, so the
+        # pair steps only if it is regularized as `sixch run` regularizes u0
+        text = NOISE_CONFIG.replace("bc = neumann", "bc = periodic")
+        text = text.replace("mean = 0.2\namplitude = 0.05", "mean = 0.1\namplitude = 0.8")
+        text = text.replace("eta = 1.0", "eta = 1.0\ntruncation = 5")
+        text = text.replace("dt0 = 1e-4", "scheme = newton\ndt0 = 1e-3")
+        text = text.replace("dt_min = 1e-10", "dt_min = 1e-3")
+        text = text.replace("dt_max = 1e-2", "dt_max = 1e-3")
+        text = text.replace("t_end = 0.05", "t_end = 0.01")
+        text += "\n[cdep]\nt_end = 0.01\nmode = 1\namplitude = 1e-6\n"
+        path = write_config(tmp_path, text)
+        for command in ("run", "cdep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0, command
+        assert len(json.loads((tmp_path / "cdep" / "cdep.json").read_text())["times"]) == 11
+
+
 class TestShippedConfigs:
     def test_all_parse(self):
         from pathlib import Path

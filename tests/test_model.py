@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from sixch import grid as gr
 from sixch import model
-from sixch.errors import DomainError
+from sixch.errors import DomainError, ShapeError
 from sixch.grid import Grid, ScalarField, constant_field
 from sixch.model import MuFormulation, dispersion_sigma
 from sixch.potential import (Nonlinearity, PotentialParams, TruncationLevel, eval_beta,
@@ -372,6 +372,22 @@ class TestOnePointwisePass:
         assert calls == {"check": 1, "eval_beta": 1}
 
 
+def uom1_values(u, nl):
+    """The UOM1 mu of u by the values path: lap^2 u, lap(beta) and A u
+    transformed back to values and summed with the pointwise terms, the
+    reference for the coefficient-space assembly of `State.complete`."""
+    grid = u.grid
+    ev = grid.symbol().eigenvalues
+    pw = nl.pointwise(u.values)
+    u_hat = gr.transform_forward(u.values, grid)
+    a_u = gr.transform_backward(ev * u_hat, grid)
+    lap_beta = -gr.transform_backward(gr.transform_forward(pw.beta, grid) * ev, grid)
+    lap2_u = gr.transform_backward(ev**2 * u_hat, grid)
+    gsq = gr.grad_norm_sq(u.values, grid)
+    common = pw.beta * pw.beta1 + (2.0 * nl.params.lam - nl.params.eta) * -a_u + pw.g
+    return lap2_u - 2.0 * lap_beta + pw.beta2 * gsq + common
+
+
 class TestBatchedState:
     """A State of a (k, ...) batch equals the k single States bitwise, for k = 2
     and for a batch of one."""
@@ -401,10 +417,12 @@ class TestBatchedState:
         rows = [band_limited(grid, seed=s, cutoff=4, amplitude=amp) for s in seeds]
         batch = model.State(ScalarField.stack(rows), nl)
         assert batch.energy.total.shape == (len(seeds),)
-        batch_mu = batch.complete()
+        batch.complete()
+        batch_mu = gr.transform_backward(batch.mu_hat, grid)
         for i, u in enumerate(rows):
             single = model.State(u, nl)
-            mu = single.complete()
+            single.complete()
+            mu = gr.transform_backward(single.mu_hat, grid)
             assert not single.u.batch and isinstance(single.energy.total, float)
             for name in ("willmore", "ch_grad", "ch_pot", "total"):
                 assert getattr(batch.energy, name)[i] == getattr(single.energy, name), name
@@ -413,7 +431,9 @@ class TestBatchedState:
             assert batch.grad_mu_sq[i] == single.grad_mu_sq
             assert np.array_equal(batch.u_hat[i], single.u_hat)
             assert np.array_equal(batch.mu_hat[i], single.mu_hat)
-            assert np.array_equal(batch_mu.values[i], mu.values)
+            assert np.array_equal(batch_mu[i], mu)
+            reference = uom1_values(u, nl)
+            assert np.max(np.abs(mu - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_one_row_outside_the_domain_raises(self):
         grid = Grid((1.0,), (32,), gr.PERIODIC)
@@ -421,3 +441,53 @@ class TestBatchedState:
         outside = constant_field(grid, 1.0)
         with pytest.raises(DomainError):
             model.State(ScalarField.stack([inside, outside]), P0)
+
+
+class TestCoefficientSpaceMu:
+    """mu_hat is assembled in coefficient space: one stacked forward transform
+    of beta and the nonlinear sum, checked for finiteness where it is made."""
+
+    # States the grids resolve, so the forms differ by truncation error only.
+    # On the 8^3 grid of TestBatchedState, and past the knee (where the third
+    # derivative of beta jumps), that error is 1e-2 of sup|mu| and more.
+    @pytest.mark.parametrize("grid, amplitude", [
+        (Grid((2 * np.pi,), (128,), gr.PERIODIC), 0.8),
+        (Grid((4 * np.pi,), (96,), gr.NEUMANN), 0.8),
+        (Grid((4 * np.pi,) * 3, (32,) * 3, gr.NEUMANN), 0.5),
+    ], ids=["periodic1d", "neumann1d", "neumann3d"])
+    def test_assembly_and_values_path_agree_with_the_oracle_forms(self, grid, amplitude):
+        p = PotentialParams(3.0, 1.0)
+        u = band_limited(grid, seed=1, cutoff=4, amplitude=amplitude)
+        oracles = [model.mu(u, p, form).values for form in (MuFormulation.UOM2,
+                                                             MuFormulation.CASCADE)]
+        for mu in (model.mu(u, p).values, uom1_values(u, Nonlinearity(p))):
+            sup = max(np.max(np.abs(m)) for m in (mu, *oracles))
+            for oracle in oracles:
+                assert np.max(np.abs(mu - oracle)) <= 1e-6 * (1.0 + sup)
+
+    @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
+    def test_state_and_completion_make_five_transform_calls_in_1d(self, monkeypatch, bc):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        u = band_limited(Grid((1.0,), (64,), bc), seed=5)
+        for name in ("dct", "dst", "fftn", "ifftn"):
+            monkeypatch.setattr(gr, name, counted(getattr(gr, name)))
+        model.State(u, PotentialParams(3.0, 1.0)).complete()
+        # u_hat and A u; the gradient (two calls); beta and the nonlinear sum, stacked
+        assert len(calls) == 5, calls
+
+    def test_non_finite_mu_hat_raises_in_complete(self):
+        grid = Grid((1.0,), (32,), gr.PERIODIC)
+        vals = np.full(32, 0.5)
+        vals[3] = 1e160  # the continuation's d^2 overflows
+        nl = Nonlinearity(PotentialParams(1.0, 1.0), TruncationLevel(10))
+        with np.errstate(all="ignore"):
+            state = model.State(ScalarField(grid, vals), nl)
+            with pytest.raises(ShapeError):
+                state.complete()

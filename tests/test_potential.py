@@ -260,10 +260,24 @@ class TestNonlinearityBundle:
         with pytest.raises(DomainError):
             evaluate(np.nan)
 
+    def test_F_matches_the_xlogy_reference(self):
+        # F from the trio's logarithms, against F from two xlogy calls, up to
+        # the points +-(1 - 10^-k) next to the endpoints, and at the endpoints.
+        # F's entropy and lam terms are O(1) and cancel, so the bound is absolute.
+        from scipy.special import xlogy
+
+        p = PotentialParams(0.9, -0.4)
+        near = 1.0 - 10.0 ** -np.arange(1, 16)
+        r = np.concatenate([np.linspace(-1.0, 1.0, 20001)[1:-1], near, -near])
+        reference = 0.5 * (xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r)) - 0.45 * r**2
+        worst = np.max(np.abs(Nonlinearity(p).pointwise(r).F - reference))
+        assert worst <= 2.0 * np.finfo(float).eps
+        assert eval_F(p, np.array([-1.0, 1.0])).tolist() == [LN2 - 0.45] * 2
+
     def test_exact_pointwise_matches_reference_evaluators(self):
         p = PotentialParams(0.9, -0.4)
         r = np.linspace(-1.0, 1.0, 2001)[1:-1]
-        pw = Nonlinearity(p).pointwise(r)
+        pw = Nonlinearity(p).pointwise(r, jacobian=True)
         b, b1, b2 = eval_beta(r)
         g, g1 = eval_g(p, r)
         for got, want in [(pw.beta, b), (pw.beta1, b1), (pw.beta2, b2),

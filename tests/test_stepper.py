@@ -107,8 +107,9 @@ class TestSchemeAgreement:
 
 
 class TestFieldConstructions:
-    """A ScalarField is built, and so checked, only where a value enters or
-    leaves a State: the candidate's u, each Newton iterate and mu."""
+    """A ScalarField is built, and so checked, only where a value enters a
+    State: the candidate's u and each Newton iterate.  mu leaves a completed
+    State as mu_hat, which completion checks itself, so it builds none."""
 
     @pytest.fixture
     def constructions(self, monkeypatch):
@@ -133,7 +134,7 @@ class TestFieldConstructions:
         out = step_imex(prev, 1e-4, SPINODAL, SolverConfig(dt0=1e-4))
         assert len(constructions) == 1  # the candidate's u
         out.state.complete()
-        assert len(constructions) == 2  # and mu
+        assert len(constructions) == 1  # completion builds none
 
     def test_newton_step_builds_one_per_iterate(self, prev, constructions):
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
