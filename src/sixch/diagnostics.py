@@ -19,8 +19,8 @@ from . import grid as gr
 from .errors import MeanMismatch, RangeError
 from .grid import ScalarField
 from .model import AprioriDiagnostics, EnergyBreakdown, State, dispersion_sigma
-from .potential import Nonlinearity, PotentialParams, TruncationLevel, as_nonlinearity
-from .stepper import SolverConfig, _completed, _march, advance, step_imex
+from .potential import Nonlinearity, PotentialParams, TruncationLevel
+from .stepper import SolverConfig, _march, advance, step_imex
 
 CSV_COLUMNS = ["t", "dt", "mass", "E_total", "E_willmore", "E_ch_grad", "E_ch_pot",
                "grad_mu_sq", "min_u", "max_u", "delta_sep", "beta_l2", "grad_beta_l2",
@@ -56,15 +56,13 @@ class RunLedger:
         self.dim: Optional[int] = None  # the grid dimension of the first recorded state
         self.on_record = None  # optional hook(u, row, index), e.g. for snapshots
 
-    def record(self, u, t: float, dt: float, p=None, rejections: int = 0) -> LedgerRow:
-        """Append the row of state u at time t.
+    def record(self, state: State, t: float, dt: float, rejections: int = 0) -> LedgerRow:
+        """Append the row of an accepted State of one field at time t.
 
-        `u` is an accepted State of one field, completed here if it is not
-        yet, whose columns are read as they are; for a bare field the State
-        is built and completed here (with the nonlinearity `p`).
+        The state is completed here if it is not yet; its columns are read
+        as they are, with its own nonlinearity.
         """
-        state = _completed(u, p)
-        u = state.u
+        u = state.complete().u
         if self.dim is None:
             self.dim = u.grid.dim
         min_u = float(np.min(u.values))
@@ -170,15 +168,14 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
         raise MeanMismatch(
             f"means differ by {abs(gr.mean(u01) - gr.mean(u02)):.3e} (> 1e-12)")
     identical = bool(np.array_equal(u01.values, u02.values))
-    nl = as_nonlinearity(p)
 
     def distance(pair: State) -> float:
         return gr.dual_norm_coeffs(pair.u_hat[0] - pair.u_hat[1], pair.u.grid)
 
-    pair = _completed(ScalarField.stack([u01, u02]), nl)
+    pair = State(ScalarField.stack([u01, u02]), p).complete()
     times = [0.0]
     dist = [distance(pair)]
-    for t, _, _, pair in _march(pair, t_end, nl, cfg):
+    for t, _, _, pair in _march(pair, t_end, cfg):
         times.append(t)
         dist.append(distance(pair))
 
@@ -304,11 +301,11 @@ def dispersion_experiment(p, k_indices: Sequence[int], length: float = 2.0 * np.
         a_expl = -sigma - b_impl
         dt = min(0.005 / abs(sigma), 2e-3 / max(abs(a_expl - b_impl), 1e-12))
         cfg = SolverConfig(scheme="imex", dt0=dt, dt_min=dt, dt_max=dt, s1=0.0, s2=0.0)
-        state = _completed(ScalarField(grid, amplitude * profile), p)
+        state = State(ScalarField(grid, amplitude * profile), p).complete()
         proj = profile / np.sum(profile**2)
         amps = [float(np.sum(state.u.values * proj))]
         for _ in range(steps - 1):
-            state = step_imex(state, dt, p, cfg).state  # completed by the next step
+            state = step_imex(state, dt, cfg).state  # completed by the next step
             amps.append(float(np.sum(state.u.values * proj)))
         times = [i * dt for i in range(steps)]
         rate = float(np.polyfit(times, np.log(np.abs(amps)), 1)[0])

@@ -27,7 +27,9 @@ stacked forward transform: the one assembly of mu, for `State` and the
 Newton residual alike.  `State` evaluates a state once: one pointwise
 pass of the nonlinearities (`Nonlinearity.pointwise`), the energy
 breakdown the dissipation test reads and, for an accepted state, mu_hat
-and the diagnostic scalars.  A batch is a leading shape, (k,) for a
+and the diagnostic scalars.  A State carries its nonlinearity, `nl`, so
+the steps, the step controller and the ledger take a State alone and
+read the potential from it.  A batch is a leading shape, (k,) for a
 `ScalarField.stack` of k and () for one field, and one path serves both,
 so trajectories stepped in lockstep share every call; the scalars are per
 row (float64 scalars or (k,) arrays), each bit-equal to its single State's.
@@ -104,7 +106,8 @@ class State:
     beta'', g and F; then come the coefficients u_hat and the energy
     breakdown, which is all the dissipation test reads.
 
-    `complete` finishes an accepted state: |grad u|^2, then mu_hat,
+    `complete` finishes an accepted state, once (completing it again does
+    nothing), and returns it: |grad u|^2, then mu_hat,
     assembled in coefficient space with beta_hat by `_mu_hat`, and
     ||grad mu||^2.  mu stays in coefficients: `model.mu` transforms it
     back.  The state keeps only what a later step reads (u, u_hat,
@@ -135,23 +138,27 @@ class State:
         self.energy = EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
         self.mu_hat = self.grad_mu_sq = self._apriori = self._terms = None
 
-    def complete(self) -> None:
-        """Evaluate mu_hat and ||grad mu||^2 of an accepted state.
+    def complete(self) -> State:
+        """Evaluate mu_hat and ||grad mu||^2 of an accepted state; return the state.
 
-        Raises ShapeError if mu_hat is not finite.
+        A completed state is returned as it is.  Raises ShapeError if
+        mu_hat is not finite.
         """
+        if self.mu_hat is not None:
+            return self
         grid, lead, pw = self.u.grid, self._lead, self._pw
         gsq = gr.grad_norm_sq(self.u.values, grid)
-        self.mu_hat, beta_hat, b_vals, curv, nonlinear = _mu_hat(self.nl, grid, pw, gsq,
-                                                                 u_hat=self.u_hat)
-        if not np.all(np.isfinite(self.mu_hat)):  # mu leaves the state: checked
+        mu_hat, beta_hat, b_vals, curv, nonlinear = _mu_hat(self.nl, grid, pw, gsq,
+                                                            u_hat=self.u_hat)
+        if not np.all(np.isfinite(mu_hat)):  # mu leaves the state: checked
             raise ShapeError("mu_hat must be finite")
-        self._pw = None
+        self.mu_hat, self._pw = mu_hat, None
         self._terms = pw.beta, beta_hat, b_vals, curv, nonlinear
         root = np.sqrt(_spectral_sq(grid.symbol().eigenvalues, self.mu_hat, lead)
                        * grid.cell_volume)
         # each row squared as a Python float (libm pow), not by the array square
         self.grad_mu_sq = np.reshape([r**2 for r in np.ravel(root).tolist()], lead)[()]
+        return self
 
     @property
     def apriori(self) -> Optional[AprioriDiagnostics]:
@@ -209,8 +216,7 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1) -> ScalarFie
     """Chemical potential of the sixth-order flow, per the selected form."""
     nl = as_nonlinearity(p)
     if form is MuFormulation.UOM1:
-        state = State(u, nl)
-        state.complete()
+        state = State(u, nl).complete()
         return ScalarField(u.grid, gr.transform_backward(state.mu_hat, u.grid), u.batch)
     lam, eta = nl.params.lam, nl.params.eta
 
@@ -289,9 +295,7 @@ def arcsin_gateaux(u: ScalarField, phi: ScalarField) -> float:
 def apriori_diagnostics(u: ScalarField, p) -> AprioriDiagnostics:
     """The a-priori quantities: beta norms, B = beta*beta', and the
     superlinear integrals of M(|B|) and N(|beta''(u)|grad u|^2|)."""
-    state = State(u, p)
-    state.complete()
-    return state.apriori
+    return State(u, p).complete().apriori
 
 
 def _M(r):

@@ -225,10 +225,6 @@ class Nonlinearity:
 
     # -- domain handling -------------------------------------------------
 
-    @property
-    def exact(self) -> bool:
-        return self.level is None
-
     def check(self, values: ArrayLike, closed: bool = False) -> None:
         """Raise DomainError for inadmissible samples in exact mode."""
         if self.level is None:

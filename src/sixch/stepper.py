@@ -24,12 +24,15 @@ Two first-order integrators are provided:
   previous state's mu_hat, and the Jacobian is built only at an iterate
   that has not converged.
 
-A step or run takes the potential as `PotentialParams` (exact mode) or as
-a `Nonlinearity`, whose level is the one setting of the truncated mode:
-it fixes the evaluators, the default s1 and the Newton guard bound.
+A step takes a `model.State` and reads its nonlinearity, `State.nl`,
+whose level is the one setting of the truncated mode: it fixes the
+evaluators, the default s1 and the Newton guard bound, and the candidate
+carries the same `nl`, so the energy test compares one functional.
+`advance` and the experiments build the first State from a field and a
+`PotentialParams` or `Nonlinearity`; nothing below them takes either.
 
-Both steps share one set-up: they start from a completed `model.State` (a
-bare field is evaluated first) and read its u_hat and mu_hat, and the
+Both steps share one set-up: they complete the State they step from (a
+no-op if it is completed already) and read its u_hat and mu_hat, and the
 grid's cached symbols of A, A^2 and A^3.  They pin
 the mass mode and return the new state as a candidate `State`.  One
 field (leading shape ()) and a batch (`ScalarField.stack`, (k,)) take one
@@ -64,7 +67,7 @@ from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
 from .grid import ScalarField
 from .model import State, _mu_hat
-from .potential import Nonlinearity, as_nonlinearity
+from .potential import Nonlinearity
 
 IMEX = "imex"
 NEWTON = "newton"
@@ -126,34 +129,24 @@ def default_stabilization(nl: Nonlinearity, sup_u: float = 0.9) -> tuple[float, 
     return s1, s2
 
 
-def _completed(u, p) -> State:
-    """The completed State of u: u itself if it is a State (completed now if it
-    was not yet), else the State of the bare field u."""
-    state = u if isinstance(u, State) else State(u, p)
-    if state.mu_hat is None:
-        state.complete()
-    return state
-
-
-def _setup(u, dt: float, p, cfg: SolverConfig):
-    """The frame of both steps: nl, the completed State of u, s1, s2 and A's symbol.
+def _setup(prev: State, dt: float, cfg: SolverConfig):
+    """The frame of both steps: completes prev and returns s1, s2 and A's symbol.
 
     One evaluation for all rows: s1 follows each row's sup norm (unless
     set), with a 1 per grid axis to broadcast over them; s2 is shared.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    nl = as_nonlinearity(p)
-    prev = _completed(u, nl)
+    prev.complete()
     grid, vals = prev.u.grid, prev.u.values
     sup = np.abs(vals).reshape(*vals.shape[:-grid.dim], -1).max(axis=-1)
-    s1, s2 = default_stabilization(nl, sup_u=sup)
+    s1, s2 = default_stabilization(prev.nl, sup_u=sup)
     s1 = np.asarray(s1 if cfg.s1 is None else cfg.s1)[(...,) + (None,) * grid.dim]
     s2 = s2 if cfg.s2 is None else cfg.s2
-    return nl, prev, s1, s2, grid.symbol()
+    return s1, s2, grid.symbol()
 
 
-def _candidate(prev: State, new_hat: np.ndarray, nl: Nonlinearity, iters: int) -> StepResult:
+def _candidate(prev: State, new_hat: np.ndarray, iters: int) -> StepResult:
     """The candidate of coefficients new_hat, with each row's mass mode pinned to prev's exactly."""
     grid = prev.u.grid
     mass = (Ellipsis,) + (0,) * grid.dim
@@ -163,28 +156,28 @@ def _candidate(prev: State, new_hat: np.ndarray, nl: Nonlinearity, iters: int) -
     fixed = np.all(new_hat == prev.u_hat, axis=tuple(range(-grid.dim, 0)))
     if fixed.any():
         u_new[fixed] = prev.u.values[fixed]
-    return StepResult(State(ScalarField(grid, u_new, prev.u.batch), nl), iters)
+    return StepResult(State(ScalarField(grid, u_new, prev.u.batch), prev.nl), iters)
 
 
-def step_imex(u, dt: float, p, cfg: SolverConfig) -> StepResult:
-    """One stabilized IMEX step from u, a completed State or a bare field (or a batch)."""
-    nl, prev, s1, s2, sym = _setup(u, dt, p, cfg)
+def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
+    """One stabilized IMEX step from the State prev (one field or a batch)."""
+    s1, s2, sym = _setup(prev, dt, cfg)
     ev, u_hat = sym.eigenvalues, prev.u_hat
     # R_hat = mu_hat - a^2 u_hat isolates everything but the bilaplacian.
     r_hat = prev.mu_hat - sym.squared * u_hat
     stab = s1 * sym.squared + s2 * ev
     new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (sym.cubed + stab))
-    return _candidate(prev, new_hat, nl, 1)
+    return _candidate(prev, new_hat, 1)
 
 
-def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
-    """One damped Newton--Krylov step from u, a completed State or a bare field.
+def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
+    """One damped Newton--Krylov step from the State prev (one field or a batch).
 
     Each row is solved on its own, since lgmres solves one system; the
     candidate's inner iterations are the most any row took.
     """
-    nl, prev, s1, s2, sym = _setup(u, dt, p, cfg)
-    grid, ev = prev.u.grid, sym.eigenvalues
+    s1, s2, sym = _setup(prev, dt, cfg)
+    nl, grid, ev = prev.nl, prev.u.grid, sym.eigenvalues
     bound = (1.0 if nl.level is None else nl.level.clamp_bound) - cfg.guard_eps
     if np.max(np.abs(prev.u.values)) > bound:
         raise GuardViolation("initial state already violates the separation guard")
@@ -277,14 +270,14 @@ def step_implicit(u, dt: float, p, cfg: SolverConfig) -> StepResult:
     for row in np.ndindex(u_vals.shape[:-grid.dim]):  # () for one field
         v_vals[row], row_iters = newton(u_vals[row], prev.mu_hat[row], precond_diag[row])
         iters = max(iters, row_iters)
-    return _candidate(prev, gr.transform_forward(v_vals, grid), nl, iters)
+    return _candidate(prev, gr.transform_forward(v_vals, grid), iters)
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}
 
 
-def _march(state: State, t_end: float, nl: Nonlinearity, cfg: SolverConfig):
-    """Step a completed State to t_end; the rows of a batch go in lockstep with one dt.
+def _march(state: State, t_end: float, cfg: SolverConfig):
+    """Step a State to t_end; the rows of a batch go in lockstep with one dt.
 
     A trial step is rejected, and dt halved, when any row's energy rises
     by more than ``energy_tol`` or the step leaves the admissible set
@@ -293,7 +286,7 @@ def _march(state: State, t_end: float, nl: Nonlinearity, cfg: SolverConfig):
     accepted step whose inner solves were all fast.  After each accepted
     step ``(t, dt, rejections, state)`` is yielded, with the rejections
     since the previous accepted step.  The accepted State is completed by
-    the next step, or earlier by a consumer that reads mu (`_completed`,
+    the next step, or earlier by a consumer that reads mu (`State.complete`,
     as the ledger does), so the state it supersedes, which nothing holds
     any more, is released before the completion allocates.
     """
@@ -304,7 +297,7 @@ def _march(state: State, t_end: float, nl: Nonlinearity, cfg: SolverConfig):
     while t < t_end - 1e-14 * t_end:
         dt_try = min(dt, t_end - t)
         try:
-            result = step_fn(state, dt_try, nl, cfg)
+            result = step_fn(state, dt_try, cfg)
             ok = np.all(result.state.energy.total <= state.energy.total + cfg.energy_tol)
         except (DomainError, GuardViolation, NewtonDivergence):
             ok = False
@@ -331,6 +324,9 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
             ledger=None, max_steps: Optional[int] = None) -> ScalarField:
     """March from u0 to t_end (or max_steps accepted steps) adaptively.
 
+    p, PotentialParams or a Nonlinearity, is the nonlinearity of the State
+    built from u0, which every step and ledger row then reads.
+
     The step controller `_march` steps the one trajectory, so an energy
     rise or a loss of admissibility halves dt, and a rejection at dt_min
     raises StepFloorError.  If a ledger is given, one row is recorded per
@@ -341,15 +337,14 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
         raise ValueError("t_end must be positive")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be at least 1")  # the limit is read after a step
-    nl = as_nonlinearity(p)
-    state = _completed(u0, nl)
+    state = State(u0, p).complete()
     if ledger is not None:
-        ledger.record(state, 0.0, 0.0, nl, rejections=0)
+        ledger.record(state, 0.0, 0.0, rejections=0)
     steps = 0
-    for t, dt, rejections, state in _march(state, t_end, nl, cfg):
+    for t, dt, rejections, state in _march(state, t_end, cfg):
         steps += 1
         if ledger is not None:
-            ledger.record(state, t, dt, nl, rejections=rejections)
+            ledger.record(state, t, dt, rejections=rejections)
         if max_steps is not None and steps >= max_steps:
             break
     return state.u

@@ -11,6 +11,7 @@ from sixch.diagnostics import (CSV_COLUMNS, RunLedger, cdep_experiment,
 from sixch.errors import MeanMismatch, RangeError, StepFloorError
 from sixch.grid import Grid, ScalarField, constant_field
 from sixch.initdata import InitialSpec, generate
+from sixch.model import State
 from sixch.potential import PotentialParams
 from sixch.stepper import SolverConfig, advance
 
@@ -36,7 +37,7 @@ class TestRecord:
     def test_zero_state_row(self):
         grid = Grid((1.0,), (32,), gr.NEUMANN)
         ledger = RunLedger()
-        row = ledger.record(constant_field(grid, 0.0), 0.0, 0.0, P0)
+        row = ledger.record(State(constant_field(grid, 0.0), P0), 0.0, 0.0)
         assert row.mass == 0.0
         assert row.energy.total == 0.0
         assert row.grad_mu_sq == 0.0
@@ -46,7 +47,7 @@ class TestRecord:
     def test_half_constant_row(self):
         grid = Grid((1.0,), (64,), gr.NEUMANN)
         ledger = RunLedger()
-        row = ledger.record(constant_field(grid, 0.5), 0.0, 0.0, P0)
+        row = ledger.record(State(constant_field(grid, 0.5), P0), 0.0, 0.0)
         assert row.mass == pytest.approx(0.5, abs=1e-15)
         assert row.energy.willmore == pytest.approx(0.5 * BETA_HALF**2, rel=1e-13)
         assert row.delta_sep == pytest.approx(0.5, abs=1e-15)
@@ -59,9 +60,9 @@ class TestRecord:
     def test_monotone_time_enforced(self):
         grid = Grid((1.0,), (32,), gr.NEUMANN)
         ledger = RunLedger()
-        ledger.record(constant_field(grid, 0.0), 0.0, 0.0, P0)
+        ledger.record(State(constant_field(grid, 0.0), P0), 0.0, 0.0)
         with pytest.raises(RangeError):
-            ledger.record(constant_field(grid, 0.0), 0.0, 0.0, P0)
+            ledger.record(State(constant_field(grid, 0.0), P0), 0.0, 0.0)
 
     def test_delta_sep_lipschitz_in_state(self):
         ledger = spinodal_ledger(t_end=0.05)
@@ -267,8 +268,8 @@ class TestSeparationReport:
     def test_three_d_flagged_as_unguaranteed(self):
         grid = Grid((1.0, 1.0, 1.0), (8, 8, 8), gr.NEUMANN)
         ledger = RunLedger()
-        ledger.record(constant_field(grid, 0.0), 0.0, 0.0, P0)
-        ledger.record(constant_field(grid, 0.0), 0.1, 0.1, P0)
+        ledger.record(State(constant_field(grid, 0.0), P0), 0.0, 0.0)
+        ledger.record(State(constant_field(grid, 0.0), P0), 0.1, 0.1)
         report = separation_report(ledger, 0.0)
         assert report.attained
         assert not report.theoretical_guarantee

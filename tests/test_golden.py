@@ -8,8 +8,10 @@ and the Newton residual alike) and F to the logarithms of the beta trio,
 which moves the outputs by roundoff and the Newton iterates within the
 Newton tolerance; on the environment named in `RECORDED_ON`.
 Bit-identity is a property of one numpy/scipy build on one CPU feature
-set (numpy dispatches log1p/exp to different SIMD kernels), so elsewhere
-the hash test is skipped rather than compared.
+set (numpy dispatches log1p/exp to its AVX512_SKX kernels where the CPU
+has them and `NPY_DISABLE_CPU_FEATURES` leaves them on; AVX512F alone
+does not decide it), so elsewhere the hash test is skipped rather than
+compared.
 
 The portable tier runs everywhere: the ledger rows of two runs, stored
 in `tests/golden/` (every `ROWS[name]`-th row), must agree column by
@@ -87,7 +89,7 @@ CDEP_ROWS = ("cdep_shipped",)
 CDEP_KEYS = ("times", "dual_distance", "fitted_C")
 ROW_RTOL = 1e-10
 
-RECORDED_ON = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64", "avx512f": True}
+RECORDED_ON = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64", "avx512_skx": True}
 
 GOLDEN = {
     "bench1d_500": {
@@ -135,7 +137,8 @@ def _environment() -> dict:
     except ImportError:  # pragma: no cover - numpy < 2
         features = {}
     return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "machine": platform.machine(), "avx512f": bool(features.get("AVX512F"))}
+            "machine": platform.machine(),
+            "avx512_skx": bool(features.get("AVX512_SKX"))}
 
 
 def _command(name: str) -> str:

@@ -465,8 +465,9 @@ class TestCoefficientSpaceMu:
             for oracle in oracles:
                 assert np.max(np.abs(mu - oracle)) <= 1e-6 * (1.0 + sup)
 
-    @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
-    def test_state_and_completion_make_five_transform_calls_in_1d(self, monkeypatch, bc):
+    @pytest.fixture
+    def transform_calls(self, monkeypatch):
+        """The scipy.fft calls made from here on, by name."""
         calls = []
 
         def counted(fn):
@@ -475,12 +476,27 @@ class TestCoefficientSpaceMu:
                 return fn(*args, **kwargs)
             return wrapper
 
-        u = band_limited(Grid((1.0,), (64,), bc), seed=5)
         for name in ("dct", "dst", "fftn", "ifftn"):
             monkeypatch.setattr(gr, name, counted(getattr(gr, name)))
+        return calls
+
+    @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
+    def test_state_and_completion_make_five_transform_calls_in_1d(self, transform_calls, bc):
+        u = band_limited(Grid((1.0,), (64,), bc), seed=5)
+        transform_calls.clear()  # the ones that made u
         model.State(u, PotentialParams(3.0, 1.0)).complete()
         # u_hat and A u; the gradient (two calls); beta and the nonlinear sum, stacked
-        assert len(calls) == 5, calls
+        assert len(transform_calls) == 5, transform_calls
+
+    @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
+    def test_a_second_completion_returns_the_state_as_it_is(self, transform_calls, bc):
+        state = model.State(band_limited(Grid((1.0,), (64,), bc), seed=5),
+                            PotentialParams(3.0, 1.0))
+        assert state.complete() is state
+        mu_hat, grad_mu_sq, made = state.mu_hat, state.grad_mu_sq, len(transform_calls)
+        assert state.complete() is state
+        assert len(transform_calls) == made  # no scipy.fft call
+        assert state.mu_hat is mu_hat and state.grad_mu_sq == grad_mu_sq
 
     def test_non_finite_mu_hat_raises_in_complete(self):
         grid = Grid((1.0,), (32,), gr.PERIODIC)
@@ -490,4 +506,6 @@ class TestCoefficientSpaceMu:
         with np.errstate(all="ignore"):
             state = model.State(ScalarField(grid, vals), nl)
             with pytest.raises(ShapeError):
+                state.complete()
+            with pytest.raises(ShapeError):  # a failed completion leaves it incomplete
                 state.complete()

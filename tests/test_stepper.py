@@ -34,7 +34,7 @@ class TestFixedPoints:
         grid = Grid((1.0,), (32,), gr.NEUMANN)
         u = constant_field(grid, 0.3)
         cfg = bare_cfg(0.05)
-        out = stepper(u, 0.05, SPINODAL, cfg)
+        out = stepper(State(u, SPINODAL), 0.05, cfg)
         assert np.array_equal(out.state.u.values, u.values)
         assert out.inner_iters <= 1
 
@@ -56,7 +56,7 @@ class TestMassConservation:
         grid = Grid((1.0,), (64,), gr.NEUMANN)
         u = noise_state(grid, seed=3, mean=0.1)
         cfg = bare_cfg(1e-4, newton_tol=1e-6)
-        out = stepper(u, 1e-4, SPINODAL, cfg)
+        out = stepper(State(u, SPINODAL), 1e-4, cfg)
         assert abs(gr.mean(out.state.u) - gr.mean(u)) <= 1e-14
 
     def test_mass_constant_along_run(self):
@@ -75,13 +75,13 @@ class TestLinearRegime:
         grid = Grid((2 * np.pi,), (64,), gr.PERIODIC)
         x = grid.axis_coords(0)
         k = 2.0
-        u = ScalarField(grid, 1e-6 * np.cos(k * x))
+        state = State(ScalarField(grid, 1e-6 * np.cos(k * x)), P0)
         cfg = bare_cfg(1e-4, s1=0.0, s2=0.0)
         proj = np.cos(k * x) / np.sum(np.cos(k * x) ** 2)
         amps = []
         for _ in range(100):
-            amps.append(float(np.sum(u.values * proj)))
-            u = step_imex(u, 1e-4, P0, cfg).state.u
+            amps.append(float(np.sum(state.u.values * proj)))
+            state = step_imex(state, 1e-4, cfg).state
         slope = np.polyfit(1e-4 * np.arange(100), np.log(np.abs(amps)), 1)[0]
         sigma = dispersion_sigma(k, P0)
         assert sigma == -k**2 * (k**2 + 1) ** 2
@@ -93,13 +93,13 @@ class TestSchemeAgreement:
         # small amplitude keeps the stiff high modes out of the asymptotics
         grid = Grid((2 * np.pi,), (48,), gr.PERIODIC)
         x = grid.axis_coords(0)
-        u = ScalarField(grid, 0.1 * np.cos(x) + 0.025 * np.cos(2 * x))
-        p = PotentialParams(1.0, 0.5)
+        prev = State(ScalarField(grid, 0.1 * np.cos(x) + 0.025 * np.cos(2 * x)),
+                     PotentialParams(1.0, 0.5))
         diffs = []
         for dt in (4e-5, 2e-5, 1e-5):
             cfg = bare_cfg(dt, newton_tol=1e-11, newton_max_iters=50)
-            a = step_imex(u, dt, p, cfg).state.u
-            b = step_implicit(u, dt, p, cfg).state.u
+            a = step_imex(prev, dt, cfg).state.u
+            b = step_implicit(prev, dt, cfg).state.u
             diffs.append(gr.lp_norm(a - b, 2))
         slopes = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
         for s in slopes:
@@ -126,19 +126,17 @@ class TestFieldConstructions:
     @pytest.fixture
     def prev(self):
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
-        state = State(noise_state(grid, cutoff=20), SPINODAL)
-        state.complete()
-        return state
+        return State(noise_state(grid, cutoff=20), SPINODAL).complete()
 
     def test_imex_step_and_completion_build_one_each(self, prev, constructions):
-        out = step_imex(prev, 1e-4, SPINODAL, SolverConfig(dt0=1e-4))
+        out = step_imex(prev, 1e-4, SolverConfig(dt0=1e-4))
         assert len(constructions) == 1  # the candidate's u
         out.state.complete()
         assert len(constructions) == 1  # completion builds none
 
     def test_newton_step_builds_one_per_iterate(self, prev, constructions):
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
-        out = step_implicit(prev, 1e-4, SPINODAL, cfg)
+        out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
         # u and each iterate, then the candidate's u
         assert len(constructions) == out.inner_iters + 2
@@ -152,8 +150,7 @@ class TestNewtonEvaluations:
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2,
                            growth_factor=1.05)
-        prev = State(noise_state(grid, cutoff=20), SPINODAL)
-        prev.complete()
+        prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
         counts = {"State": 0, "pointwise": 0}
 
         def counting(name, fn):
@@ -165,7 +162,7 @@ class TestNewtonEvaluations:
         monkeypatch.setattr(State, "__init__", counting("State", State.__init__))
         monkeypatch.setattr(Nonlinearity, "pointwise",
                             counting("pointwise", Nonlinearity.pointwise))
-        out = step_implicit(prev, 1e-4, SPINODAL, cfg)
+        out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
         assert counts == {"State": 1, "pointwise": out.inner_iters + 2}
 
@@ -177,8 +174,7 @@ class TestNewtonEvaluations:
 
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
-        prev = State(noise_state(grid, cutoff=20), SPINODAL)
-        prev.complete()
+        prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
         ops, r2r = [], []
 
         def recording(*args, **kwargs):
@@ -186,7 +182,7 @@ class TestNewtonEvaluations:
             return ops[-1]
 
         monkeypatch.setattr(stepper, "LinearOperator", recording)
-        out = step_implicit(prev, 1e-4, SPINODAL, cfg)
+        out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
         assert len(ops) == 1 + out.inner_iters  # the preconditioner, then the Jacobians
 
@@ -283,7 +279,7 @@ class TestTruncatedMode:
         b = TruncationLevel(20).clamp_bound
         u = constant_field(Grid((1.0,), (8,), gr.NEUMANN), 0.5)
         nl = Nonlinearity(SPINODAL, TruncationLevel(20))
-        assert _setup(u, 1e-3, nl, SolverConfig())[2] == 2.0 / ((1.0 - b) * (1.0 + b))
+        assert _setup(State(u, nl), 1e-3, SolverConfig())[0] == 2.0 / ((1.0 - b) * (1.0 + b))
 
     def test_level_sets_the_newton_guard(self):
         lvl = TruncationLevel(20)
@@ -291,7 +287,17 @@ class TestTruncatedMode:
         u = constant_field(Grid((1.0,), (8,), gr.NEUMANN), lvl.clamp_bound - 0.5 * cfg.guard_eps)
         assert lvl.clamp_bound - cfg.guard_eps < u.values[0] < 1.0 - cfg.guard_eps
         with pytest.raises(GuardViolation):
-            step_implicit(u, 1e-3, Nonlinearity(SPINODAL, lvl), cfg)
+            step_implicit(State(u, Nonlinearity(SPINODAL, lvl)), 1e-3, cfg)
+
+
+    @pytest.mark.parametrize("stepper", [step_imex, step_implicit])
+    def test_candidate_carries_the_nonlinearity_of_the_state(self, stepper):
+        lvl = TruncationLevel(5)
+        nl = Nonlinearity(SPINODAL, lvl)
+        grid = Grid((4 * np.pi,), (64,), gr.NEUMANN)
+        prev = State(regularize_initial(noise_state(grid, seed=23), lvl), nl)
+        cfg = bare_cfg(1e-4, scheme="newton" if stepper is step_implicit else "imex")
+        assert stepper(prev, 1e-4, cfg).state.nl is nl
 
 
 class TestStabilizationDefaults:
@@ -306,7 +312,7 @@ class TestStabilizationDefaults:
         cfg = SolverConfig(s1=7.0, s2=0.5)
         from sixch.stepper import _setup
         u = constant_field(Grid((1.0,), (8,), gr.NEUMANN), 0.2)
-        assert _setup(u, 1e-3, SPINODAL, cfg)[2:4] == (7.0, 0.5)
+        assert _setup(State(u, SPINODAL), 1e-3, cfg)[0:2] == (7.0, 0.5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -328,8 +334,8 @@ class TestBatchedSteps:
                 noise_state(grid, seed=4, amplitude=0.75),
                 constant_field(grid, 0.2)]  # a fixed point
         cfg = bare_cfg(1e-4, scheme="newton" if stepper is step_implicit else "imex")
-        batch = stepper(ScalarField.stack(rows), 1e-4, SPINODAL, cfg)
-        alone = [stepper(u, 1e-4, SPINODAL, cfg) for u in rows]
+        batch = stepper(State(ScalarField.stack(rows), SPINODAL), 1e-4, cfg)
+        alone = [stepper(State(u, SPINODAL), 1e-4, cfg) for u in rows]
         assert batch.inner_iters == max(r.inner_iters for r in alone)
         for i, r in enumerate(alone):
             assert np.array_equal(batch.state.u.values[i], r.state.u.values)
@@ -342,8 +348,8 @@ class TestBatchedSteps:
         grid = Grid((4 * np.pi,), (64,), bc)
         u = noise_state(grid, seed=4, amplitude=0.75)
         cfg = bare_cfg(1e-4, scheme="newton" if stepper is step_implicit else "imex")
-        batch = stepper(ScalarField.stack([u]), 1e-4, SPINODAL, cfg)
-        alone = stepper(u, 1e-4, SPINODAL, cfg)
+        batch = stepper(State(ScalarField.stack([u]), SPINODAL), 1e-4, cfg)
+        alone = stepper(State(u, SPINODAL), 1e-4, cfg)
         assert batch.inner_iters == alone.inner_iters
         assert np.array_equal(batch.state.u.values[0], alone.state.u.values)
         assert batch.state.energy.total[0] == alone.state.energy.total
