@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import grid as gr
-from .errors import MeanMismatch, RangeError
+from .errors import MeanMismatch, RangeError, ShapeError
 from .grid import ScalarField
 from .model import AprioriDiagnostics, EnergyBreakdown, State, dispersion_sigma
 from .potential import Nonlinearity, PotentialParams, TruncationLevel
@@ -60,8 +60,11 @@ class RunLedger:
         """Append the row of an accepted State of one field at time t.
 
         The state is completed here if it is not yet; its columns are read
-        as they are, with its own nonlinearity.
+        as they are, with its own nonlinearity.  A row is one field's: a
+        batched State raises ShapeError.
         """
+        if state.u.batch:
+            raise ShapeError(f"a ledger row is one field's, not a batch of {len(state.u.values)}")
         u = state.complete().u
         if self.dim is None:
             self.dim = u.grid.dim

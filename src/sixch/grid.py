@@ -237,12 +237,9 @@ def apply_symbol(u: ScalarField, multiplier: np.ndarray) -> ScalarField:
     return ScalarField(u.grid, transform_backward(coeffs, u.grid), u.batch)
 
 
-def apply_A(u: ScalarField, power: int = 1) -> ScalarField:
-    """Apply A^power, power in {1, 2, 3}; annihilates constants exactly."""
-    if power not in (1, 2, 3):
-        raise ValueError("power must be 1, 2 or 3")
-    ev = u.grid.symbol().eigenvalues
-    return apply_symbol(u, ev**power)
+def apply_A(u: ScalarField) -> ScalarField:
+    """Apply A; annihilates constants exactly."""
+    return apply_symbol(u, u.grid.symbol().eigenvalues)
 
 
 def inv_A_zero_mean(g: ScalarField) -> ScalarField:

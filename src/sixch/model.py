@@ -22,9 +22,10 @@ eigenvalues ev, so its coefficients are
     mu_hat = (ev^2 - (2 lam - eta) ev) u_hat + 2 ev beta_hat
              + F[beta''(u)|grad u|^2 + beta(u) beta'(u) + g(u)],
 
-and `_mu_hat` assembles them so, with beta and the nonlinear sum in one
-stacked forward transform: the one assembly of mu, for `State` and the
-Newton residual alike.  `State` evaluates a state once: one pointwise
+and `_assemble` sums them so, with beta and the nonlinear sum in one
+stacked forward transform: the one assembly of mu (`_mu_hat`, for `State`
+and the Newton residual) and of its derivative Dmu(v)w, whose terms
+have the same form.  `State` evaluates a state once: one pointwise
 pass of the nonlinearities (`Nonlinearity.pointwise`), the energy
 breakdown the dissipation test reads and, for an accepted state, mu_hat
 and the diagnostic scalars.  A State carries its nonlinearity, `nl`, so
@@ -179,31 +180,36 @@ class State:
         return self._apriori
 
 
-def _mu_hat(nl, grid, pw, gsq, u_hat=None, u=None):
-    """The coefficients of the UOM1 mu of u (one state or a batch on `grid`).
+def _assemble(nl, grid, rows, x_hat=None):
+    """(ev^2 - (2 lam - eta) ev) x_hat + 2 ev b_hat + n_hat, and b_hat: mu's and Dmu's sum.
 
-    The linear terms are diagonal in the basis, so
-
-        mu_hat = (ev^2 - (2 lam - eta) ev) u_hat + 2 ev beta_hat + F[curv + B + g]
-
-    with B = beta beta' and curv = beta''|grad u|^2 from the pointwise pass
-    `pw` and gsq = |grad u|^2.  beta and the nonlinear sum go through one
-    stacked forward transform; given u's values `u` in place of `u_hat`,
-    u goes through the same call.  Returns mu_hat, beta_hat, B, curv and
-    the nonlinear sum.
+    rows = [b, n] (x's coefficients given as x_hat) or [x, b, n] go
+    through one stacked forward transform.
     """
     sym = grid.symbol()
     ev = sym.eigenvalues
+    *x_row, b_hat, n_hat = gr.transform_forward(np.stack(rows), grid)
+    x_hat = x_row[0] if x_row else x_hat
+    # summed in place (fewer temporaries), in the formula's order
+    out = (sym.squared - (2.0 * nl.params.lam - nl.params.eta) * ev) * x_hat
+    out += 2.0 * ev * b_hat
+    out += n_hat
+    return out, b_hat
+
+
+def _mu_hat(nl, grid, pw, gsq, u_hat=None, u=None):
+    """The coefficients of the UOM1 mu of u (one state or a batch on `grid`).
+
+    `_assemble` with b = beta and n = curv + B + g, where B = beta beta' and
+    curv = beta''|grad u|^2 come from the pointwise pass `pw` and gsq =
+    |grad u|^2; u's values `u` in place of `u_hat` join the stacked
+    transform.  Returns mu_hat, beta_hat, B, curv and the nonlinear sum.
+    """
     b_vals = pw.beta * pw.beta1
     curv = pw.beta2 * gsq
     nonlinear = curv + b_vals + pw.g
     rows = [pw.beta, nonlinear] if u is None else [u, pw.beta, nonlinear]
-    *u_row, beta_hat, n_hat = gr.transform_forward(np.stack(rows), grid)
-    u_hat = u_hat if u is None else u_row[0]
-    # summed in place (fewer temporaries), in the formula's order
-    mu_hat = (sym.squared - (2.0 * nl.params.lam - nl.params.eta) * ev) * u_hat
-    mu_hat += 2.0 * ev * beta_hat
-    mu_hat += n_hat
+    mu_hat, beta_hat = _assemble(nl, grid, rows, u_hat)
     return mu_hat, beta_hat, b_vals, curv, nonlinear
 
 

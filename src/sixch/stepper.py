@@ -17,12 +17,12 @@ Two first-order integrators are provided:
   the analytic Frechet derivative of mu as Jacobian action, Krylov inner
   solves preconditioned by the IMEX operator, and an update damping that
   keeps iterates strictly inside the admissible set (the separation guard).
-  Each iterate is evaluated once, for G and the Jacobian alike: mu(v)
-  comes from `model._mu_hat`, the coefficient-space assembly that
-  completes a `model.State`, with v stacked into its one forward
-  transform.  No `State` is built per residual, G(u) comes from the
-  previous state's mu_hat, and the Jacobian is built only at an iterate
-  that has not converged.
+  Each iterate is evaluated once, for G and the Jacobian alike.  mu(v)
+  and the Jacobian action Dmu(v)w share the coefficient-space assembly
+  that completes a `model.State`, `model._assemble`: v, or w and beta' w,
+  join its one forward transform.  No `State` is built per residual,
+  G(u) comes from the previous state's mu_hat, and the Jacobian is built
+  only at an iterate that has not converged.
 
 A step takes a `model.State` and reads its nonlinearity, `State.nl`,
 whose level is the one setting of the truncated mode: it fixes the
@@ -66,7 +66,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
 from .grid import ScalarField
-from .model import State, _mu_hat
+from .model import State, _assemble, _mu_hat
 from .potential import Nonlinearity
 
 IMEX = "imex"
@@ -183,8 +183,6 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
         raise GuardViolation("initial state already violates the separation guard")
 
     n_dof = math.prod(grid.shape)
-    lam, eta = nl.params.lam, nl.params.eta
-    linear_symbol = sym.squared - (2.0 * lam - eta) * ev
 
     def evaluate(v_vals: np.ndarray):
         """Iterate v, its pointwise pass and its gradients: what G(v) and J(v) read."""
@@ -197,9 +195,6 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
         np.maximum(gsq, 0.0, out=gsq)
         return v, pw, grads, gsq
 
-    def mu_hat_of(v, pw, _grads, gsq) -> np.ndarray:
-        return _mu_hat(nl, grid, pw, gsq, u=v)[0]  # v goes into the stacked transform
-
     def jacobian(v, pw, grads, gsq) -> LinearOperator:
         """J w = w + dt*A*(Dmu(v) w), the analytic Frechet derivative of G at v."""
         beta, beta1, beta2, beta3, _, g1, _ = pw
@@ -207,16 +202,13 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
 
         def jac_vec(w: np.ndarray) -> np.ndarray:
             w = w.reshape(grid.shape)
-            # w and beta' w go through one stacked transform each way
-            w_hat, bw_hat = gr.transform_forward(np.stack([w, beta1 * w]), grid)
-            linear, a_bw = gr.transform_backward(
-                np.stack([linear_symbol * w_hat, bw_hat * ev]), grid)
             grad_dot = np.zeros(grid.shape)
             for ax in range(grid.dim):
                 grad_dot += grads[ax] * gr.gradient_axis(w, grid, ax)
-            dmu = linear + 2.0 * a_bw + 2.0 * beta2 * grad_dot + zero_order * w
-            a_dmu = gr.transform_backward(gr.transform_forward(dmu, grid) * ev, grid)
-            return (w + dt * a_dmu).ravel()
+            # Dmu(v) w is mu's assembly of w, beta' w and the zero-order terms n
+            n = 2.0 * beta2 * grad_dot + zero_order * w
+            dmu_hat, _ = _assemble(nl, grid, [w, beta1 * w, n])
+            return (w + dt * gr.transform_backward(ev * dmu_hat, grid)).ravel()
 
         return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64)
 
@@ -260,8 +252,8 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
                 raise GuardViolation("damping cannot keep the Newton iterate admissible")
             v_vals = v_vals + theta * delta
             np.clip(v_vals, -bound, bound, out=v_vals)
-            terms = evaluate(v_vals)
-            g_vec = residual(v_vals, mu_hat_of(*terms))
+            v, pw, _, gsq = terms = evaluate(v_vals)
+            g_vec = residual(v_vals, _mu_hat(nl, grid, pw, gsq, u=v)[0])
 
     u_vals = prev.u.values
     precond_diag = np.broadcast_to(1.0 + dt * (sym.cubed + s1 * sym.squared + s2 * ev),

@@ -8,7 +8,7 @@ from sixch import grid as gr
 from sixch.diagnostics import (CSV_COLUMNS, RunLedger, cdep_experiment,
                                dispersion_experiment, energy_identity_residual,
                                separation_report, truncation_convergence)
-from sixch.errors import MeanMismatch, RangeError, StepFloorError
+from sixch.errors import MeanMismatch, RangeError, ShapeError, StepFloorError
 from sixch.grid import Grid, ScalarField, constant_field
 from sixch.initdata import InitialSpec, generate
 from sixch.model import State
@@ -63,6 +63,15 @@ class TestRecord:
         ledger.record(State(constant_field(grid, 0.0), P0), 0.0, 0.0)
         with pytest.raises(RangeError):
             ledger.record(State(constant_field(grid, 0.0), P0), 0.0, 0.0)
+
+    def test_batched_state_rejected(self):
+        # a row is one field's: a batch would give mixed scalars and (k,) columns
+        grid = Grid((1.0,), (32,), gr.NEUMANN)
+        pair = ScalarField.stack([constant_field(grid, 0.1), constant_field(grid, 0.3)])
+        ledger = RunLedger()
+        with pytest.raises(ShapeError):
+            ledger.record(State(pair, P0), 0.0, 0.0)
+        assert ledger.rows == []
 
     def test_delta_sep_lipschitz_in_state(self):
         ledger = spinodal_ledger(t_end=0.05)

@@ -6,7 +6,10 @@ paired run, byte-identical.  The hashes were re-recorded when mu moved
 to its one coefficient-space assembly (`model._mu_hat`, for the State
 and the Newton residual alike) and F to the logarithms of the beta trio,
 which moves the outputs by roundoff and the Newton iterates within the
-Newton tolerance; on the environment named in `RECORDED_ON`.
+Newton tolerance; the Newton runs again when the Jacobian action moved
+to the same assembly (`model._assemble`), which moves its Krylov solves
+by roundoff and so the Newton iterates and step sizes; on the
+environment named in `RECORDED_ON`.
 Bit-identity is a property of one numpy/scipy build on one CPU feature
 set (numpy dispatches log1p/exp to its AVX512_SKX kernels where the CPU
 has them and `NPY_DISABLE_CPU_FEATURES` leaves them on; AVX512F alone
@@ -66,7 +69,7 @@ RUNS = {
     "newton1d_20": ("configs/benchmark1d.ini",
                     {"solver": {"scheme": "newton"},
                      "run": {"max_steps": "20", "snapshot_every": "0"}}),
-    # fast step growth: energy-rise rejections (25 and 9 of them)
+    # fast step growth: energy-rise rejections (25 and 10 of them)
     "imex1d_rejecting": ("configs/benchmark1d.ini",
                          {"solver": {"growth_factor": "1.5", "dt_max": "1.0"},
                           "run": {"max_steps": "300", "snapshot_every": "0"}}),
@@ -74,7 +77,7 @@ RUNS = {
                            {"solver": {"scheme": "newton", "growth_factor": "1.5"},
                             "run": {"max_steps": "30", "snapshot_every": "0"}}),
     "cdep_shipped": ("configs/cdep.ini", {}),
-    # adaptive Newton pair: 97 accepted steps, 24 paired rejections
+    # adaptive Newton pair: 98 accepted steps, 27 paired rejections
     "cdep_newton_rejecting": ("configs/cdep.ini",
                               {"solver": {"scheme": "newton", "dt0": "1e-4",
                                           "dt_min": "1e-9", "dt_max": "5e-2",
@@ -103,9 +106,9 @@ GOLDEN = {
         "final_state.f64": "6951a642099bfe71f02c477738d178384f276474deff30731a43a82e664cba53",
     },
     "newton1d_20": {
-        "ledger.csv": "1d085bab1ba26d5e55f8cce50c7c617ae856a228a16797bc883d13587026e5ad",
-        "summary.json": "35cde297f5b38e1235d3acc17f99f689deab32996fd4ffbf6cdd554f66c6f502",
-        "final_state.f64": "8e5f697cc726577e591da03d42efedcd711bcf8a084cca31c1d5bf5e2358bbb4",
+        "ledger.csv": "f87ee3b8013f50ef28c03dc14995c04b723e75fb85c36e932e57c3d347994cb1",
+        "summary.json": "5757ec0bcd398932de59fd19c3e2f3b78b4c4285718600637f5d1d55e75d5e47",
+        "final_state.f64": "4d6ea5c6738d47342d5ce4c2702eeed4213c26959d6f86363e3deed0c52fdb53",
     },
     "imex1d_rejecting": {
         "ledger.csv": "78d35a95e342e0ac0790fd41e2f250ae42a3433da3a8f41781858965df06aca2",
@@ -113,9 +116,9 @@ GOLDEN = {
         "final_state.f64": "dbf25501bea19dea9f89632125eb25222aef4e95678ac58a24a282aeee7c6b4a",
     },
     "newton1d_rejecting": {
-        "ledger.csv": "55b0fe8cf4231f4296b194d6771c3dbd098a6d9058f6730e5895523b0a6bfc9a",
-        "summary.json": "f3371ab2691f3ff9d4fba020748385633405762ac55e57e2547e65c0e086a8db",
-        "final_state.f64": "20031ede55294f651dee9ad4726801c5a0acf4159e7b62719ec76624d6114746",
+        "ledger.csv": "36e6fc6882e5ecfa0691f59cfc91145f28e82cb85457136258f547355079a2cf",
+        "summary.json": "4e0a25149ad546bf8380bd838fe5ed00a48c0b152fcfbd405f49e29f8fb04d89",
+        "final_state.f64": "75b886397f9cda78a8970b8dcaeed173b934feb48468063b76f9fd400f0cfa8a",
     },
     "periodic2d_trunc": {
         "ledger.csv": "9c45ed96d3b383c74ebafc63dc915b84d4ef9dd1704a73e8e2359b4d3e257289",
@@ -126,7 +129,7 @@ GOLDEN = {
         "cdep.json": "749c141ba496088b4a914a8110f0a04fcf9b5ab379d8ea6efcab7b13f40b3c2e",
     },
     "cdep_newton_rejecting": {
-        "cdep.json": "a485d0806f4ab7e03bef9d604a196470a4a60068f300aac6fad9b029f37587de",
+        "cdep.json": "d3c9671ebeb607912db0c39d50db154a421a1b26f3adbe8f5e981af50518b083",
     },
 }
 

@@ -150,7 +150,7 @@ class TestRegularize:
 
         def h2_dist(a, b):
             d = a - b
-            lap = gr.apply_A(d, 1)
+            lap = gr.apply_A(d)
             return np.sqrt(gr.lp_norm(d, 2) ** 2 + gr.h1_seminorm(d) ** 2
                            + gr.lp_norm(lap, 2) ** 2)
 

@@ -89,7 +89,7 @@ class TestMu:
     def test_mean_of_lap_mu_vanishes(self):
         grid = Grid((1.0,), (128,), gr.NEUMANN)
         u = band_limited(grid, seed=3, cutoff=20, amplitude=0.7)
-        lap_mu = gr.apply_A(model.mu(u, PotentialParams(2.0, 1.0)), 1)
+        lap_mu = gr.apply_A(model.mu(u, PotentialParams(2.0, 1.0)))
         assert abs(gr.mean(lap_mu)) <= 1e-12 * gr.lp_norm(lap_mu, np.inf)
 
     def test_weak_form_identity(self):
@@ -160,7 +160,7 @@ class TestEnergy:
         for seed in range(100):
             u = band_limited(grid, seed=seed, cutoff=16, amplitude=0.9)
             e = model.energy(u, p).total
-            lap = gr.apply_A(u, 1)
+            lap = gr.apply_A(u)
             f_norm_sq = float(np.sum(eval_f(p, u.values) ** 2)) * grid.cell_volume
             lower = 0.25 * gr.lp_norm(lap, 2) ** 2 + 0.5 * f_norm_sq - c_explicit
             assert e >= lower - 1e-9

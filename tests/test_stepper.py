@@ -3,6 +3,7 @@ import pytest
 from scipy.sparse.linalg import LinearOperator
 
 from sixch import grid as gr
+from sixch import model
 from sixch.diagnostics import RunLedger
 from sixch.errors import GuardViolation, StepFloorError
 from sixch.grid import Grid, ScalarField, constant_field
@@ -166,25 +167,31 @@ class TestNewtonEvaluations:
         assert out.inner_iters >= 2
         assert counts == {"State": 1, "pointwise": out.inner_iters + 2}
 
-    def test_no_jacobian_at_the_converged_iterate(self, monkeypatch):
-        # G(u) comes from the completed prev's mu_hat, a Jacobian is built
-        # per Newton iteration only, and its matvec makes 6 r2r transforms
-        # in 1D (w and beta' w share one transform each way)
+    @pytest.fixture
+    def operators(self, monkeypatch):
+        """The LinearOperators a Newton step builds: the preconditioner, then the Jacobians."""
         from sixch import stepper
 
-        grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
-        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
-        prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
-        ops, r2r = [], []
+        ops = []
 
         def recording(*args, **kwargs):
             ops.append(LinearOperator(*args, **kwargs))
             return ops[-1]
 
         monkeypatch.setattr(stepper, "LinearOperator", recording)
+        return ops
+
+    def test_no_jacobian_at_the_converged_iterate(self, operators, monkeypatch):
+        # G(u) comes from the completed prev's mu_hat, a Jacobian is built
+        # per Newton iteration only, and its matvec makes 4 r2r transforms
+        # in 1D: w's gradient, one stacked forward call and one backward
+        grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
+        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
+        prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
         out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
-        assert len(ops) == 1 + out.inner_iters  # the preconditioner, then the Jacobians
+        assert len(operators) == 1 + out.inner_iters
+        r2r = []
 
         def counted(fn):
             def wrapper(*args, **kwargs):
@@ -194,8 +201,27 @@ class TestNewtonEvaluations:
 
         for name in ("dct", "dst"):
             monkeypatch.setattr(gr, name, counted(getattr(gr, name)))
-        ops[1].matvec(np.linspace(-1.0, 1.0, 512))
-        assert len(r2r) == 6
+        operators[1].matvec(np.linspace(-1.0, 1.0, 512))
+        assert len(r2r) == 4
+
+    @pytest.mark.parametrize("grid, cutoff", [
+        (Grid((8 * np.pi,), (64,), gr.NEUMANN), 10),
+        (Grid((4 * np.pi, 3 * np.pi), (32, 24), gr.PERIODIC), 6),
+    ], ids=["neumann1d", "periodic2d"])
+    def test_jacobian_is_the_derivative_of_the_residual(self, grid, cutoff, operators):
+        # the first Jacobian, at v = u, against the central difference of
+        # G(v) = v - u + dt A mu(v) built from model.mu; the grids are coarse,
+        # since dt A^3 / h amplifies the roundoff of mu in the difference
+        dt, h = 1e-4, 1e-6
+        cfg = SolverConfig(scheme="newton", dt0=dt, dt_min=1e-12, dt_max=5e-2)
+        prev = State(noise_state(grid, cutoff=cutoff), SPINODAL).complete()
+        assert step_implicit(prev, dt, cfg).inner_iters >= 1
+        w = noise_state(grid, seed=11, mean=0.0, amplitude=0.5, cutoff=cutoff).values
+        jw = operators[1].matvec(w.ravel()).reshape(grid.shape)
+        mu_p, mu_m = (model.mu(ScalarField(grid, prev.u.values + s * h * w), prev.nl)
+                      for s in (1.0, -1.0))
+        fd = w + dt * gr.apply_A((mu_p - mu_m) * (0.5 / h)).values
+        assert np.linalg.norm(jw - fd) <= 1e-4 * np.linalg.norm(jw - w)
 
 
 class TestEnergyDissipation:
