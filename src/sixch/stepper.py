@@ -15,8 +15,18 @@ Two first-order integrators are provided:
 
 * ``newton`` — damped inexact Newton on G(v) = v - u + dt*A*mu(v), with
   the analytic Frechet derivative of mu as Jacobian action, Krylov inner
-  solves preconditioned by the IMEX operator, and an update damping that
-  keeps iterates strictly inside the admissible set (the separation guard).
+  solves preconditioned by the Jacobian's frozen-coefficient symbol at the
+  step's start state u (`_frozen_symbol`),
+
+      1 + dt*(a^3 + c2*a^2 + c1*a),   c2 = 2*mean beta'(u) - (2*lam - eta),
+      c1 = mean(beta'''(u)|grad u|^2 + beta'(u)^2 + beta(u)*beta''(u) + g'(u)),
+
+  which is the Jacobian itself at a constant state.  Where an entry of it
+  lies within ``_FROZEN_FLOOR`` of 0 (it can cross 0 where c2 < 0, on a
+  spinodal state at a large dt), that row falls back to the IMEX operator
+  above, whose entries are all at least 1: s1 and s2, set or default,
+  reach Newton only through that fallback.  An update damping keeps
+  iterates strictly inside the admissible set (the separation guard).
   Each iterate is evaluated once, for G and the Jacobian alike.  mu(v)
   and the Jacobian action Dmu(v)w share the coefficient-space assembly
   that completes a `model.State`, `model._assemble`: v, or w and beta' w,
@@ -73,6 +83,11 @@ IMEX = "imex"
 NEWTON = "newton"
 
 _FAST_ITERS = 4  # inner iterations counted as "fast" for step growth
+# Newton's row falls back to the IMEX preconditioner when an entry of the
+# frozen symbol lies within this of 0 (it can cross 0 where c2 < 0): dividing
+# by it would amplify a mode more than 1000 times.  A negative symbol away
+# from 0 is kept, since lgmres needs no definite preconditioner.
+_FROZEN_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -127,6 +142,23 @@ def default_stabilization(nl: Nonlinearity, sup_u: float = 0.9) -> tuple[float, 
     s1 = 2.0 / ((1.0 - b) * (1.0 + b))
     s2 = abs(2.0 * nl.params.lam - nl.params.eta)
     return s1, s2
+
+
+def _zero_order(pw, gsq):
+    """beta'''|grad v|^2 + beta'^2 + beta*beta'' + g', the zero-order coefficient of Dmu(v)."""
+    return pw.beta3 * gsq + pw.beta1**2 + pw.beta * pw.beta2 + pw.g1
+
+
+def _frozen_symbol(nl: Nonlinearity, sym, dt: float, beta1: np.ndarray,
+                   zero_order: np.ndarray) -> np.ndarray:
+    """1 + dt*(a^3 + c2*a^2 + c1*a), the symbol of J = 1 + dt*A*Dmu(v) with v's
+    coefficients frozen at their grid means: c2 = 2*mean beta'(v) - (2*lam - eta)
+    and c1 = mean zero_order.  At a constant v it is the Jacobian itself.
+    """
+    p = nl.params
+    c2 = 2.0 * np.mean(beta1) - (2.0 * p.lam - p.eta)
+    c1 = np.mean(zero_order)
+    return 1.0 + dt * (sym.cubed + c2 * sym.squared + c1 * sym.eigenvalues)
 
 
 def _setup(prev: State, dt: float, cfg: SolverConfig):
@@ -195,10 +227,9 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
         np.maximum(gsq, 0.0, out=gsq)
         return v, pw, grads, gsq
 
-    def jacobian(v, pw, grads, gsq) -> LinearOperator:
+    def jacobian(pw, grads, zero_order) -> LinearOperator:
         """J w = w + dt*A*(Dmu(v) w), the analytic Frechet derivative of G at v."""
-        beta, beta1, beta2, beta3, _, g1, _ = pw
-        zero_order = beta3 * gsq + beta1**2 + beta * beta2 + g1
+        beta1, beta2 = pw.beta1, pw.beta2
 
         def jac_vec(w: np.ndarray) -> np.ndarray:
             w = w.reshape(grid.shape)
@@ -212,21 +243,27 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
 
         return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64)
 
-    def newton(u_vals: np.ndarray, mu_hat: np.ndarray, precond_diag: np.ndarray):
-        """Damped Newton iterates from u (mu_hat: its mu's coefficients) to G(v) = 0."""
+    def preconditioner(diag: np.ndarray, imex_diag: np.ndarray) -> LinearOperator:
+        """M w: w's coefficients over diag, or over imex_diag if diag has an entry near 0."""
+        if np.min(np.abs(diag)) <= _FROZEN_FLOOR:
+            diag = imex_diag
 
         def precond(w: np.ndarray) -> np.ndarray:
             w_hat = gr.transform_forward(w.reshape(grid.shape), grid)
-            return gr.transform_backward(w_hat / precond_diag, grid).ravel()
+            return gr.transform_backward(w_hat / diag, grid).ravel()
+
+        return LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
+
+    def newton(u_vals: np.ndarray, mu_hat: np.ndarray, imex_diag: np.ndarray):
+        """Damped Newton iterates from u (mu_hat: its mu's coefficients) to G(v) = 0."""
 
         def residual(v_vals: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
             """G(v) = v - u + dt*A*mu(v), from the coefficients of mu(v)."""
             lap_mu = gr.transform_backward(mu_hat * ev, grid)  # A mu(v)
             return (v_vals.reshape(grid.shape) - u_vals + dt * lap_mu).ravel()
 
-        M = LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
         v_vals = u_vals.copy().ravel()
-        g_vec, terms = residual(v_vals, mu_hat), None  # G(u) from the completed prev
+        g_vec, terms, M = residual(v_vals, mu_hat), None, None  # G(u) from the completed prev
         tol = cfg.newton_tol * (float(np.linalg.norm(u_vals)) * np.sqrt(grid.cell_volume))
         iters = 0
         while True:
@@ -238,7 +275,12 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
                     f"no convergence in {cfg.newton_max_iters} iterations (residual {res:.3e})")
             iters += 1
             terms = terms or evaluate(v_vals)  # u's pass is made only if u is not converged
-            delta, _ = lgmres(jacobian(*terms), -g_vec, M=M, rtol=1e-4, atol=0.0, maxiter=40)
+            _, pw, grads, gsq = terms
+            zero_order = _zero_order(pw, gsq)
+            if M is None:  # at u: one preconditioner per row and step
+                M = preconditioner(_frozen_symbol(nl, sym, dt, pw.beta1, zero_order), imex_diag)
+            delta, _ = lgmres(jacobian(pw, grads, zero_order), -g_vec, M=M,
+                              rtol=1e-4, atol=0.0, maxiter=40)
 
             # damp the update so the iterate keeps the separation guard
             theta = 1.0
@@ -256,11 +298,11 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             g_vec = residual(v_vals, _mu_hat(nl, grid, pw, gsq, u=v)[0])
 
     u_vals = prev.u.values
-    precond_diag = np.broadcast_to(1.0 + dt * (sym.cubed + s1 * sym.squared + s2 * ev),
-                                   u_vals.shape)
+    imex_diag = np.broadcast_to(1.0 + dt * (sym.cubed + s1 * sym.squared + s2 * ev),
+                                u_vals.shape)
     v_vals, iters = np.empty_like(u_vals), 1
     for row in np.ndindex(u_vals.shape[:-grid.dim]):  # () for one field
-        v_vals[row], row_iters = newton(u_vals[row], prev.mu_hat[row], precond_diag[row])
+        v_vals[row], row_iters = newton(u_vals[row], prev.mu_hat[row], imex_diag[row])
         iters = max(iters, row_iters)
     return _candidate(prev, gr.transform_forward(v_vals, grid), iters)
 

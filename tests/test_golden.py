@@ -8,8 +8,11 @@ and the Newton residual alike) and F to the logarithms of the beta trio,
 which moves the outputs by roundoff and the Newton iterates within the
 Newton tolerance; the Newton runs again when the Jacobian action moved
 to the same assembly (`model._assemble`), which moves its Krylov solves
-by roundoff and so the Newton iterates and step sizes; on the
-environment named in `RECORDED_ON`.
+by roundoff and so the Newton iterates and step sizes, and when the
+Krylov solves took the Jacobian's frozen-coefficient symbol as their
+preconditioner, which moves the Newton iterates within the Newton
+tolerance and so the step sizes; on the environment named in
+`RECORDED_ON`.
 Bit-identity is a property of one numpy/scipy build on one CPU feature
 set (numpy dispatches log1p/exp to its AVX512_SKX kernels where the CPU
 has them and `NPY_DISABLE_CPU_FEATURES` leaves them on; AVX512F alone
@@ -69,7 +72,7 @@ RUNS = {
     "newton1d_20": ("configs/benchmark1d.ini",
                     {"solver": {"scheme": "newton"},
                      "run": {"max_steps": "20", "snapshot_every": "0"}}),
-    # fast step growth: energy-rise rejections (25 and 10 of them)
+    # fast step growth: energy-rise rejections (25 and 9 of them)
     "imex1d_rejecting": ("configs/benchmark1d.ini",
                          {"solver": {"growth_factor": "1.5", "dt_max": "1.0"},
                           "run": {"max_steps": "300", "snapshot_every": "0"}}),
@@ -77,7 +80,7 @@ RUNS = {
                            {"solver": {"scheme": "newton", "growth_factor": "1.5"},
                             "run": {"max_steps": "30", "snapshot_every": "0"}}),
     "cdep_shipped": ("configs/cdep.ini", {}),
-    # adaptive Newton pair: 98 accepted steps, 27 paired rejections
+    # adaptive Newton pair: 102 accepted steps, 25 paired rejections
     "cdep_newton_rejecting": ("configs/cdep.ini",
                               {"solver": {"scheme": "newton", "dt0": "1e-4",
                                           "dt_min": "1e-9", "dt_max": "5e-2",
@@ -106,9 +109,9 @@ GOLDEN = {
         "final_state.f64": "6951a642099bfe71f02c477738d178384f276474deff30731a43a82e664cba53",
     },
     "newton1d_20": {
-        "ledger.csv": "f87ee3b8013f50ef28c03dc14995c04b723e75fb85c36e932e57c3d347994cb1",
-        "summary.json": "5757ec0bcd398932de59fd19c3e2f3b78b4c4285718600637f5d1d55e75d5e47",
-        "final_state.f64": "4d6ea5c6738d47342d5ce4c2702eeed4213c26959d6f86363e3deed0c52fdb53",
+        "ledger.csv": "69f2f4f679bfec9d61d840a97a1ae4d4b7f9c2219cec270e413252c130aee4bd",
+        "summary.json": "475edd40cd40ff022cd9281a661e5d82d33ec9e81fced7a7dd6b868628197700",
+        "final_state.f64": "35b78823734347b8f76fda4c000d8f2edc142496685c9d2f9f2216471a3a9579",
     },
     "imex1d_rejecting": {
         "ledger.csv": "78d35a95e342e0ac0790fd41e2f250ae42a3433da3a8f41781858965df06aca2",
@@ -116,9 +119,9 @@ GOLDEN = {
         "final_state.f64": "dbf25501bea19dea9f89632125eb25222aef4e95678ac58a24a282aeee7c6b4a",
     },
     "newton1d_rejecting": {
-        "ledger.csv": "36e6fc6882e5ecfa0691f59cfc91145f28e82cb85457136258f547355079a2cf",
-        "summary.json": "4e0a25149ad546bf8380bd838fe5ed00a48c0b152fcfbd405f49e29f8fb04d89",
-        "final_state.f64": "75b886397f9cda78a8970b8dcaeed173b934feb48468063b76f9fd400f0cfa8a",
+        "ledger.csv": "e6cf484bb63e1e36925b843e13fbcabd890eb50f389f27af6c944a4b02437b21",
+        "summary.json": "617142711334c31eb1c9159102d11ba08cfdebc61d39d7d46c5d3830b4af5548",
+        "final_state.f64": "26d3c51a115859f2d35e5c7c349162cd5269575b0b77fe8438f23df7dab5cc22",
     },
     "periodic2d_trunc": {
         "ledger.csv": "9c45ed96d3b383c74ebafc63dc915b84d4ef9dd1704a73e8e2359b4d3e257289",
@@ -129,7 +132,7 @@ GOLDEN = {
         "cdep.json": "749c141ba496088b4a914a8110f0a04fcf9b5ab379d8ea6efcab7b13f40b3c2e",
     },
     "cdep_newton_rejecting": {
-        "cdep.json": "d3c9671ebeb607912db0c39d50db154a421a1b26f3adbe8f5e981af50518b083",
+        "cdep.json": "1cc6c47d27c50998593d68676e613c4726aa5362c41ecae80291bca004810426",
     },
 }
 

@@ -10,8 +10,8 @@ from sixch.grid import Grid, ScalarField, constant_field
 from sixch.initdata import InitialSpec, generate, regularize_initial
 from sixch.model import State, dispersion_sigma
 from sixch.potential import Nonlinearity, PotentialParams, TruncationLevel
-from sixch.stepper import (SolverConfig, advance, default_stabilization, step_imex,
-                           step_implicit)
+from sixch.stepper import (SolverConfig, _frozen_symbol, _setup, _zero_order, advance,
+                           default_stabilization, step_imex, step_implicit)
 
 P0 = PotentialParams(0.0, 0.0)
 SPINODAL = PotentialParams(3.0, 1.0)
@@ -27,6 +27,21 @@ def bare_cfg(dt, **kw):
     kw.setdefault("dt_min", min(dt, kw["dt0"]) * 1e-6)
     kw.setdefault("dt_max", dt)
     return SolverConfig(**kw)
+
+
+@pytest.fixture
+def operators(monkeypatch):
+    """The LinearOperators a Newton step builds: the preconditioner, then the Jacobians."""
+    from sixch import stepper
+
+    ops = []
+
+    def recording(*args, **kwargs):
+        ops.append(LinearOperator(*args, **kwargs))
+        return ops[-1]
+
+    monkeypatch.setattr(stepper, "LinearOperator", recording)
+    return ops
 
 
 class TestFixedPoints:
@@ -167,20 +182,6 @@ class TestNewtonEvaluations:
         assert out.inner_iters >= 2
         assert counts == {"State": 1, "pointwise": out.inner_iters + 2}
 
-    @pytest.fixture
-    def operators(self, monkeypatch):
-        """The LinearOperators a Newton step builds: the preconditioner, then the Jacobians."""
-        from sixch import stepper
-
-        ops = []
-
-        def recording(*args, **kwargs):
-            ops.append(LinearOperator(*args, **kwargs))
-            return ops[-1]
-
-        monkeypatch.setattr(stepper, "LinearOperator", recording)
-        return ops
-
     def test_no_jacobian_at_the_converged_iterate(self, operators, monkeypatch):
         # G(u) comes from the completed prev's mu_hat, a Jacobian is built
         # per Newton iteration only, and its matvec makes 4 r2r transforms
@@ -222,6 +223,105 @@ class TestNewtonEvaluations:
                       for s in (1.0, -1.0))
         fd = w + dt * gr.apply_A((mu_p - mu_m) * (0.5 / h)).values
         assert np.linalg.norm(jw - fd) <= 1e-4 * np.linalg.norm(jw - w)
+
+
+class TestFrozenSymbolPreconditioner:
+    """Newton's preconditioner: the Jacobian's symbol with the coefficients of
+    the step's start state frozen at their means, or the IMEX symbol where
+    that symbol comes within `_FROZEN_FLOOR` of 0."""
+
+    @staticmethod
+    def divides_by(M, diag, grid):
+        """M applied to a vector of random coefficients divides them by diag."""
+        c = np.random.default_rng(5).standard_normal(grid.shape)
+        got = gr.transform_forward(M.matvec(gr.transform_backward(c, grid).ravel())
+                                   .reshape(grid.shape), grid)
+        return np.allclose(got, c / diag, rtol=1e-10, atol=0.0)
+
+    def test_symbol_is_the_jacobian_at_a_constant_state(self):
+        # at a constant state grad u = 0 and every coefficient of Dmu is a
+        # constant, so each cosine mode is an eigenvector of J = 1 + dt A Dmu
+        grid = Grid((8 * np.pi,), (64,), gr.NEUMANN)
+        c, dt, h = 0.3, 0.1, 1e-6
+        nl = State(constant_field(grid, c), SPINODAL).nl
+        pw = nl.pointwise(np.full(grid.shape, c), jacobian=True)
+        sym = grid.symbol()
+        diag = _frozen_symbol(nl, sym, dt, pw.beta1, _zero_order(pw, 0.0))
+        x = grid.axis_coords(0)
+        for k in (1, 3, 8, 20):
+            w = np.cos(k * np.pi * x / grid.lengths[0])
+            mu_p, mu_m = (model.mu(ScalarField(grid, c + s * h * w), nl).values
+                          for s in (1.0, -1.0))
+            dmu_k = np.dot((mu_p - mu_m) * (0.5 / h), w) / np.dot(w, w)
+            assert diag[k] == pytest.approx(1.0 + dt * sym.eigenvalues[k] * dmu_k, rel=1e-6)
+
+    def test_imex_fallback_only_where_the_symbol_reaches_zero(self, operators, monkeypatch):
+        # 2 lam - eta = 9 makes c2 < 0 on this near-mixed state, so the frozen
+        # symbol is positive at dt = 0.05, negative in places at dt = 0.2, and
+        # has an entry at 0 at the dt that sends its most negative mode there
+        from sixch import stepper
+
+        grid = Grid((8 * np.pi,), (64,), gr.NEUMANN)
+        prev = State(noise_state(grid, mean=0.0, amplitude=0.05, seed=7, cutoff=10),
+                     PotentialParams(3.0, -3.0)).complete()
+        cfg = SolverConfig(scheme="newton", dt0=1e-3, dt_min=1e-9, dt_max=1.0)
+        symbols = []
+
+        def recording(*args):
+            symbols.append(_frozen_symbol(*args))
+            return symbols[-1]
+
+        monkeypatch.setattr(stepper, "_frozen_symbol", recording)
+
+        def preconditioned_step(dt):
+            symbols.clear()
+            operators.clear()
+            out = step_implicit(prev, dt, cfg)
+            assert len(symbols) == 1 and len(operators) == 1 + out.inner_iters
+            s1, s2, sym = _setup(prev, dt, cfg)
+            imex = 1.0 + dt * (sym.cubed + s1 * sym.squared + s2 * sym.eigenvalues)
+            return out, symbols[0], operators[0], imex
+
+        out, frozen, M, _ = preconditioned_step(0.05)
+        assert frozen.min() > 0.5 and self.divides_by(M, frozen, grid)
+        assert out.inner_iters <= 3
+
+        out, frozen, M, _ = preconditioned_step(0.2)
+        assert frozen.min() < -0.5 and np.abs(frozen).min() > 0.05
+        assert self.divides_by(M, frozen, grid)  # lgmres needs no definite M
+        assert out.inner_iters <= 3
+
+        dt_zero = 0.2 / (1.0 - frozen.min())  # 1 + dt*q = 0 for the most negative q
+        out, frozen, M, imex = preconditioned_step(dt_zero)
+        assert np.abs(frozen).min() < 1e-12
+        assert self.divides_by(M, imex, grid)
+        assert out.inner_iters <= cfg.newton_max_iters
+        assert out.state.energy.total < prev.energy.total
+
+    def test_krylov_matvecs_per_newton_iteration(self, monkeypatch):
+        # the newton1d benchmark problem, 60 accepted steps: about 3.9
+        # matvecs per lgmres call (one per Newton iteration) with the frozen
+        # symbol, 6.6 with the IMEX symbol as preconditioner
+        grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
+        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2,
+                           growth_factor=1.05)
+        from sixch import stepper
+
+        counts = {"lgmres": 0, "matvec": 0}
+        solve = stepper.lgmres
+
+        def counting(A, b, **kwargs):
+            def matvec(w):
+                counts["matvec"] += 1
+                return A.matvec(w)
+
+            counts["lgmres"] += 1
+            return solve(LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), b, **kwargs)
+
+        monkeypatch.setattr(stepper, "lgmres", counting)
+        advance(noise_state(grid, seed=7, cutoff=20), 1e9, SPINODAL, cfg, max_steps=60)
+        assert counts["lgmres"] >= 60
+        assert counts["matvec"] / counts["lgmres"] <= 5.0, counts
 
 
 class TestEnergyDissipation:
@@ -301,7 +401,6 @@ class TestTruncatedMode:
     # clamp-bound rule, not the exact mode's 10.53 at sup |u| = 0.5) and the
     # Newton guard (0.95 - guard_eps, not 1 - guard_eps)
     def test_level_sets_the_stabilization(self):
-        from sixch.stepper import _setup
         b = TruncationLevel(20).clamp_bound
         u = constant_field(Grid((1.0,), (8,), gr.NEUMANN), 0.5)
         nl = Nonlinearity(SPINODAL, TruncationLevel(20))
@@ -336,7 +435,6 @@ class TestStabilizationDefaults:
 
     def test_config_overrides(self):
         cfg = SolverConfig(s1=7.0, s2=0.5)
-        from sixch.stepper import _setup
         u = constant_field(Grid((1.0,), (8,), gr.NEUMANN), 0.2)
         assert _setup(State(u, SPINODAL), 1e-3, cfg)[0:2] == (7.0, 0.5)
 
