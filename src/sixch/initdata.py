@@ -71,12 +71,13 @@ class InitialSpec:
 def check_realizable(spec: InitialSpec, grid: Grid) -> None:
     """Raise SpecError unless `generate` can build `spec` on `grid`; builds nothing.
 
-    Checks the amplitude margin, the constant level, that a single mode is
-    resolvable, that noise has at least one mode below its cutoff, and that
-    the interface position and width are finite (the width positive) and
-    give a profile that varies on the grid by more than rounding (at least
-    1/AMP_MARGIN ulps of its largest value).  Only a degenerate noise draw
-    is left to `generate`.
+    Checks the amplitude margin, the constant level, that the first axis
+    resolves a single mode (mode < counts[0] if neumann, <= counts[0] // 2
+    if periodic; a higher one aliases), that noise has at least one mode
+    below its cutoff, and that the interface position and width are finite
+    (the width positive) and give a profile that varies on the grid by more
+    than rounding (at least 1/AMP_MARGIN ulps of its largest value).  Only
+    a degenerate noise draw is left to `generate`.
     """
     m = spec.mean_m
     if spec.kind == CONSTANT:
@@ -86,8 +87,9 @@ def check_realizable(spec: InitialSpec, grid: Grid) -> None:
     if abs(m) + spec.amplitude > 1.0 - AMP_MARGIN:
         raise SpecError(
             f"|mean| + amplitude = {abs(m) + spec.amplitude:.8f} exceeds {1 - AMP_MARGIN}")
-    if spec.kind == SINGLE_MODE and not 1 <= spec.mode < min(grid.counts):
-        raise SpecError("mode index must be resolvable on the grid")
+    top = grid.counts[0] - 1 if grid.bc == gr.NEUMANN else grid.counts[0] // 2
+    if spec.kind == SINGLE_MODE and not 1 <= spec.mode <= top:
+        raise SpecError(f"mode index must lie in 1..{top} to be resolved on the first axis")
     if spec.kind == BAND_NOISE and min(spec.cutoff, min(grid.counts) // 2 - 1) < 1:
         raise SpecError("grid too coarse for band-limited noise")
     if spec.kind == TANH_INTERFACE:

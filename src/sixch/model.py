@@ -22,12 +22,13 @@ eigenvalues ev, so its coefficients are
     mu_hat = (ev^2 - (2 lam - eta) ev) u_hat + 2 ev beta_hat
              + F[beta''(u)|grad u|^2 + beta(u) beta'(u) + g(u)],
 
-and `_assemble` sums them so, with beta and the nonlinear sum in one
-stacked forward transform: the one assembly of mu (`_mu_hat`, for `State`
-and the Newton residual) and of its derivative Dmu(v)w, whose terms
-have the same form.  `State` evaluates a state once: one pointwise
-pass of the nonlinearities (`Nonlinearity.pointwise`), the energy
-breakdown the dissipation test reads and, for an accepted state, mu_hat
+and `_assemble` sums them so, from coefficients alone: the one assembly
+of mu (for `State` and the Newton residual, whose nonlinear sum
+`_nonlinear` forms) and of its derivative Dmu(v)w, whose terms have the
+same form.  `State` evaluates a state once: one pointwise pass of the
+nonlinearities (`Nonlinearity.pointwise`), the energy breakdown the
+dissipation test reads, with the Willmore term summed by Parseval from
+omega_hat = (ev - lam) u_hat + beta_hat, and for an accepted state mu_hat
 and the diagnostic scalars.  A State carries its nonlinearity, `nl`, so
 the steps, the step controller and the ledger take a State alone and
 read the potential from it.  A batch is a leading shape, (k,) for a
@@ -104,23 +105,24 @@ class State:
 
     Construction evaluates a candidate.  One pointwise pass checks the
     domain once (|u| < 1 in exact mode, every row) and gives beta, beta',
-    beta'', g and F; then come the coefficients u_hat and the energy
-    breakdown, which is all the dissipation test reads.
+    beta'', g and F; then come u_hat (given, or u's forward transform),
+    beta_hat and, from these alone, the energy breakdown, which is all the
+    dissipation test reads.
 
     `complete` finishes an accepted state, once (completing it again does
-    nothing), and returns it: |grad u|^2, then mu_hat,
-    assembled in coefficient space with beta_hat by `_mu_hat`, and
-    ||grad mu||^2.  mu stays in coefficients: `model.mu` transforms it
-    back.  The state keeps only what a later step reads (u, u_hat,
-    mu_hat) and the terms of the a-priori scalars, which `apriori`
-    evaluates when first read (the ledger reads them for every state; the
-    cdep pair never does) and then releases.
+    nothing), and returns it: |grad u|^2, then mu_hat, assembled by
+    `_assemble` from u_hat, beta_hat and one forward transform of the
+    nonlinear sum, and ||grad mu||^2.  mu stays in coefficients:
+    `model.mu` transforms it back.  The state keeps only what a later step
+    reads (u, u_hat, mu_hat) and the terms of the a-priori scalars, which
+    `apriori` evaluates when first read (the ledger reads them for every
+    state; the cdep pair never does) and then releases.
     """
 
     __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq",
-                 "_lead", "_apriori", "_pw", "_terms")
+                 "_lead", "_apriori", "_pw", "_beta_hat", "_terms")
 
-    def __init__(self, u: ScalarField, p):
+    def __init__(self, u: ScalarField, p, u_hat: Optional[np.ndarray] = None):
         nl = as_nonlinearity(p)
         vals = u.values
         pw = nl.pointwise(vals)
@@ -132,9 +134,11 @@ class State:
         self._lead = lead = vals.shape[:-grid.dim]
         ch_pot = eta * _sum(pw.F, lead) * w
         self._pw = pw = Pointwise(*pw[:-1], None)  # the part complete() reads: not F
-        self.u_hat = gr.transform_forward(vals, grid)
-        om_vals = gr.transform_backward(ev * self.u_hat, grid) + (pw.beta - nl.params.lam * vals)
-        willmore = 0.5 * _sum(om_vals**2, lead) * w  # omega = A u + f(u)
+        self.u_hat = gr.transform_forward(vals, grid) if u_hat is None else u_hat
+        self._beta_hat = gr.transform_forward(pw.beta, grid)
+        # omega = A u + f(u) with f(u) = beta(u) - lam u, by Parseval from its coefficients
+        om_hat = (ev - nl.params.lam) * self.u_hat + self._beta_hat
+        willmore = 0.5 * _sum(np.abs(om_hat) ** 2, lead) * w
         ch_grad = 0.5 * eta * _spectral_sq(ev, self.u_hat, lead) * w
         self.energy = EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
         self.mu_hat = self.grad_mu_sq = self._apriori = self._terms = None
@@ -148,13 +152,13 @@ class State:
         if self.mu_hat is not None:
             return self
         grid, lead, pw = self.u.grid, self._lead, self._pw
-        gsq = gr.grad_norm_sq(self.u.values, grid)
-        mu_hat, beta_hat, b_vals, curv, nonlinear = _mu_hat(self.nl, grid, pw, gsq,
-                                                            u_hat=self.u_hat)
+        b_vals, curv, nonlinear = _nonlinear(pw, gr.grad_norm_sq(self.u.values, grid))
+        mu_hat = _assemble(self.nl, grid, self.u_hat, self._beta_hat,
+                           gr.transform_forward(nonlinear, grid))
         if not np.all(np.isfinite(mu_hat)):  # mu leaves the state: checked
             raise ShapeError("mu_hat must be finite")
-        self.mu_hat, self._pw = mu_hat, None
-        self._terms = pw.beta, beta_hat, b_vals, curv, nonlinear
+        self._terms = pw.beta, self._beta_hat, b_vals, curv, nonlinear
+        self.mu_hat, self._pw, self._beta_hat = mu_hat, None, None
         root = np.sqrt(_spectral_sq(grid.symbol().eigenvalues, self.mu_hat, lead)
                        * grid.cell_volume)
         # each row squared as a Python float (libm pow), not by the array square
@@ -180,37 +184,23 @@ class State:
         return self._apriori
 
 
-def _assemble(nl, grid, rows, x_hat=None):
-    """(ev^2 - (2 lam - eta) ev) x_hat + 2 ev b_hat + n_hat, and b_hat: mu's and Dmu's sum.
-
-    rows = [b, n] (x's coefficients given as x_hat) or [x, b, n] go
-    through one stacked forward transform.
-    """
+def _assemble(nl, grid, x_hat, b_hat, n_hat):
+    """(ev^2 - (2 lam - eta) ev) x_hat + 2 ev b_hat + n_hat: the sum of mu and of Dmu w."""
     sym = grid.symbol()
     ev = sym.eigenvalues
-    *x_row, b_hat, n_hat = gr.transform_forward(np.stack(rows), grid)
-    x_hat = x_row[0] if x_row else x_hat
     # summed in place (fewer temporaries), in the formula's order
     out = (sym.squared - (2.0 * nl.params.lam - nl.params.eta) * ev) * x_hat
     out += 2.0 * ev * b_hat
     out += n_hat
-    return out, b_hat
+    return out
 
 
-def _mu_hat(nl, grid, pw, gsq, u_hat=None, u=None):
-    """The coefficients of the UOM1 mu of u (one state or a batch on `grid`).
-
-    `_assemble` with b = beta and n = curv + B + g, where B = beta beta' and
-    curv = beta''|grad u|^2 come from the pointwise pass `pw` and gsq =
-    |grad u|^2; u's values `u` in place of `u_hat` join the stacked
-    transform.  Returns mu_hat, beta_hat, B, curv and the nonlinear sum.
-    """
+def _nonlinear(pw, gsq):
+    """B = beta beta', curv = beta''|grad u|^2 and n = curv + B + g, mu's zero-order sum,
+    from the pointwise pass `pw` and gsq = |grad u|^2."""
     b_vals = pw.beta * pw.beta1
     curv = pw.beta2 * gsq
-    nonlinear = curv + b_vals + pw.g
-    rows = [pw.beta, nonlinear] if u is None else [u, pw.beta, nonlinear]
-    mu_hat, beta_hat = _assemble(nl, grid, rows, u_hat)
-    return mu_hat, beta_hat, b_vals, curv, nonlinear
+    return b_vals, curv, curv + b_vals + pw.g
 
 
 def omega(u: ScalarField, p) -> ScalarField:

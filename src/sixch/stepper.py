@@ -29,10 +29,10 @@ Two first-order integrators are provided:
   iterates strictly inside the admissible set (the separation guard).
   Each iterate is evaluated once, for G and the Jacobian alike.  mu(v)
   and the Jacobian action Dmu(v)w share the coefficient-space assembly
-  that completes a `model.State`, `model._assemble`: v, or w and beta' w,
-  join its one forward transform.  No `State` is built per residual,
-  G(u) comes from the previous state's mu_hat, and the Jacobian is built
-  only at an iterate that has not converged.
+  that completes a `model.State`, `model._assemble`: [v, beta, n] or
+  [w, beta' w, n] join one forward transform.  No `State` is built per
+  residual, G(u) comes from the previous state's mu_hat, and the Jacobian
+  is built only at an iterate that has not converged.
 
 A step takes a `model.State` and reads its nonlinearity, `State.nl`,
 whose level is the one setting of the truncated mode: it fixes the
@@ -43,12 +43,15 @@ carries the same `nl`, so the energy test compares one functional.
 
 Both steps share one set-up: they complete the State they step from (a
 no-op if it is completed already) and read its u_hat and mu_hat, and the
-grid's cached symbols of A, A^2 and A^3.  They pin
-the mass mode and return the new state as a candidate `State`.  One
-field (leading shape ()) and a batch (`ScalarField.stack`, (k,)) take one
-path: IMEX steps the rows in the same array operations, with s1 from each
-row's sup norm, and Newton loops over the rows, since lgmres solves one
-system; each row equals its step alone, bit for bit.
+grid's cached symbols of A, A^2 and A^3.  They pin the mass mode and
+return the new state as a candidate `State`.  The IMEX candidate keeps
+the coefficients it solved for as its u_hat.  The Newton candidate
+transforms its values: its mu_hat gives the next step's first residual,
+which dt*a^3 would move past newton_tol by the roundoff between the two.
+One field (leading shape ()) and a batch (`ScalarField.stack`, (k,))
+take one path: IMEX steps the rows in the same array operations, with s1
+from each row's sup norm, and Newton loops over the rows, since lgmres
+solves one system; each row equals its step alone, bit for bit.
 Neither scheme is provably energy stable for this energy, so one adaptive
 step controller, `_march`, enforces dissipation a posteriori.  It steps
 one State, so k trajectories batched into one State go in lockstep with
@@ -76,7 +79,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
 from .grid import ScalarField
-from .model import State, _assemble, _mu_hat
+from .model import State, _assemble, _nonlinear
 from .potential import Nonlinearity
 
 IMEX = "imex"
@@ -178,8 +181,8 @@ def _setup(prev: State, dt: float, cfg: SolverConfig):
     return s1, s2, grid.symbol()
 
 
-def _candidate(prev: State, new_hat: np.ndarray, iters: int) -> StepResult:
-    """The candidate of coefficients new_hat, with each row's mass mode pinned to prev's exactly."""
+def _candidate(prev: State, new_hat: np.ndarray, keep_hat: bool) -> State:
+    """The candidate of coefficients new_hat, mass mode pinned to prev's; its u_hat if keep_hat."""
     grid = prev.u.grid
     mass = (Ellipsis,) + (0,) * grid.dim
     new_hat[mass] = prev.u_hat[mass]
@@ -188,7 +191,7 @@ def _candidate(prev: State, new_hat: np.ndarray, iters: int) -> StepResult:
     fixed = np.all(new_hat == prev.u_hat, axis=tuple(range(-grid.dim, 0)))
     if fixed.any():
         u_new[fixed] = prev.u.values[fixed]
-    return StepResult(State(ScalarField(grid, u_new, prev.u.batch), prev.nl), iters)
+    return State(ScalarField(grid, u_new, prev.u.batch), prev.nl, new_hat if keep_hat else None)
 
 
 def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
@@ -199,7 +202,7 @@ def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     r_hat = prev.mu_hat - sym.squared * u_hat
     stab = s1 * sym.squared + s2 * ev
     new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (sym.cubed + stab))
-    return _candidate(prev, new_hat, 1)
+    return StepResult(_candidate(prev, new_hat, keep_hat=True), 1)
 
 
 def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
@@ -236,9 +239,9 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             grad_dot = np.zeros(grid.shape)
             for ax in range(grid.dim):
                 grad_dot += grads[ax] * gr.gradient_axis(w, grid, ax)
-            # Dmu(v) w is mu's assembly of w, beta' w and the zero-order terms n
-            n = 2.0 * beta2 * grad_dot + zero_order * w
-            dmu_hat, _ = _assemble(nl, grid, [w, beta1 * w, n])
+            # Dmu(v) w is mu's assembly of w, beta' w and the zero-order terms
+            rows = np.stack([w, beta1 * w, 2.0 * beta2 * grad_dot + zero_order * w])
+            dmu_hat = _assemble(nl, grid, *gr.transform_forward(rows, grid))
             return (w + dt * gr.transform_backward(ev * dmu_hat, grid)).ravel()
 
         return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64)
@@ -295,7 +298,8 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             v_vals = v_vals + theta * delta
             np.clip(v_vals, -bound, bound, out=v_vals)
             v, pw, _, gsq = terms = evaluate(v_vals)
-            g_vec = residual(v_vals, _mu_hat(nl, grid, pw, gsq, u=v)[0])
+            rows = np.stack([v, pw.beta, _nonlinear(pw, gsq)[-1]])
+            g_vec = residual(v_vals, _assemble(nl, grid, *gr.transform_forward(rows, grid)))
 
     u_vals = prev.u.values
     imex_diag = np.broadcast_to(1.0 + dt * (sym.cubed + s1 * sym.squared + s2 * ev),
@@ -304,7 +308,9 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     for row in np.ndindex(u_vals.shape[:-grid.dim]):  # () for one field
         v_vals[row], row_iters = newton(u_vals[row], prev.mu_hat[row], imex_diag[row])
         iters = max(iters, row_iters)
-    return _candidate(prev, gr.transform_forward(v_vals, grid), iters)
+    # u_hat from the values, not the solve: the next G(u) reads the candidate's mu_hat,
+    # and dt*a^3 (7e10 at N = 512) lifts the roundoff between the two past newton_tol
+    return StepResult(_candidate(prev, gr.transform_forward(v_vals, grid), keep_hat=False), iters)
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}

@@ -3,16 +3,19 @@
 A refactor described as "same behaviour" must leave `ledger.csv`,
 `summary.json` and `final_state.f64` of a run, and `cdep.json` of a
 paired run, byte-identical.  The hashes were re-recorded when mu moved
-to its one coefficient-space assembly (`model._mu_hat`, for the State
-and the Newton residual alike) and F to the logarithms of the beta trio,
+to its one coefficient-space assembly (for the State and the Newton
+residual alike) and F to the logarithms of the beta trio,
 which moves the outputs by roundoff and the Newton iterates within the
 Newton tolerance; the Newton runs again when the Jacobian action moved
 to the same assembly (`model._assemble`), which moves its Krylov solves
 by roundoff and so the Newton iterates and step sizes, and when the
 Krylov solves took the Jacobian's frozen-coefficient symbol as their
 preconditioner, which moves the Newton iterates within the Newton
-tolerance and so the step sizes; on the environment named in
-`RECORDED_ON`.
+tolerance and so the step sizes; and when a State came to be evaluated
+from its coefficients (the IMEX candidate keeps the coefficients it
+solved for, and the Willmore term is summed by Parseval), which moves
+the IMEX outputs and every energy column by roundoff; on the environment
+named in `RECORDED_ON`.
 Bit-identity is a property of one numpy/scipy build on one CPU feature
 set (numpy dispatches log1p/exp to its AVX512_SKX kernels where the CPU
 has them and `NPY_DISABLE_CPU_FEATURES` leaves them on; AVX512F alone
@@ -99,37 +102,37 @@ RECORDED_ON = {"numpy": "2.4.6", "scipy": "1.17.1", "machine": "x86_64", "avx512
 
 GOLDEN = {
     "bench1d_500": {
-        "ledger.csv": "5b717cf2c52a2d807b26ab28c98fddc08e2aec4dcdf4f914e81f1be6e11c60fc",
-        "summary.json": "cfad86f27177633fa87fe1f8a40a703146c013441617556f3c1b2d6e4af13e90",
-        "final_state.f64": "5a392d68ba4fcaed6b7793fc67a2b9a2c6a96e2b1b8ed9f68857169907069b70",
+        "ledger.csv": "78923ff8714e168438b23a29cd56301814422d00507cdb327099c938a4cf0f07",
+        "summary.json": "75d1deb2a0b5fd3950668dbe2c67394b75d24d01adc7bf5c9ee45735dcfea12d",
+        "final_state.f64": "0c56fea489a0e52c30f12f87b3db6526f4ee957f378da3e853d028539aeaed79",
     },
     "neumann3d_16": {
-        "ledger.csv": "97bbec7590855c3ca9930af512a7cbbc16615830f84328486798204af0b05200",
-        "summary.json": "99623e1e63ce0f3a376fc56f14525b9028e61412c1a7a6eae9ab89b0fd23fcdc",
-        "final_state.f64": "6951a642099bfe71f02c477738d178384f276474deff30731a43a82e664cba53",
+        "ledger.csv": "3d580824aaa08dfeeba94c5be76c201cf33f8dafccfceb476ae48b2eb15338fc",
+        "summary.json": "1a8527099f4b1eefb0a87a504dd47523a31a47f91d37d922052364406fea28e9",
+        "final_state.f64": "aed02ed4e3a305bb725f7a24cc274198acdcf809f03991d511114ad4546fee79",
     },
     "newton1d_20": {
-        "ledger.csv": "69f2f4f679bfec9d61d840a97a1ae4d4b7f9c2219cec270e413252c130aee4bd",
-        "summary.json": "475edd40cd40ff022cd9281a661e5d82d33ec9e81fced7a7dd6b868628197700",
+        "ledger.csv": "a22805bd71e869eb345f3670615f35ac77bdb2eb2f47616bea059a7e3b2d24dc",
+        "summary.json": "5597733746719f376bdb2300f0082f2d8f12da869ee2fa05d18575cb32c27964",
         "final_state.f64": "35b78823734347b8f76fda4c000d8f2edc142496685c9d2f9f2216471a3a9579",
     },
     "imex1d_rejecting": {
-        "ledger.csv": "78d35a95e342e0ac0790fd41e2f250ae42a3433da3a8f41781858965df06aca2",
-        "summary.json": "a32936eac63fc369ca680f48de6a3f8f5311a06d9443edb6d18adc1e0487f0a6",
-        "final_state.f64": "dbf25501bea19dea9f89632125eb25222aef4e95678ac58a24a282aeee7c6b4a",
+        "ledger.csv": "0656b450a7e7dd481ff484f096cfa3eb36a22f9ab3941cd820da3db7e9f2eaca",
+        "summary.json": "482b684be8c6ae6cf250c8fa28087f8e1e8607aee2caca588217b7be7a7419b0",
+        "final_state.f64": "7fe9c51b343ed0141fddd272cf996ab887de6b0fa723618b7f3ab3426378db72",
     },
     "newton1d_rejecting": {
-        "ledger.csv": "e6cf484bb63e1e36925b843e13fbcabd890eb50f389f27af6c944a4b02437b21",
-        "summary.json": "617142711334c31eb1c9159102d11ba08cfdebc61d39d7d46c5d3830b4af5548",
+        "ledger.csv": "d1f4ebb7e0e986f420aa1ea6c41a7146abf7f1cc9f88a1a1fea02f9d0e918b04",
+        "summary.json": "cb9cc520465e770c905f2033a3fae843e786574adfe8b08177fd3050373aa4bf",
         "final_state.f64": "26d3c51a115859f2d35e5c7c349162cd5269575b0b77fe8438f23df7dab5cc22",
     },
     "periodic2d_trunc": {
-        "ledger.csv": "9c45ed96d3b383c74ebafc63dc915b84d4ef9dd1704a73e8e2359b4d3e257289",
-        "summary.json": "e280b259d108bd6aa1d07779369a88cf4f17a3a731da2b5f00c0679010ed2612",
-        "final_state.f64": "9a6eea9341871154b068c0df1dae843e01de5e7756a64b40b9cfc5a0114e763c",
+        "ledger.csv": "33f6d916c3e49f8b6a025b7e80f708401b071f2994028b3877def94b8e20f0f2",
+        "summary.json": "3f938d4ff5743cc0b6d634f0f31199a894d067ea1ec05a28ecbd2afe4993bf08",
+        "final_state.f64": "3f8cc0e8597ae8a94dbe0a99a02f4da08f06d6fd5cbf28e2b89b18eba5d75721",
     },
     "cdep_shipped": {
-        "cdep.json": "749c141ba496088b4a914a8110f0a04fcf9b5ab379d8ea6efcab7b13f40b3c2e",
+        "cdep.json": "c2a7385fb22d10e36b0f200d2a1c8d0229e74fd9bb4c2d048b698fe9df813172",
     },
     "cdep_newton_rejecting": {
         "cdep.json": "1cc6c47d27c50998593d68676e613c4726aa5362c41ecae80291bca004810426",

@@ -83,6 +83,24 @@ class TestGenerate:
         with pytest.raises(SpecError):
             generate(InitialSpec(kind="mode", mean_m=0.0, amplitude=0.1, mode=500), grid)
 
+    def test_periodic_mode_past_half_the_samples_aliased_rejected(self):
+        # on 16 periodic samples mode 12 is mode 4 (within 4e-16) and mode 8
+        # the highest the grid resolves
+        grid = Grid((1.0,), (16,), gr.PERIODIC)
+        check_realizable(InitialSpec(kind="mode", amplitude=0.1, mode=8), grid)
+        with pytest.raises(SpecError, match="resolved"):
+            check_realizable(InitialSpec(kind="mode", amplitude=0.1, mode=12), grid)
+
+    def test_mode_resolved_by_the_first_axis_alone(self):
+        # the mode runs along the first axis, so the 8 samples of the second
+        # do not limit it
+        grid = Grid((1.0, 1.0), (64, 8), gr.NEUMANN)
+        u = generate(InitialSpec(kind="mode", amplitude=0.1, mode=10), grid)
+        x = grid.meshgrid()[0]
+        assert np.allclose(u.values, 0.1 * np.cos(10 * np.pi * x), atol=1e-16)
+        with pytest.raises(SpecError, match="resolved"):
+            check_realizable(InitialSpec(kind="mode", amplitude=0.1, mode=64), grid)
+
 
 class TestRegularize:
     def test_constant_scaling(self, grid):

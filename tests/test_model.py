@@ -9,6 +9,7 @@ from sixch.grid import Grid, ScalarField, constant_field
 from sixch.model import MuFormulation, dispersion_sigma
 from sixch.potential import (Nonlinearity, PotentialParams, TruncationLevel, eval_beta,
                              eval_f, eval_g)
+from sixch.stepper import SolverConfig, step_imex
 
 P0 = PotentialParams(0.0, 0.0)
 BETA_HALF = 0.5493061443340548
@@ -443,9 +444,30 @@ class TestBatchedState:
             model.State(ScalarField.stack([inside, outside]), P0)
 
 
+class TestParsevalWillmore:
+    """The Willmore term 1/2 ||omega||^2 is summed from omega's coefficients
+    (ev - lam) u_hat + beta_hat, by Parseval, with no transform back to values."""
+
+    @pytest.mark.parametrize("grid", [
+        Grid((4 * np.pi,), (96,), gr.NEUMANN),
+        Grid((4 * np.pi, 3 * np.pi), (32, 24), gr.PERIODIC),
+        Grid((4 * np.pi,) * 3, (16,) * 3, gr.NEUMANN),
+    ], ids=["neumann1d", "periodic2d", "neumann3d"])
+    def test_willmore_matches_the_values_path(self, grid):
+        nl = Nonlinearity(PotentialParams(3.0, 1.0))
+        rows = [band_limited(grid, seed=s, cutoff=4, amplitude=0.8) for s in (1, 2)]
+        batch = model.State(ScalarField.stack(rows), nl)
+        for i, u in enumerate(rows):
+            single = model.State(u, nl)
+            reference = 0.5 * np.sum(model.omega(u, nl).values ** 2) * grid.cell_volume
+            assert abs(single.energy.willmore - reference) <= 1e-12 * reference
+            assert batch.energy.willmore[i] == single.energy.willmore
+
+
 class TestCoefficientSpaceMu:
-    """mu_hat is assembled in coefficient space: one stacked forward transform
-    of beta and the nonlinear sum, checked for finiteness where it is made."""
+    """mu_hat is assembled in coefficient space from u_hat, the beta_hat of
+    the State's construction and one forward transform of the nonlinear sum,
+    checked for finiteness where it is made."""
 
     # States the grids resolve, so the forms differ by truncation error only.
     # On the 8^3 grid of TestBatchedState, and past the knee (where the third
@@ -485,7 +507,18 @@ class TestCoefficientSpaceMu:
         u = band_limited(Grid((1.0,), (64,), bc), seed=5)
         transform_calls.clear()  # the ones that made u
         model.State(u, PotentialParams(3.0, 1.0)).complete()
-        # u_hat and A u; the gradient (two calls); beta and the nonlinear sum, stacked
+        # u_hat and beta_hat; the gradient (two calls); the nonlinear sum
+        assert len(transform_calls) == 5, transform_calls
+
+    @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
+    def test_imex_step_and_completion_make_five_transform_calls_in_1d(self, transform_calls,
+                                                                       bc):
+        prev = model.State(band_limited(Grid((1.0,), (64,), bc), seed=5),
+                           PotentialParams(3.0, 1.0)).complete()
+        transform_calls.clear()
+        step_imex(prev, 1e-6, SolverConfig()).state.complete()
+        # the candidate's values from the solved coefficients, which it keeps
+        # as u_hat; beta_hat; the gradient (two calls); the nonlinear sum
         assert len(transform_calls) == 5, transform_calls
 
     @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])

@@ -84,6 +84,19 @@ class TestMassConservation:
         mass = ledger.column("mass")
         assert np.max(np.abs(mass - mass[0])) <= 1e-12
 
+    @pytest.mark.parametrize("grid", [Grid((8 * np.pi,), (64,), gr.NEUMANN),
+                                      Grid((4 * np.pi, 3 * np.pi), (32, 24), gr.PERIODIC)],
+                             ids=["neumann1d", "periodic2d"])
+    def test_imex_candidate_keeps_the_mass_coefficient(self, grid):
+        # the candidate's u_hat is the solve's, mass mode pinned: not a
+        # transform of its values, which would move the mass by roundoff
+        mass = (0,) * grid.dim
+        state = State(noise_state(grid, seed=5), SPINODAL)
+        for _ in range(10):
+            candidate = step_imex(state, 1e-3, bare_cfg(1e-3)).state
+            assert candidate.u_hat[mass] == state.u_hat[mass]
+            state = candidate
+
 
 class TestLinearRegime:
     def test_single_mode_decay_matches_sigma(self):
@@ -181,6 +194,16 @@ class TestNewtonEvaluations:
         out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
         assert counts == {"State": 1, "pointwise": out.inner_iters + 2}
+
+    def test_candidate_coefficients_are_the_transform_of_its_values(self):
+        # the next step's first residual G(u) reads the candidate's mu_hat, so
+        # its u_hat is the transform of its values: the solved coefficients
+        # differ by roundoff, which dt*A^3 lifts past newton_tol
+        grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
+        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
+        prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
+        candidate = step_implicit(prev, 1e-4, cfg).state
+        assert np.array_equal(candidate.u_hat, gr.transform_forward(candidate.u.values, grid))
 
     def test_no_jacobian_at_the_converged_iterate(self, operators, monkeypatch):
         # G(u) comes from the completed prev's mu_hat, a Jacobian is built
