@@ -312,11 +312,10 @@ def gradient_axis(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 
 
 def grad_norm_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Pointwise |grad u|^2 of u's values; tiny negative roundoff is floored to zero."""
+    """Pointwise |grad u|^2 of u's values, a sum of squares from +0, so never negative."""
     acc = np.zeros(values.shape)
     for ax in range(grid.dim):
         acc += gradient_axis(values, grid, ax) ** 2
-    np.maximum(acc, 0.0, out=acc)
     return acc
 
 

@@ -21,11 +21,10 @@ Two first-order integrators are provided:
       1 + dt*(a^3 + c2*a^2 + c1*a),   c2 = 2*mean beta'(u) - (2*lam - eta),
       c1 = mean(beta'''(u)|grad u|^2 + beta'(u)^2 + beta(u)*beta''(u) + g'(u)),
 
-  which is the Jacobian itself at a constant state.  Where an entry of it
-  lies within ``_FROZEN_FLOOR`` of 0 (it can cross 0 where c2 < 0, on a
-  spinodal state at a large dt), that row falls back to the IMEX operator
-  above, whose entries are all at least 1: s1 and s2, set or default,
-  reach Newton only through that fallback.  An update damping keeps
+  which is the Jacobian itself at a constant state.  It can cross 0 where
+  c2 < 0 (a spinodal state at a large dt): an entry within
+  ``_FROZEN_FLOOR`` of 0 is moved out to that distance, its sign kept.
+  s1 and s2 are the IMEX scheme's alone.  An update damping keeps
   iterates strictly inside the admissible set (the separation guard).
   Each iterate is evaluated once, for G and the Jacobian alike.  mu(v)
   and the Jacobian action Dmu(v)w share the coefficient-space assembly
@@ -43,11 +42,11 @@ carries the same `nl`, so the energy test compares one functional.
 
 Both steps share one set-up: they complete the State they step from (a
 no-op if it is completed already) and read its u_hat and mu_hat, and the
-grid's cached symbols of A, A^2 and A^3.  They pin the mass mode and
-return the new state as a candidate `State`.  The IMEX candidate keeps
-the coefficients it solved for as its u_hat.  The Newton candidate
-transforms its values: its mu_hat gives the next step's first residual,
-which dt*a^3 would move past newton_tol by the roundoff between the two.
+grid's cached symbols of A, A^2 and A^3, and return a candidate `State`.
+The IMEX candidate keeps the coefficients it solved for, mass mode pinned.
+The Newton candidate is the iterate it converged to, with the coefficients
+its last residual transformed (prev's own if G(u) converged): they equal
+a transform of its values bit for bit, so the next step's G(u) matches them.
 One field (leading shape ()) and a batch (`ScalarField.stack`, (k,))
 take one path: IMEX steps the rows in the same array operations, with s1
 from each row's sup norm, and Newton loops over the rows, since lgmres
@@ -86,10 +85,10 @@ IMEX = "imex"
 NEWTON = "newton"
 
 _FAST_ITERS = 4  # inner iterations counted as "fast" for step growth
-# Newton's row falls back to the IMEX preconditioner when an entry of the
-# frozen symbol lies within this of 0 (it can cross 0 where c2 < 0): dividing
-# by it would amplify a mode more than 1000 times.  A negative symbol away
-# from 0 is kept, since lgmres needs no definite preconditioner.
+# Newton's preconditioner moves an entry of the frozen symbol within this of 0
+# (it can cross 0 where c2 < 0) out to it, sign kept, so no mode is amplified
+# more than 1000 times.  A negative symbol away from 0 is kept, since lgmres
+# needs no definite preconditioner.
 _FROZEN_FLOOR = 1e-3
 
 
@@ -99,8 +98,8 @@ class SolverConfig:
     dt0: float = 1e-3
     dt_min: float = 1e-9
     dt_max: float = 1e-1
-    s1: Optional[float] = None  # None -> stabilization defaults
-    s2: Optional[float] = None
+    s1: Optional[float] = None  # IMEX only; None -> stabilization defaults
+    s2: Optional[float] = None  # IMEX only
     energy_tol: float = 1e-10
     growth_factor: float = 1.2
     newton_tol: float = 1e-9
@@ -164,45 +163,42 @@ def _frozen_symbol(nl: Nonlinearity, sym, dt: float, beta1: np.ndarray,
     return 1.0 + dt * (sym.cubed + c2 * sym.squared + c1 * sym.eigenvalues)
 
 
-def _setup(prev: State, dt: float, cfg: SolverConfig):
-    """The frame of both steps: completes prev and returns s1, s2 and A's symbol.
-
-    One evaluation for all rows: s1 follows each row's sup norm (unless
-    set), with a 1 per grid axis to broadcast over them; s2 is shared.
-    """
+def _setup(prev: State, dt: float):
+    """The frame of both steps: checks dt, completes prev and returns A's symbol."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     prev.complete()
+    return prev.u.grid.symbol()
+
+
+def _stabilization(prev: State, cfg: SolverConfig):
+    """IMEX's s1 and s2, one evaluation for all rows: s1 follows each row's sup norm
+    (unless set), with a 1 per grid axis to broadcast over them; s2 is shared."""
     grid, vals = prev.u.grid, prev.u.values
     sup = np.abs(vals).reshape(*vals.shape[:-grid.dim], -1).max(axis=-1)
     s1, s2 = default_stabilization(prev.nl, sup_u=sup)
     s1 = np.asarray(s1 if cfg.s1 is None else cfg.s1)[(...,) + (None,) * grid.dim]
     s2 = s2 if cfg.s2 is None else cfg.s2
-    return s1, s2, grid.symbol()
-
-
-def _candidate(prev: State, new_hat: np.ndarray, keep_hat: bool) -> State:
-    """The candidate of coefficients new_hat, mass mode pinned to prev's; its u_hat if keep_hat."""
-    grid = prev.u.grid
-    mass = (Ellipsis,) + (0,) * grid.dim
-    new_hat[mass] = prev.u_hat[mass]
-    u_new = gr.transform_backward(new_hat, grid)
-    # a spectral fixed point (e.g. a constant) keeps its values bit-identical, row by row
-    fixed = np.all(new_hat == prev.u_hat, axis=tuple(range(-grid.dim, 0)))
-    if fixed.any():
-        u_new[fixed] = prev.u.values[fixed]
-    return State(ScalarField(grid, u_new, prev.u.batch), prev.nl, new_hat if keep_hat else None)
+    return s1, s2
 
 
 def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     """One stabilized IMEX step from the State prev (one field or a batch)."""
-    s1, s2, sym = _setup(prev, dt, cfg)
-    ev, u_hat = sym.eigenvalues, prev.u_hat
+    sym = _setup(prev, dt)
+    s1, s2 = _stabilization(prev, cfg)
+    grid, ev, u_hat = prev.u.grid, sym.eigenvalues, prev.u_hat
     # R_hat = mu_hat - a^2 u_hat isolates everything but the bilaplacian.
     r_hat = prev.mu_hat - sym.squared * u_hat
     stab = s1 * sym.squared + s2 * ev
     new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (sym.cubed + stab))
-    return StepResult(_candidate(prev, new_hat, keep_hat=True), 1)
+    mass = (Ellipsis,) + (0,) * grid.dim
+    new_hat[mass] = u_hat[mass]
+    u_new = gr.transform_backward(new_hat, grid)
+    # a spectral fixed point (e.g. a constant) keeps its values bit-identical, row by row
+    fixed = np.all(new_hat == u_hat, axis=tuple(range(-grid.dim, 0)))
+    if fixed.any():
+        u_new[fixed] = prev.u.values[fixed]
+    return StepResult(State(ScalarField(grid, u_new, prev.u.batch), prev.nl, new_hat), 1)
 
 
 def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
@@ -211,7 +207,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     Each row is solved on its own, since lgmres solves one system; the
     candidate's inner iterations are the most any row took.
     """
-    s1, s2, sym = _setup(prev, dt, cfg)
+    sym = _setup(prev, dt)
     nl, grid, ev = prev.nl, prev.u.grid, sym.eigenvalues
     bound = (1.0 if nl.level is None else nl.level.clamp_bound) - cfg.guard_eps
     if np.max(np.abs(prev.u.values)) > bound:
@@ -227,7 +223,6 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
         gsq = np.zeros(grid.shape)  # summed as in grad_norm_sq
         for grad in grads:
             gsq += grad**2
-        np.maximum(gsq, 0.0, out=gsq)
         return v, pw, grads, gsq
 
     def jacobian(pw, grads, zero_order) -> LinearOperator:
@@ -246,10 +241,9 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
 
         return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64)
 
-    def preconditioner(diag: np.ndarray, imex_diag: np.ndarray) -> LinearOperator:
-        """M w: w's coefficients over diag, or over imex_diag if diag has an entry near 0."""
-        if np.min(np.abs(diag)) <= _FROZEN_FLOOR:
-            diag = imex_diag
+    def preconditioner(diag: np.ndarray) -> LinearOperator:
+        """M w: w's coefficients over diag, an entry within _FROZEN_FLOOR of 0 moved out to it."""
+        diag = np.copysign(np.maximum(np.abs(diag), _FROZEN_FLOOR), diag)
 
         def precond(w: np.ndarray) -> np.ndarray:
             w_hat = gr.transform_forward(w.reshape(grid.shape), grid)
@@ -257,22 +251,22 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
 
         return LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
 
-    def newton(u_vals: np.ndarray, mu_hat: np.ndarray, imex_diag: np.ndarray):
-        """Damped Newton iterates from u (mu_hat: its mu's coefficients) to G(v) = 0."""
+    def newton(u_vals: np.ndarray, u_hat: np.ndarray, mu_hat: np.ndarray):
+        """Damped Newton from u to G(v) = 0; the converged v, its coefficients, the iterations."""
 
         def residual(v_vals: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
             """G(v) = v - u + dt*A*mu(v), from the coefficients of mu(v)."""
             lap_mu = gr.transform_backward(mu_hat * ev, grid)  # A mu(v)
             return (v_vals.reshape(grid.shape) - u_vals + dt * lap_mu).ravel()
 
-        v_vals = u_vals.copy().ravel()
+        v_vals, v_hat = u_vals.copy().ravel(), u_hat
         g_vec, terms, M = residual(v_vals, mu_hat), None, None  # G(u) from the completed prev
         tol = cfg.newton_tol * (float(np.linalg.norm(u_vals)) * np.sqrt(grid.cell_volume))
         iters = 0
         while True:
             res = float(np.linalg.norm(g_vec)) * np.sqrt(grid.cell_volume)
             if res <= tol:
-                return v_vals.reshape(grid.shape), iters
+                return v_vals.reshape(grid.shape), v_hat, iters
             if iters >= cfg.newton_max_iters:
                 raise NewtonDivergence(
                     f"no convergence in {cfg.newton_max_iters} iterations (residual {res:.3e})")
@@ -281,7 +275,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             _, pw, grads, gsq = terms
             zero_order = _zero_order(pw, gsq)
             if M is None:  # at u: one preconditioner per row and step
-                M = preconditioner(_frozen_symbol(nl, sym, dt, pw.beta1, zero_order), imex_diag)
+                M = preconditioner(_frozen_symbol(nl, sym, dt, pw.beta1, zero_order))
             delta, _ = lgmres(jacobian(pw, grads, zero_order), -g_vec, M=M,
                               rtol=1e-4, atol=0.0, maxiter=40)
 
@@ -299,18 +293,15 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             np.clip(v_vals, -bound, bound, out=v_vals)
             v, pw, _, gsq = terms = evaluate(v_vals)
             rows = np.stack([v, pw.beta, _nonlinear(pw, gsq)[-1]])
-            g_vec = residual(v_vals, _assemble(nl, grid, *gr.transform_forward(rows, grid)))
+            v_hat, b_hat, n_hat = gr.transform_forward(rows, grid)
+            g_vec = residual(v_vals, _assemble(nl, grid, v_hat, b_hat, n_hat))
 
     u_vals = prev.u.values
-    imex_diag = np.broadcast_to(1.0 + dt * (sym.cubed + s1 * sym.squared + s2 * ev),
-                                u_vals.shape)
-    v_vals, iters = np.empty_like(u_vals), 1
+    v_vals, v_hat, iters = np.empty_like(u_vals), np.empty_like(prev.u_hat), 1
     for row in np.ndindex(u_vals.shape[:-grid.dim]):  # () for one field
-        v_vals[row], row_iters = newton(u_vals[row], prev.mu_hat[row], imex_diag[row])
+        v_vals[row], v_hat[row], row_iters = newton(u_vals[row], prev.u_hat[row], prev.mu_hat[row])
         iters = max(iters, row_iters)
-    # u_hat from the values, not the solve: the next G(u) reads the candidate's mu_hat,
-    # and dt*a^3 (7e10 at N = 512) lifts the roundoff between the two past newton_tol
-    return StepResult(_candidate(prev, gr.transform_forward(v_vals, grid), keep_hat=False), iters)
+    return StepResult(State(ScalarField(grid, v_vals, prev.u.batch), nl, v_hat), iters)
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}
