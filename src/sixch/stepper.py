@@ -24,14 +24,19 @@ Two first-order integrators are provided:
   which is the Jacobian itself at a constant state.  It can cross 0 where
   c2 < 0 (a spinodal state at a large dt): an entry within
   ``_FROZEN_FLOOR`` of 0 is moved out to that distance, its sign kept.
-  s1 and s2 are the IMEX scheme's alone.  An update damping keeps
-  iterates strictly inside the admissible set (the separation guard).
-  Each iterate is evaluated once, for G and the Jacobian alike.  mu(v)
-  and the Jacobian action Dmu(v)w share the coefficient-space assembly
-  that completes a `model.State`, `model._assemble`: [v, beta, n] or
-  [w, beta' w, n] join one forward transform.  No `State` is built per
-  residual, G(u) comes from the previous state's mu_hat, and the Jacobian
-  is built only at an iterate that has not converged.
+  s1 and s2 are the IMEX scheme's alone.  Newton runs in coefficients:
+  G_hat(v) = v_hat - u_hat + dt*a*mu_hat(v) has the norm of G (Parseval),
+  which ``newton_tol`` bounds relative to ||u||; lgmres solves
+  J w_hat = -G_hat, the preconditioner is a division, and the update is
+  damped on values, after one backward transform, so that iterates stay
+  strictly inside the admissible set (the separation guard).  Each
+  iterate is evaluated once, for G and J alike: mu(v) and Dmu(v)w share
+  the assembly that completes a `model.State`, `model._assemble`, of v_hat
+  or w_hat and one forward transform of [v, beta, n] or of beta' w and the
+  zero-order terms, so a matvec makes 4 r2r calls in 1D (w's backward
+  transform and gradient, one forward).  G(u) is dt*a*mu_hat of the previous state, and J is built
+  only at an iterate that has not converged.  Periodic grids take the same
+  path in complex arithmetic: J and M keep vectors Hermitian.
 
 A step takes a `model.State` and reads its nonlinearity, `State.nl`,
 whose level is the one setting of the truncated mode: it fixes the
@@ -213,11 +218,11 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     if np.max(np.abs(prev.u.values)) > bound:
         raise GuardViolation("initial state already violates the separation guard")
 
-    n_dof = math.prod(grid.shape)
+    n_dof, dtype = math.prod(grid.shape), prev.u_hat.dtype
 
     def evaluate(v_vals: np.ndarray):
         """Iterate v, its pointwise pass and its gradients: what G(v) and J(v) read."""
-        v = ScalarField(grid, v_vals.reshape(grid.shape)).values  # an iterate: checked
+        v = ScalarField(grid, v_vals).values  # an iterate: checked
         pw = nl.pointwise(v, jacobian=True)
         grads = [gr.gradient_axis(v, grid, ax) for ax in range(grid.dim)]
         gsq = np.zeros(grid.shape)  # summed as in grad_norm_sq
@@ -226,47 +231,38 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
         return v, pw, grads, gsq
 
     def jacobian(pw, grads, zero_order) -> LinearOperator:
-        """J w = w + dt*A*(Dmu(v) w), the analytic Frechet derivative of G at v."""
+        """J w_hat = w_hat + dt*ev*(Dmu(v) w)_hat, the analytic Frechet derivative of G at v."""
         beta1, beta2 = pw.beta1, pw.beta2
 
-        def jac_vec(w: np.ndarray) -> np.ndarray:
-            w = w.reshape(grid.shape)
+        def jac_vec(w_hat: np.ndarray) -> np.ndarray:
+            w_hat = w_hat.reshape(grid.shape)
+            w = gr.transform_backward(w_hat, grid)
             grad_dot = np.zeros(grid.shape)
             for ax in range(grid.dim):
                 grad_dot += grads[ax] * gr.gradient_axis(w, grid, ax)
             # Dmu(v) w is mu's assembly of w, beta' w and the zero-order terms
-            rows = np.stack([w, beta1 * w, 2.0 * beta2 * grad_dot + zero_order * w])
-            dmu_hat = _assemble(nl, grid, *gr.transform_forward(rows, grid))
-            return (w + dt * gr.transform_backward(ev * dmu_hat, grid)).ravel()
+            rows = np.stack([beta1 * w, 2.0 * beta2 * grad_dot + zero_order * w])
+            dmu_hat = _assemble(nl, grid, w_hat, *gr.transform_forward(rows, grid))
+            return (w_hat + dt * ev * dmu_hat).ravel()
 
-        return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=np.float64)
+        return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=dtype)
 
     def preconditioner(diag: np.ndarray) -> LinearOperator:
-        """M w: w's coefficients over diag, an entry within _FROZEN_FLOOR of 0 moved out to it."""
+        """M w_hat = w_hat / diag, an entry of diag within _FROZEN_FLOOR of 0 moved out to it."""
         diag = np.copysign(np.maximum(np.abs(diag), _FROZEN_FLOOR), diag)
-
-        def precond(w: np.ndarray) -> np.ndarray:
-            w_hat = gr.transform_forward(w.reshape(grid.shape), grid)
-            return gr.transform_backward(w_hat / diag, grid).ravel()
-
-        return LinearOperator((n_dof, n_dof), matvec=precond, dtype=np.float64)
+        return LinearOperator((n_dof, n_dof), dtype=dtype,
+                              matvec=lambda w_hat: (w_hat.reshape(grid.shape) / diag).ravel())
 
     def newton(u_vals: np.ndarray, u_hat: np.ndarray, mu_hat: np.ndarray):
         """Damped Newton from u to G(v) = 0; the converged v, its coefficients, the iterations."""
-
-        def residual(v_vals: np.ndarray, mu_hat: np.ndarray) -> np.ndarray:
-            """G(v) = v - u + dt*A*mu(v), from the coefficients of mu(v)."""
-            lap_mu = gr.transform_backward(mu_hat * ev, grid)  # A mu(v)
-            return (v_vals.reshape(grid.shape) - u_vals + dt * lap_mu).ravel()
-
-        v_vals, v_hat = u_vals.copy().ravel(), u_hat
-        g_vec, terms, M = residual(v_vals, mu_hat), None, None  # G(u) from the completed prev
+        v_vals, v_hat = u_vals, u_hat
+        g_hat, terms, M = dt * ev * mu_hat, None, None  # G(u) from the completed prev
         tol = cfg.newton_tol * (float(np.linalg.norm(u_vals)) * np.sqrt(grid.cell_volume))
         iters = 0
         while True:
-            res = float(np.linalg.norm(g_vec)) * np.sqrt(grid.cell_volume)
+            res = float(np.linalg.norm(g_hat)) * np.sqrt(grid.cell_volume)  # Parseval
             if res <= tol:
-                return v_vals.reshape(grid.shape), v_hat, iters
+                return v_vals, v_hat, iters
             if iters >= cfg.newton_max_iters:
                 raise NewtonDivergence(
                     f"no convergence in {cfg.newton_max_iters} iterations (residual {res:.3e})")
@@ -276,8 +272,9 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             zero_order = _zero_order(pw, gsq)
             if M is None:  # at u: one preconditioner per row and step
                 M = preconditioner(_frozen_symbol(nl, sym, dt, pw.beta1, zero_order))
-            delta, _ = lgmres(jacobian(pw, grads, zero_order), -g_vec, M=M,
-                              rtol=1e-4, atol=0.0, maxiter=40)
+            delta_hat, _ = lgmres(jacobian(pw, grads, zero_order), -g_hat.ravel(), M=M,
+                                  rtol=1e-4, atol=0.0, maxiter=40)
+            delta = gr.transform_backward(delta_hat.reshape(grid.shape), grid)
 
             # damp the update so the iterate keeps the separation guard
             theta = 1.0
@@ -294,7 +291,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             v, pw, _, gsq = terms = evaluate(v_vals)
             rows = np.stack([v, pw.beta, _nonlinear(pw, gsq)[-1]])
             v_hat, b_hat, n_hat = gr.transform_forward(rows, grid)
-            g_vec = residual(v_vals, _assemble(nl, grid, v_hat, b_hat, n_hat))
+            g_hat = v_hat - u_hat + dt * ev * _assemble(nl, grid, v_hat, b_hat, n_hat)
 
     u_vals = prev.u.values
     v_vals, v_hat, iters = np.empty_like(u_vals), np.empty_like(prev.u_hat), 1

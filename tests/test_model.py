@@ -316,7 +316,7 @@ class TestDispersion:
         om = -sympy.diff(u, x, 2) + f.subs(r, u)
         mu_sym = -sympy.diff(om, x, 2) + fp.subs(r, u) * om + eta * om
         rhs = sympy.diff(mu_sym, x, 2)  # du/dt = lap(mu)
-        lin = sympy.series(rhs, eps, 0, 2).removeO().expand()
+        lin = (rhs.subs(eps, 0) + eps * sympy.diff(rhs, eps).subs(eps, 0)).expand()
         sigma_sym = sympy.simplify(lin / (eps * sympy.cos(k * x)))
         k2 = k**2
         closed = -k2 * (k2 + 1 - lam) * (k2 + 1 - lam + eta)

@@ -220,15 +220,19 @@ class TestNewtonEvaluations:
         assert out.inner_iters >= 2
         assert counts == {"State": 1, "pointwise": out.inner_iters + 2}
 
-    def test_candidate_coefficients_are_the_transform_of_its_values(self):
+    @pytest.mark.parametrize("grid, cutoff", [
+        (Grid((8 * np.pi,), (512,), gr.NEUMANN), 20),
+        (Grid((4 * np.pi, 3 * np.pi), (32, 24), gr.PERIODIC), 6),
+    ], ids=["neumann1d", "periodic2d"])
+    def test_candidate_coefficients_are_the_transform_of_its_values(self, grid, cutoff):
         # the next step's first residual G(u) reads the candidate's mu_hat, so
-        # its u_hat is the transform of its values: the solved coefficients
-        # differ by roundoff, which dt*A^3 lifts past newton_tol
-        grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
+        # its u_hat is the transform of its values: the coefficients its last
+        # residual transformed, not the iterate's old ones plus the solved update
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
-        prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
-        candidate = step_implicit(prev, 1e-4, cfg).state
-        assert np.array_equal(candidate.u_hat, gr.transform_forward(candidate.u.values, grid))
+        prev = State(noise_state(grid, cutoff=cutoff), SPINODAL).complete()
+        out = step_implicit(prev, 1e-4, cfg)
+        assert out.inner_iters >= 1
+        assert np.array_equal(out.state.u_hat, gr.transform_forward(out.state.u.values, grid))
 
     def test_candidate_is_the_last_iterate(self, monkeypatch):
         # the candidate's values are those of the iterate Newton converged to,
@@ -252,14 +256,16 @@ class TestNewtonEvaluations:
 
     def test_no_jacobian_at_the_converged_iterate(self, operators, monkeypatch):
         # G(u) comes from the completed prev's mu_hat, a Jacobian is built
-        # per Newton iteration only, and its matvec makes 4 r2r transforms
-        # in 1D: w's gradient, one stacked forward call and one backward
+        # per Newton iteration only, and its matvec on coefficients makes 4
+        # r2r transforms in 1D: one backward, w's gradient and one stacked
+        # forward call; the preconditioner divides and makes none
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
         prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
         out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
         assert len(operators) == 1 + out.inner_iters
+        w_hat = gr.transform_forward(np.linspace(-1.0, 1.0, 512), grid)
         r2r = []
 
         def counted(fn):
@@ -270,7 +276,9 @@ class TestNewtonEvaluations:
 
         for name in ("dct", "dst"):
             monkeypatch.setattr(gr, name, counted(getattr(gr, name)))
-        operators[1].matvec(np.linspace(-1.0, 1.0, 512))
+        operators[0].matvec(w_hat)
+        assert len(r2r) == 0
+        operators[1].matvec(w_hat)
         assert len(r2r) == 4
 
     @pytest.mark.parametrize("grid, cutoff", [
@@ -278,19 +286,21 @@ class TestNewtonEvaluations:
         (Grid((4 * np.pi, 3 * np.pi), (32, 24), gr.PERIODIC), 6),
     ], ids=["neumann1d", "periodic2d"])
     def test_jacobian_is_the_derivative_of_the_residual(self, grid, cutoff, operators):
-        # the first Jacobian, at v = u, against the central difference of
-        # G(v) = v - u + dt A mu(v) built from model.mu; the grids are coarse,
-        # since dt A^3 / h amplifies the roundoff of mu in the difference
+        # the first Jacobian, at v = u, applied to w's coefficients, against
+        # the transform of the central difference of G(v) = v - u + dt A mu(v)
+        # built from model.mu; the grids are coarse, since dt A^3 / h
+        # amplifies the roundoff of mu in the difference
         dt, h = 1e-4, 1e-6
         cfg = SolverConfig(scheme="newton", dt0=dt, dt_min=1e-12, dt_max=5e-2)
         prev = State(noise_state(grid, cutoff=cutoff), SPINODAL).complete()
         assert step_implicit(prev, dt, cfg).inner_iters >= 1
         w = noise_state(grid, seed=11, mean=0.0, amplitude=0.5, cutoff=cutoff).values
-        jw = operators[1].matvec(w.ravel()).reshape(grid.shape)
+        w_hat = gr.transform_forward(w, grid)
+        jw = operators[1].matvec(w_hat.ravel()).reshape(grid.shape)
         mu_p, mu_m = (model.mu(ScalarField(grid, prev.u.values + s * h * w), prev.nl)
                       for s in (1.0, -1.0))
-        fd = w + dt * gr.apply_A((mu_p - mu_m) * (0.5 / h)).values
-        assert np.linalg.norm(jw - fd) <= 1e-4 * np.linalg.norm(jw - w)
+        fd = gr.transform_forward(w + dt * gr.apply_A((mu_p - mu_m) * (0.5 / h)).values, grid)
+        assert np.linalg.norm(jw - fd) <= 1e-4 * np.linalg.norm(jw - w_hat)
 
 
 class TestFrozenSymbolPreconditioner:
@@ -299,14 +309,10 @@ class TestFrozenSymbolPreconditioner:
     `_FROZEN_FLOOR` of 0 moved out to that distance with its sign kept."""
 
     @staticmethod
-    def divides_by(M, diag, grid, atol=0.0):
-        """M applied to a vector of random coefficients divides them by diag,
-        within 1e-10 of each quotient plus atol times the largest."""
+    def divides_by(M, diag, grid):
+        """M applied to a vector of random coefficients divides them by diag, bit for bit."""
         c = np.random.default_rng(5).standard_normal(grid.shape)
-        got = gr.transform_forward(M.matvec(gr.transform_backward(c, grid).ravel())
-                                   .reshape(grid.shape), grid)
-        want = c / diag
-        return np.allclose(got, want, rtol=1e-10, atol=atol * np.max(np.abs(want)))
+        return np.array_equal(M.matvec(c.ravel()).reshape(grid.shape), c / diag)
 
     def test_symbol_is_the_jacobian_at_a_constant_state(self):
         # at a constant state grad u = 0 and every coefficient of Dmu is a
@@ -366,8 +372,7 @@ class TestFrozenSymbolPreconditioner:
         assert np.count_nonzero(near) == 1 and np.abs(frozen).min() < 1e-12
         floored = frozen.copy()
         floored[near] = np.copysign(_FROZEN_FLOOR, frozen[near])  # out to the floor, sign kept
-        # the transforms' roundoff of the floored mode, ~1e3 larger, reaches the others
-        assert self.divides_by(M, floored, grid, atol=1e-12)
+        assert self.divides_by(M, floored, grid)
         assert out.inner_iters <= cfg.newton_max_iters
         assert sum(krylov) <= 150, krylov
         assert out.state.energy.total < prev.energy.total
