@@ -308,7 +308,8 @@ def cmd_cdep(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
     path = outdir / "cdep.json"
     _json_out(path, payload)
     _write_provenance(outdir, config_path, [path])
-    print(f"cdep: fitted C = {report.fitted_C:.6g}, envelope_ok = {report.envelope_ok}")
+    print(f"cdep: fitted C = {report.fitted_C:.6g}, envelope_ok = {report.envelope_ok}, "
+          f"rejections = {report.rejections}")
     return 0
 
 

@@ -146,6 +146,7 @@ class CdepReport:
     fitted_C: float
     envelope_ok: bool
     identical_inputs: bool = False
+    rejections: int = 0  # paired steps rejected on the way, summed over the run
 
 
 def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
@@ -157,12 +158,13 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
     both trajectories in the same array operations and distances are
     sampled at common times; a step is rejected when either trajectory's
     energy rises or leaves the admissible set, and a rejection at dt_min
-    raises StepFloorError.  Each distance is read from the difference of
-    the two rows' coefficients with the mass mode left out, so the
-    roundoff mean of u1 - u2 cannot trip the zero-mean precondition of the
-    dual norm.  C is fitted by least squares on log d^2(t), excluding the
-    startup window t < 5*dt0; envelope_ok checks d^2(t) <= d^2(0) * exp(C t)
-    with one percent slack on the rate.
+    raises StepFloorError; the report counts the rejected steps.  Each
+    distance is read from the difference of the two rows' coefficients
+    with the mass mode left out, so the roundoff mean of u1 - u2 cannot
+    trip the zero-mean precondition of the dual norm.  C is fitted by
+    least squares on log d^2(t), excluding the startup window t < 5*dt0;
+    envelope_ok checks d^2(t) <= d^2(0) * exp(C t) with one percent slack
+    on the rate.
 
     p, PotentialParams or a Nonlinearity, is stepped as given: a level on
     it steps the truncated mode.
@@ -178,14 +180,16 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
     pair = State(ScalarField.stack([u01, u02]), p).complete()
     times = [0.0]
     dist = [distance(pair)]
-    for t, _, _, pair in _march(pair, t_end, cfg):
+    rejections = 0
+    for t, _, rejected, pair in _march(pair, t_end, cfg):
         times.append(t)
         dist.append(distance(pair))
+        rejections += rejected
 
     times_arr = np.array(times)
     dist_arr = np.array(dist)
     if identical:
-        return CdepReport(times_arr, dist_arr, 0.0, True, True)
+        return CdepReport(times_arr, dist_arr, 0.0, True, True, rejections)
 
     skip = 5.0 * cfg.dt0 if fit_skip is None else fit_skip
     window = times_arr >= skip
@@ -199,7 +203,7 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
     d2_0 = dist_arr[0] ** 2
     rate = fitted_c * times_arr + 1e-2 * abs(fitted_c) * times_arr
     ok = bool(np.all(dist_arr**2 <= d2_0 * np.exp(rate) * (1.0 + 1e-9)))
-    return CdepReport(times_arr, dist_arr, fitted_c, ok, False)
+    return CdepReport(times_arr, dist_arr, fitted_c, ok, False, rejections)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ read the potential from it.  A batch is a leading shape, (k,) for a
 `ScalarField.stack` of k and () for one field, and one path serves both,
 so trajectories stepped in lockstep share every call; the scalars are per
 row (float64 scalars or (k,) arrays), each bit-equal to its single State's.
-`energy`, `apriori_diagnostics`, `mu_mean` and the UOM1 branch of `mu`
-delegate to it; `mu` makes the one backward transform of mu_hat.
+`energy`, `apriori_diagnostics` and the UOM1 branch of `mu` delegate to
+it; `mu` makes the one backward transform of mu_hat.
 """
 
 from __future__ import annotations
@@ -83,6 +83,9 @@ class AprioriDiagnostics:
     beta_betaprime_l1: float
     m_integral: float
     n_integral: float
+    # mean(mu) = |Omega|^-1 * integral(beta''(u)|grad u|^2 + beta(u) beta'(u) + g(u)):
+    # only the zero-order terms survive integration, so the mass mode of mu
+    # never depends on spectral cancellation of the differential terms
     mu_mean: float
 
 
@@ -244,18 +247,6 @@ def energy(u: ScalarField, p) -> EnergyBreakdown:
     return State(u, p).energy
 
 
-def mu_mean(u: ScalarField, p) -> float:
-    """Spatial mean of mu via the integrated single-equation form.
-
-    Only the zero-order terms survive integration:
-    mean(mu) = |Omega|^{-1} * integral(beta''(u)|grad u|^2
-               + beta(u) beta'(u) + g(u)).
-    Computed this way the mass mode of mu never depends on spectral
-    cancellation of the differential terms.
-    """
-    return apriori_diagnostics(u, p).mu_mean
-
-
 def arcsin_functional(u: ScalarField) -> float:
     """J(u) = integral |grad(arcsin u)|^2, finite for |u| <= 1.
 
@@ -281,10 +272,11 @@ def arcsin_gateaux(u: ScalarField, phi: ScalarField) -> float:
         raise DomainError("Gateaux derivative needs strict separation from +-1")
     a, a1, _ = eval_a(u.values)
     w = u.grid.cell_volume
-    dot = np.zeros(u.grid.shape)
-    for ax in range(u.grid.dim):
-        dot += gr.gradient_axis(u.values, u.grid, ax) * gr.gradient_axis(phi.values, u.grid, ax)
-    gsq = gr.grad_norm_sq(u.values, u.grid)
+    dot, gsq = np.zeros(u.grid.shape), np.zeros(u.grid.shape)
+    for ax in range(u.grid.dim):  # |grad u|^2 summed from +0 as in grad_norm_sq
+        grad = gr.gradient_axis(u.values, u.grid, ax)
+        dot += grad * gr.gradient_axis(phi.values, u.grid, ax)
+        gsq += grad**2
     return float(np.sum(a * dot) + 0.5 * np.sum(a1 * gsq * phi.values)) * w
 
 

@@ -92,6 +92,13 @@ def _check_closed(r: NDArray[np.float64]) -> None:
         raise DomainError("argument must satisfy |r| <= 1")
 
 
+def _scalars(arr: NDArray[np.float64], *vals):
+    """vals as Python floats if the argument arr is a scalar (0-d), else as they are."""
+    if arr.ndim == 0:
+        return tuple(float(v) for v in vals)
+    return vals
+
+
 def _one_minus_sq(r: NDArray[np.float64]) -> NDArray[np.float64]:
     # (1-r)(1+r) keeps full relative accuracy up to |r| = 1 - 1e-12,
     # where 1 - r*r loses half the digits.
@@ -110,10 +117,8 @@ def eval_beta(r: ArrayLike, logs: bool = False) -> tuple[FloatOrArray, ...]:
     _check_open(arr)
     omr2 = _one_minus_sq(arr)
     lp, lm = np.log1p(arr), np.log1p(-arr)
-    out = (0.5 * (lp - lm), 1.0 / omr2, 2.0 * arr / omr2**2) + ((lp, lm) if logs else ())
-    if np.isscalar(r) or arr.ndim == 0:
-        return tuple(float(v) for v in out)
-    return out
+    return _scalars(arr, 0.5 * (lp - lm), 1.0 / omr2, 2.0 * arr / omr2**2,
+                    *((lp, lm) if logs else ()))
 
 
 def _beta3(r: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -132,10 +137,8 @@ def eval_F(p: PotentialParams, r: ArrayLike) -> FloatOrArray:
     with np.errstate(divide="ignore"):
         lp, lm = np.log1p(arr), np.log1p(-arr)
     # at r = -1 (r = 1) the factor of ln(1+r) (of ln(1-r)) is 0: its -inf reads as 0
-    val = _F(p, arr, np.where(arr == -1.0, 0.0, lp), np.where(arr == 1.0, 0.0, lm))
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(val)
-    return val
+    return _scalars(arr, _F(p, arr, np.where(arr == -1.0, 0.0, lp),
+                            np.where(arr == 1.0, 0.0, lm)))[0]
 
 
 def _F(p: PotentialParams, r, lp, lm):
@@ -146,11 +149,7 @@ def _F(p: PotentialParams, r, lp, lm):
 def eval_f(p: PotentialParams, r: ArrayLike) -> FloatOrArray:
     """Derivative f(r) = F'(r) = beta(r) - lam*r, defined for |r| < 1."""
     arr = _as_array(r)
-    _check_open(arr)
-    val = 0.5 * (np.log1p(arr) - np.log1p(-arr)) - p.lam * arr
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(val)
-    return val
+    return _scalars(arr, eval_beta(arr)[0] - p.lam * arr)[0]
 
 
 def eval_a(r: ArrayLike) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
@@ -161,12 +160,7 @@ def eval_a(r: ArrayLike) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
     arr = _as_array(r)
     _check_open(arr)
     omr2 = _one_minus_sq(arr)
-    a = 2.0 / omr2
-    a1 = 4.0 * arr / omr2**2
-    a2 = 4.0 * (1.0 + 3.0 * arr**2) / omr2**3
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(a), float(a1), float(a2)
-    return a, a1, a2
+    return _scalars(arr, 2.0 / omr2, 4.0 * arr / omr2**2, 4.0 * (1.0 + 3.0 * arr**2) / omr2**3)
 
 
 def eval_g(p: PotentialParams, r: ArrayLike) -> tuple[FloatOrArray, FloatOrArray]:
@@ -179,10 +173,7 @@ def eval_g(p: PotentialParams, r: ArrayLike) -> tuple[FloatOrArray, FloatOrArray
     """
     arr = _as_array(r)
     beta, beta1, beta2 = eval_beta(arr)
-    g, g1 = _g(p, arr, beta, beta1), _g1(p, arr, beta1, beta2)
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(g), float(g1)
-    return g, g1
+    return _scalars(arr, _g(p, arr, beta, beta1), _g1(p, arr, beta1, beta2))
 
 
 def _g(p: PotentialParams, r, beta, beta1):

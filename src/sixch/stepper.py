@@ -130,27 +130,6 @@ class StepResult:
     inner_iters: int
 
 
-def default_stabilization(nl: Nonlinearity, sup_u: float = 0.9) -> tuple[float, float]:
-    """Stabilization constants majorizing the explicit frozen coefficients of nl.
-
-    s1 = max over the admissible range of 2*beta'(r) = 2/(1-r^2) and
-    s2 = |2*lam - eta|.  In truncated mode, nl.level = n, the range is
-    [-b, b] with b = 1 - 1/n, an exact bound.  In exact mode the open interval
-    is unbounded, so the default majorizes over |r| up to the midpoint
-    between the state's sup norm and 1 (states drift toward the binodal,
-    never quite reaching it) and relies on the energy-rejection backstop
-    beyond that (a sup norm >= 1 gives b = 1 - 1e-6).  An array `sup_u`,
-    one sup norm per row, gives an array s1.
-    """
-    if nl.level is not None:
-        b = nl.level.clamp_bound
-    else:
-        b = np.maximum(np.minimum(0.5 * (1.0 + sup_u), 1.0 - 1e-6), 0.9)
-    s1 = 2.0 / ((1.0 - b) * (1.0 + b))
-    s2 = abs(2.0 * nl.params.lam - nl.params.eta)
-    return s1, s2
-
-
 def _zero_order(pw, gsq):
     """beta'''|grad v|^2 + beta'^2 + beta*beta'' + g', the zero-order coefficient of Dmu(v)."""
     return pw.beta3 * gsq + pw.beta1**2 + pw.beta * pw.beta2 + pw.g1
@@ -177,14 +156,28 @@ def _setup(prev: State, dt: float):
 
 
 def _stabilization(prev: State, cfg: SolverConfig):
-    """IMEX's s1 and s2, one evaluation for all rows: s1 follows each row's sup norm
-    (unless set), with a 1 per grid axis to broadcast over them; s2 is shared."""
-    grid, vals = prev.u.grid, prev.u.values
-    sup = np.abs(vals).reshape(*vals.shape[:-grid.dim], -1).max(axis=-1)
-    s1, s2 = default_stabilization(prev.nl, sup_u=sup)
-    s1 = np.asarray(s1 if cfg.s1 is None else cfg.s1)[(...,) + (None,) * grid.dim]
-    s2 = s2 if cfg.s2 is None else cfg.s2
-    return s1, s2
+    """IMEX's s1 and s2, majorizing the explicit frozen coefficients of prev.nl.
+
+    s1 = max of 2*beta'(r) = 2/(1-r^2) over |r| <= b and s2 = |2*lam - eta|,
+    unless cfg sets them.  In truncated mode, nl.level = n, b = 1 - 1/n is an
+    exact bound.  In exact mode the open interval is unbounded, so b is the
+    midpoint of each row's sup norm and 1 (states drift toward the binodal,
+    never quite reaching it), clipped to [0.9, 1 - 1e-6], and the
+    energy-rejection backstop covers the rest.  s1 has one entry per row and
+    a 1 per grid axis to broadcast over them; s2 is shared.
+    """
+    nl, grid = prev.nl, prev.u.grid
+    s1 = cfg.s1
+    if s1 is None:
+        if nl.level is not None:
+            b = nl.level.clamp_bound
+        else:
+            vals = prev.u.values
+            sup = np.abs(vals).reshape(*vals.shape[:-grid.dim], -1).max(axis=-1)
+            b = np.maximum(np.minimum(0.5 * (1.0 + sup), 1.0 - 1e-6), 0.9)
+        s1 = 2.0 / ((1.0 - b) * (1.0 + b))
+    s2 = abs(2.0 * nl.params.lam - nl.params.eta) if cfg.s2 is None else cfg.s2
+    return np.asarray(s1)[(...,) + (None,) * grid.dim], s2
 
 
 def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
@@ -276,14 +269,13 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
                                   rtol=1e-4, atol=0.0, maxiter=40)
             delta = gr.transform_backward(delta_hat.reshape(grid.shape), grid)
 
-            # damp the update so the iterate keeps the separation guard
+            # damp the update so the iterate keeps the separation guard; |v| <= bound
+            # already (the entry guard, the clip), so only a nonzero entry of delta pushes
             theta = 1.0
-            dmax = float(np.max(np.abs(delta)))
-            if dmax > 0.0:
-                room = bound - np.abs(v_vals)
-                pushing = np.abs(v_vals + delta) > bound
-                if np.any(pushing):
-                    theta = min(1.0, 0.95 * float(np.min(room[pushing] / np.abs(delta[pushing]))))
+            pushing = np.abs(v_vals + delta) > bound
+            if np.any(pushing):
+                room = bound - np.abs(v_vals[pushing])
+                theta = min(1.0, 0.95 * float(np.min(room / np.abs(delta[pushing]))))
             if theta < 1e-8:
                 raise GuardViolation("damping cannot keep the Newton iterate admissible")
             v_vals = v_vals + theta * delta

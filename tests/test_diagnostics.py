@@ -147,6 +147,7 @@ class TestCdep:
         u01, u02 = self._base()
         cfg = SolverConfig(dt0=2e-3, dt_min=2e-3, dt_max=2e-3)
         report = cdep_experiment(u01, u02, P0, cfg, t_end=1.0)
+        assert report.rejections == 0  # a fixed dt the pair can take
         assert report.dual_distance[0] > 0.0
         assert report.envelope_ok
         assert report.fitted_C < 0.0

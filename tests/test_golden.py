@@ -222,6 +222,29 @@ def test_cdep_series_match_golden(name, tmp_path):
         assert worst <= ROW_RTOL * scale, f"{key} off by {worst:g} (scale {scale:g})"
 
 
+@pytest.mark.parametrize("name, zero", [("cdep_newton_rejecting", False),
+                                        ("cdep_shipped", True)])
+def test_cdep_reports_its_rejections(name, zero, tmp_path, monkeypatch, capsys):
+    # the summary line counts the attempts that did not become accepted steps
+    from sixch import stepper
+
+    scheme = RUNS[name][1].get("solver", {}).get("scheme", "imex")
+    attempts = []
+    step = stepper._STEPPERS[scheme]
+
+    def counted(*args, **kwargs):
+        attempts.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setitem(stepper._STEPPERS, scheme, counted)
+    out = run_outputs(name, tmp_path)
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    rejections = int(summary.rsplit("rejections = ", 1)[1])
+    accepted = len(json.loads((out / "cdep.json").read_text())["times"]) - 1
+    assert rejections == len(attempts) - accepted
+    assert (rejections == 0) is zero
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -177,18 +177,19 @@ class TestEnergy:
 class TestMuMean:
     def test_zero_and_constant(self):
         grid = Grid((1.0,), (64,), gr.NEUMANN)
-        assert model.mu_mean(constant_field(grid, 0.0), P0) == 0.0
+        assert model.apriori_diagnostics(constant_field(grid, 0.0), P0).mu_mean == 0.0
         p = PotentialParams(1.0, 2.0)
         m = 0.3
         beta, beta1, _ = eval_beta(m)
         expected = beta * beta1 + eval_g(p, m)[0]
-        assert model.mu_mean(constant_field(grid, m), p) == pytest.approx(expected, rel=1e-13)
+        assert (model.apriori_diagnostics(constant_field(grid, m), p).mu_mean
+                == pytest.approx(expected, rel=1e-13))
 
     def test_matches_mean_of_every_formulation(self):
         grid = Grid((1.0,), (256,), gr.PERIODIC)
         p = PotentialParams(2.0, -0.5)
         u = band_limited(grid, seed=7, cutoff=10, amplitude=0.8)
-        target = model.mu_mean(u, p)
+        target = model.apriori_diagnostics(u, p).mu_mean
         # UOM1 shares the zero-order terms with the st:23a integral, so the
         # agreement is tight; the other forms route them through beta'(u)*lap(u),
         # whose k^2-amplified roundoff dominates their means.

@@ -11,8 +11,7 @@ from sixch.initdata import InitialSpec, generate, regularize_initial
 from sixch.model import State, dispersion_sigma
 from sixch.potential import Nonlinearity, PotentialParams, TruncationLevel
 from sixch.stepper import (_FROZEN_FLOOR, SolverConfig, _frozen_symbol, _stabilization,
-                           _zero_order, advance, default_stabilization, step_imex,
-                           step_implicit)
+                           _zero_order, advance, step_imex, step_implicit)
 
 P0 = PotentialParams(0.0, 0.0)
 SPINODAL = PotentialParams(3.0, 1.0)
@@ -493,10 +492,30 @@ class TestTruncatedMode:
 class TestStabilizationDefaults:
     def test_rule(self):
         p = PotentialParams(2.0, -1.0)
-        s1, s2 = default_stabilization(Nonlinearity(p, TruncationLevel(10)))
+        u = constant_field(Grid((1.0,), (8,), gr.NEUMANN), 0.2)
+        s1, s2 = _stabilization(State(u, Nonlinearity(p, TruncationLevel(10))), SolverConfig())
         b = 0.9
         assert s1 == pytest.approx(2.0 / (1 - b**2), rel=1e-12)
         assert s2 == abs(2 * p.lam - p.eta)
+
+    # exact mode: b is the midpoint of sup|u| and 1, clipped to [0.9, 1 - 1e-6]
+    @pytest.mark.parametrize("sup, b", [(0.5, 0.9), (0.95, 0.975), (1.0 - 1e-9, 1.0 - 1e-6)],
+                             ids=["floor", "midpoint", "cap"])
+    def test_exact_rule(self, sup, b):
+        grid = Grid((1.0,), (8,), gr.NEUMANN)
+        for u in (constant_field(grid, sup), constant_field(grid, -sup)):
+            s1, s2 = _stabilization(State(u, SPINODAL), SolverConfig())
+            assert s1.shape == (1,)  # broadcasts over the grid axis
+            assert s1 == pytest.approx(2.0 / ((1 - b) * (1 + b)), rel=1e-12)
+            assert s2 == abs(2 * SPINODAL.lam - SPINODAL.eta)
+
+    def test_exact_rule_per_row(self):
+        grid = Grid((1.0, 2.0), (8, 6), gr.PERIODIC)
+        rows = ScalarField.stack([constant_field(grid, 0.5), constant_field(grid, -0.95)])
+        s1, _ = _stabilization(State(rows, SPINODAL), SolverConfig())
+        assert s1.shape == (2, 1, 1)
+        assert s1[0] == pytest.approx(2.0 / (0.1 * 1.9), rel=1e-12)
+        assert s1[1] == pytest.approx(2.0 / (0.025 * 1.975), rel=1e-12)
 
     def test_config_overrides(self):
         cfg = SolverConfig(s1=7.0, s2=0.5)
