@@ -68,8 +68,8 @@ class RunLedger:
         u = state.complete().u
         if self.dim is None:
             self.dim = u.grid.dim
-        min_u = float(np.min(u.values))
-        max_u = float(np.max(u.values))
+        min_u = float(u.values.min())
+        max_u = float(u.values.max())
         row = LedgerRow(
             t=float(t),
             dt=float(dt),

@@ -23,6 +23,13 @@ All quadrature is uniform (equal weights x cell volume); sums use numpy's
 pairwise reduction, which is deterministic for a fixed array layout.
 Transforms allocate per-call scratch, so grids and fields can be shared
 between concurrently running simulations.
+
+The kernels are scipy's pocketfft, called beneath `scipy.fft`'s backend
+dispatch: `dct` and `dst` call the compiled ``pypocketfft`` binding with
+one thread, and `fftn` and `ifftn` are ``scipy.fft._pocketfft``'s.  Their
+results are bit-equal to the public `scipy.fft` calls, but a backend set
+with `scipy.fft.set_backend` does not reach them.  A scipy without the
+private module falls back to the public functions.
 """
 
 from __future__ import annotations
@@ -31,9 +38,24 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import dct, dst, fftfreq, fftn, ifftn
+from scipy.fft import fftfreq
 
 from .errors import MeanError, ShapeError
+
+try:
+    from scipy.fft._pocketfft import fftn, ifftn, pypocketfft as _pfft
+except ImportError:  # a scipy without the private module: the public functions
+    from scipy.fft import dct, dst, fftn, ifftn
+else:
+    # scipy.fft's forward r2r calls on the real float64 arrays the engine
+    # passes, with scipy's own map of norm to pocketfft's inorm.
+    _INORM = {None: 0, "ortho": 1}
+
+    def dct(x, type, axis, norm=None, overwrite_x=False):
+        return _pfft.dct(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
+
+    def dst(x, type, axis, norm=None, overwrite_x=False):
+        return _pfft.dst(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
 
 NEUMANN = "neumann"
 PERIODIC = "periodic"
@@ -154,7 +176,7 @@ class ScalarField:
         if (values.shape[1:] if batch else values.shape) != grid.shape:
             what = "row" if batch else "values"
             raise ShapeError(f"{what} shape {values.shape} != grid shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ShapeError("field values must all be finite")
         self.grid = grid
         self.values = values
@@ -275,7 +297,7 @@ def integral(u: ScalarField) -> float:
 
 
 def mean(u: ScalarField) -> float:
-    return float(np.sum(u.values) / u.values.size)
+    return float(u.values.sum() / u.values.size)
 
 
 def lp_norm(u: ScalarField, p: float = 2) -> float:

@@ -158,7 +158,7 @@ class State:
         b_vals, curv, nonlinear = _nonlinear(pw, gr.grad_norm_sq(self.u.values, grid))
         mu_hat = _assemble(self.nl, grid, self.u_hat, self._beta_hat,
                            gr.transform_forward(nonlinear, grid))
-        if not np.all(np.isfinite(mu_hat)):  # mu leaves the state: checked
+        if not np.isfinite(mu_hat).all():  # mu leaves the state: checked
             raise ShapeError("mu_hat must be finite")
         self._terms = pw.beta, self._beta_hat, b_vals, curv, nonlinear
         self.mu_hat, self._pw, self._beta_hat = mu_hat, None, None

@@ -83,12 +83,12 @@ def _as_array(r: ArrayLike) -> NDArray[np.float64]:
 
 # "Not all inside" rather than "any outside", so that NaN is rejected too.
 def _check_open(r: NDArray[np.float64]) -> None:
-    if not np.all(np.abs(r) < 1.0):
+    if not (np.abs(r) < 1.0).all():
         raise DomainError("argument must satisfy |r| < 1")
 
 
 def _check_closed(r: NDArray[np.float64]) -> None:
-    if not np.all(np.abs(r) <= 1.0):
+    if not (np.abs(r) <= 1.0).all():
         raise DomainError("argument must satisfy |r| <= 1")
 
 

@@ -142,8 +142,8 @@ def _frozen_symbol(nl: Nonlinearity, sym, dt: float, beta1: np.ndarray,
     and c1 = mean zero_order.  At a constant v it is the Jacobian itself.
     """
     p = nl.params
-    c2 = 2.0 * np.mean(beta1) - (2.0 * p.lam - p.eta)
-    c1 = np.mean(zero_order)
+    c2 = 2.0 * beta1.mean() - (2.0 * p.lam - p.eta)
+    c1 = zero_order.mean()
     return 1.0 + dt * (sym.cubed + c2 * sym.squared + c1 * sym.eigenvalues)
 
 
@@ -193,7 +193,7 @@ def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     new_hat[mass] = u_hat[mass]
     u_new = gr.transform_backward(new_hat, grid)
     # a spectral fixed point (e.g. a constant) keeps its values bit-identical, row by row
-    fixed = np.all(new_hat == u_hat, axis=tuple(range(-grid.dim, 0)))
+    fixed = (new_hat == u_hat).all(axis=tuple(range(-grid.dim, 0)))
     if fixed.any():
         u_new[fixed] = prev.u.values[fixed]
     return StepResult(State(ScalarField(grid, u_new, prev.u.batch), prev.nl, new_hat), 1)
@@ -208,7 +208,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     sym = _setup(prev, dt)
     nl, grid, ev = prev.nl, prev.u.grid, sym.eigenvalues
     bound = (1.0 if nl.level is None else nl.level.clamp_bound) - cfg.guard_eps
-    if np.max(np.abs(prev.u.values)) > bound:
+    if np.abs(prev.u.values).max() > bound:
         raise GuardViolation("initial state already violates the separation guard")
 
     n_dof, dtype = math.prod(grid.shape), prev.u_hat.dtype
@@ -273,7 +273,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             # already (the entry guard, the clip), so only a nonzero entry of delta pushes
             theta = 1.0
             pushing = np.abs(v_vals + delta) > bound
-            if np.any(pushing):
+            if pushing.any():
                 room = bound - np.abs(v_vals[pushing])
                 theta = min(1.0, 0.95 * float(np.min(room / np.abs(delta[pushing]))))
             if theta < 1e-8:
@@ -318,7 +318,7 @@ def _march(state: State, t_end: float, cfg: SolverConfig):
         dt_try = min(dt, t_end - t)
         try:
             result = step_fn(state, dt_try, cfg)
-            ok = np.all(result.state.energy.total <= state.energy.total + cfg.energy_tol)
+            ok = (result.state.energy.total <= state.energy.total + cfg.energy_tol).all()
         except (DomainError, GuardViolation, NewtonDivergence):
             ok = False
         if not ok:

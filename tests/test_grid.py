@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from sixch import grid as gr
 from sixch.errors import MeanError, ShapeError
@@ -359,3 +360,77 @@ class TestBatch:
             for ax in range(grid.dim):
                 assert np.array_equal(gr.gradient_axis(batch.values, grid, ax)[i],
                                       gr.gradient_axis(u.values, grid, ax))
+
+
+class TestKernels:
+    """`grid`'s transform kernels, called beneath scipy.fft's dispatch, are
+    bit-equal to the public scipy.fft functions on every call form the
+    engine makes: each axis counted from the end, with or without a leading
+    batch axis, on views, and in place."""
+
+    SHAPES = [(16,), (8, 6), (6, 5, 4)]
+
+    @staticmethod
+    def arrays(shape):
+        rng = np.random.default_rng(sum(shape))
+        yield rng.standard_normal(shape)
+        yield rng.standard_normal((3,) + shape)  # a batch
+        yield rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]  # a strided view
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=len)
+    @pytest.mark.parametrize("norm", [None, "ortho"])
+    @pytest.mark.parametrize("kind", [2, 3])
+    @pytest.mark.parametrize("name", ["dct", "dst"])
+    def test_r2r_is_the_public_call(self, name, kind, norm, shape):
+        ours, public = getattr(gr, name), getattr(scipy.fft, name)
+        for x in self.arrays(shape):
+            for ax in range(-len(shape), 0):
+                kw = dict(type=kind, axis=ax, norm=norm)
+                before = x.copy()
+                assert np.array_equal(ours(x, **kw), public(x, **kw))
+                assert np.array_equal(x, before)  # the input is left alone
+                y = x.copy()
+                out = ours(y, overwrite_x=True, **kw)
+                assert out is y  # transformed in place
+                assert np.array_equal(out, public(x.copy(), overwrite_x=True, **kw))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=len)
+    @pytest.mark.parametrize("name", ["fftn", "ifftn"])
+    def test_c2c_is_the_public_call(self, name, shape):
+        ours, public = getattr(gr, name), getattr(scipy.fft, name)
+        grid_axes = tuple(range(-len(shape), 0))
+        forms = [dict(axes=grid_axes, norm="ortho")] + [dict(axes=(ax,)) for ax in grid_axes]
+        for x in self.arrays(shape):
+            for arr in (x, x + 0.5j * x[..., ::-1]):
+                for kw in forms:
+                    assert np.array_equal(ours(arr, **kw), public(arr, **kw))
+
+    def test_a_scipy_fft_backend_does_not_reach_the_engine(self):
+        pytest.importorskip("scipy.fft._pocketfft")
+
+        class Refusing:
+            __ua_domain__ = "numpy.scipy.fft"
+
+            @staticmethod
+            def __ua_function__(method, args, kwargs):
+                raise RuntimeError(f"backend called for {method.__name__}")
+
+        grids = [Grid((1.0,), (32,), gr.NEUMANN), Grid((1.0, 2.0), (8, 12), gr.PERIODIC),
+                 Grid((1.0,) * 3, (6,) * 3, gr.NEUMANN)]
+        fields = [random_field(g, seed=4).values for g in grids]
+
+        def run():
+            out = []
+            for g, u in zip(grids, fields):
+                c = gr.transform_forward(u, g)
+                out += [c, gr.transform_backward(c, g)]
+                out += [gr.gradient_axis(u, g, ax) for ax in range(g.dim)]
+            return out
+
+        expected = run()
+        with scipy.fft.set_backend(Refusing):
+            with pytest.raises(RuntimeError, match="backend called"):
+                scipy.fft.dct(fields[0])
+            got = run()
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
