@@ -25,11 +25,11 @@ Transforms allocate per-call scratch, so grids and fields can be shared
 between concurrently running simulations.
 
 The kernels are scipy's pocketfft, called beneath `scipy.fft`'s backend
-dispatch: `dct` and `dst` call the compiled ``pypocketfft`` binding with
-one thread, and `fftn` and `ifftn` are ``scipy.fft._pocketfft``'s.  Their
-results are bit-equal to the public `scipy.fft` calls, but a backend set
-with `scipy.fft.set_backend` does not reach them.  A scipy without the
-private module falls back to the public functions.
+dispatch: `dct` and `dst` call the compiled ``pypocketfft`` binding
+(``scipy.fft._pocketfft.basic.pfft``) with one thread, and `fftn` and
+`ifftn` are ``scipy.fft._pocketfft``'s.  Their results are bit-equal to
+the public `scipy.fft` calls, but a backend set with
+`scipy.fft.set_backend` does not reach them.
 """
 
 from __future__ import annotations
@@ -39,23 +39,23 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import fftfreq
+from scipy.fft._pocketfft import basic as _basic, fftn, ifftn
 
 from .errors import MeanError, ShapeError
 
-try:
-    from scipy.fft._pocketfft import fftn, ifftn, pypocketfft as _pfft
-except ImportError:  # a scipy without the private module: the public functions
-    from scipy.fft import dct, dst, fftn, ifftn
-else:
-    # scipy.fft's forward r2r calls on the real float64 arrays the engine
-    # passes, with scipy's own map of norm to pocketfft's inorm.
-    _INORM = {None: 0, "ortho": 1}
+# scipy.fft's forward r2r calls on the real float64 arrays the engine
+# passes, with scipy's own map of norm to pocketfft's inorm.  The binding
+# is looked up on `basic` at each call, where scipy.fft's c2c code finds it.
+_INORM = {None: 0, "ortho": 1}
 
-    def dct(x, type, axis, norm=None, overwrite_x=False):
-        return _pfft.dct(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
 
-    def dst(x, type, axis, norm=None, overwrite_x=False):
-        return _pfft.dst(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
+def dct(x, type, axis, norm=None, overwrite_x=False):
+    return _basic.pfft.dct(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
+
+
+def dst(x, type, axis, norm=None, overwrite_x=False):
+    return _basic.pfft.dst(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
+
 
 NEUMANN = "neumann"
 PERIODIC = "periodic"

@@ -406,8 +406,6 @@ class TestKernels:
                     assert np.array_equal(ours(arr, **kw), public(arr, **kw))
 
     def test_a_scipy_fft_backend_does_not_reach_the_engine(self):
-        pytest.importorskip("scipy.fft._pocketfft")
-
         class Refusing:
             __ua_domain__ = "numpy.scipy.fft"
 
