@@ -26,7 +26,7 @@ Two first-order integrators are provided:
   ``_FROZEN_FLOOR`` of 0 is moved out to that distance, its sign kept.
   s1 and s2 are the IMEX scheme's alone.  Newton runs in coefficients:
   G_hat(v) = v_hat - u_hat + dt*a*mu_hat(v) has the norm of G (Parseval),
-  which ``newton_tol`` bounds relative to ||u||; lgmres solves
+  which ``newton_tol`` bounds relative to ||u||; `lgmres` solves
   J w_hat = -G_hat, the preconditioner is a division, and the update is
   damped on values, after one backward transform, so that iterates stay
   strictly inside the admissible set (the separation guard).  Each
@@ -37,6 +37,14 @@ Two first-order integrators are provided:
   transform and gradient, one forward).  G(u) is dt*a*mu_hat of the previous state, and J is built
   only at an iterate that has not converged.  Periodic grids take the same
   path in complex arithmetic: J and M keep vectors Hermitian.
+
+  `lgmres` is left-preconditioned GMRES in numpy, one cycle of at most
+  30 Arnoldi steps from w_hat = 0, stopped at ||M(b - J w_hat)|| <=
+  1e-4*||M b||: the Krylov space and stopping test of scipy's lgmres's
+  first cycle, without its matvec at 0, its true-residual matvec and its
+  restart, so a Newton iteration makes about 2 Jacobian matvecs (4 with
+  scipy's), and Newton's own residual G decides.  It keeps the name
+  `lgmres`, under which the benchmark's tracer counts its matvecs.
 
 A step takes a `model.State` and reads its nonlinearity, `State.nl`,
 whose level is the one setting of the truncated mode: it fixes the
@@ -54,7 +62,7 @@ its last residual transformed (prev's own if G(u) converged): they equal
 a transform of its values bit for bit, so the next step's G(u) matches them.
 One field (leading shape ()) and a batch (`ScalarField.stack`, (k,))
 take one path: IMEX steps the rows in the same array operations, with s1
-from each row's sup norm, and Newton loops over the rows, since lgmres
+from each row's sup norm, and Newton loops over the rows, since `lgmres`
 solves one system; each row equals its step alone, bit for bit.
 Neither scheme is provably energy stable for this energy, so one adaptive
 step controller, `_march`, enforces dissipation a posteriori.  It steps
@@ -75,10 +83,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
@@ -92,9 +99,74 @@ NEWTON = "newton"
 _FAST_ITERS = 4  # inner iterations counted as "fast" for step growth
 # Newton's preconditioner moves an entry of the frozen symbol within this of 0
 # (it can cross 0 where c2 < 0) out to it, sign kept, so no mode is amplified
-# more than 1000 times.  A negative symbol away from 0 is kept, since lgmres
-# needs no definite preconditioner.
+# more than 1000 times.  A negative symbol away from 0 is kept, since GMRES
+# needs no definite preconditioner; about 2 Jacobian matvecs then meet
+# `lgmres`'s rtol per Newton iteration.
 _FROZEN_FLOOR = 1e-3
+_INNER_M = 30  # most Arnoldi steps of one Krylov solve (scipy lgmres's inner_m)
+
+
+class LinearOperator(NamedTuple):
+    """A square operator as `lgmres` reads it: its shape, x -> A x, and dtype."""
+
+    shape: tuple
+    matvec: Callable
+    dtype: np.dtype
+
+
+def lgmres(A, b, M, rtol):
+    """Left-preconditioned GMRES from x = 0 to ||M(b - A x)|| <= rtol*||M b||.
+
+    The Krylov space and stopping test of the first cycle of scipy's lgmres,
+    without its matvec at x = 0, its true-residual matvec or a restart: at
+    most `_INNER_M` Arnoldi steps (modified Gram-Schmidt), Givens rotations
+    for the residual at each step and one back-substitution for x.  A step
+    whose new direction is h <= eps*||w|| (breakdown) ends the solve.  Only
+    A.matvec, M.matvec, A.shape and A.dtype are read; complex vectors take the
+    same path.  Returns (x, info): info is 0 if the test is met, else the steps
+    taken, and x the minimal-residual iterate.
+    """
+    n, dtype = A.shape[0], A.dtype
+    r = M.matvec(b)
+    beta = np.linalg.norm(r)
+    if beta == 0.0:
+        return np.zeros(n, dtype), 0
+    eps = np.finfo(dtype).eps
+    V = np.empty((_INNER_M + 1, n), dtype)  # the Krylov basis, one row each
+    R = np.zeros((_INNER_M, _INNER_M), dtype)  # the Hessenberg matrix, rotated
+    rotations, g = [], [beta]  # g: the rotated beta*e_1
+    V[0] = r / beta
+    for j in range(_INNER_M):
+        w = V[j + 1]
+        w[:] = M.matvec(A.matvec(V[j]))
+        w_norm = np.linalg.norm(w)
+        col = []  # column j of the Hessenberg matrix, by modified Gram-Schmidt
+        for v in V[: j + 1]:
+            col.append(np.vdot(v, w))
+            w -= col[-1] * v
+        h = np.linalg.norm(w)
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = (c * col[i] + s * col[i + 1],
+                                  c * col[i + 1] - s.conjugate() * col[i])
+        a = col[j]  # the rotation [[c, s], [-conj(s), c]] takes (a, h) to (col[j], 0)
+        if a == 0:
+            c, s, col[j] = 0.0, 1.0, h
+        else:
+            d = math.hypot(abs(a), h)
+            c, s, col[j] = abs(a) / d, a / abs(a) * (h / d), a / abs(a) * d
+        rotations.append((c, s))
+        R[: j + 1, j] = col
+        g.append(-s.conjugate() * g[j])
+        g[j] = c * g[j]
+        converged = abs(g[j + 1]) <= rtol * beta
+        if converged or not h > eps * w_norm:
+            break
+        w /= h
+    k = j + 1 if R[j, j] != 0 else j  # a zero pivot (J M singular): column j adds nothing
+    y = np.zeros(k, dtype)
+    for i in reversed(range(k)):
+        y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
+    return y @ V[:k], 0 if converged else j + 1
 
 
 @dataclass(frozen=True)
@@ -202,7 +274,7 @@ def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
 def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     """One damped Newton--Krylov step from the State prev (one field or a batch).
 
-    Each row is solved on its own, since lgmres solves one system; the
+    Each row is solved on its own, since `lgmres` solves one system; the
     candidate's inner iterations are the most any row took.
     """
     sym = _setup(prev, dt)
@@ -265,8 +337,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             zero_order = _zero_order(pw, gsq)
             if M is None:  # at u: one preconditioner per row and step
                 M = preconditioner(_frozen_symbol(nl, sym, dt, pw.beta1, zero_order))
-            delta_hat, _ = lgmres(jacobian(pw, grads, zero_order), -g_hat.ravel(), M=M,
-                                  rtol=1e-4, atol=0.0, maxiter=40)
+            delta_hat, _ = lgmres(jacobian(pw, grads, zero_order), -g_hat.ravel(), M=M, rtol=1e-4)
             delta = gr.transform_backward(delta_hat.reshape(grid.shape), grid)
 
             # damp the update so the iterate keeps the separation guard; |v| <= bound

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sixch
 from sixch.cli import main, parse_config
 from sixch.diagnostics import dispersion_wavenumber
 from sixch.errors import ConfigError
@@ -585,3 +588,14 @@ class TestBadInputProperty:
             path.write_text(text)
             assert main(["sweep", "--config", str(path), "--out", str(Path(tmp) / "out"),
                          *argv]) in (0, 1, 2)
+
+
+def test_cli_import_loads_neither_scipy_sparse_nor_linalg():
+    # scipy serves the engine through scipy.fft alone; the Newton solve is
+    # numpy, so a run neither loads nor holds scipy.sparse and scipy.linalg
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import sixch.cli; "
+              "print([m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))])")
+    src = str(Path(sixch.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"
