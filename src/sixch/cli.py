@@ -247,8 +247,8 @@ def cmd_run(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
     summary = {
         "final_time": rows[-1].t,
         "steps": len(rows) - 1,
-        "rejections": int(sum(r.rejections for r in rows)),
-        "final_energy": rows[-1].energy.total,
+        "rejections": sum(r.rejections for r in rows),
+        "final_energy": rows[-1].E_total,
         "final_delta_sep": rows[-1].delta_sep,
         "mass_drift": abs(rows[-1].mass - rows[0].mass),
     }

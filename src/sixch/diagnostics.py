@@ -10,6 +10,7 @@ dependence envelope in the dual norm, and truncation-level convergence.
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import grid as gr
 from .errors import MeanMismatch, RangeError, ShapeError
 from .grid import ScalarField
-from .model import AprioriDiagnostics, EnergyBreakdown, State, dispersion_sigma
+from .model import State, dispersion_sigma
 from .potential import Nonlinearity, PotentialParams, TruncationLevel
 from .stepper import SolverConfig, _march, advance, step_imex
 
@@ -27,25 +28,9 @@ CSV_COLUMNS = ["t", "dt", "mass", "E_total", "E_willmore", "E_ch_grad", "E_ch_po
                "betabp_l1", "M_int", "N_int", "mu_mean", "rejections"]
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    t: float
-    dt: float
-    mass: float
-    energy: EnergyBreakdown
-    grad_mu_sq: float
-    min_u: float
-    max_u: float
-    delta_sep: float
-    apriori: AprioriDiagnostics
-    rejections: int
-
-    def as_csv_values(self) -> list:
-        e, a = self.energy, self.apriori
-        return [self.t, self.dt, self.mass, e.total, e.willmore, e.ch_grad, e.ch_pot,
-                self.grad_mu_sq, self.min_u, self.max_u, self.delta_sep, a.beta_l2,
-                a.grad_beta_l2, a.beta_betaprime_l1, a.m_integral, a.n_integral,
-                a.mu_mean, self.rejections]
+# One row per accepted state: its CSV row, in CSV_COLUMNS order, of Python
+# floats (whose str is their repr) and the int rejections.
+LedgerRow = namedtuple("LedgerRow", CSV_COLUMNS)
 
 
 class RunLedger:
@@ -68,20 +53,12 @@ class RunLedger:
         u = state.complete().u
         if self.dim is None:
             self.dim = u.grid.dim
-        min_u = float(u.values.min())
-        max_u = float(u.values.max())
-        row = LedgerRow(
-            t=float(t),
-            dt=float(dt),
-            mass=gr.mean(u),
-            energy=state.energy,
-            grad_mu_sq=state.grad_mu_sq,
-            min_u=min_u,
-            max_u=max_u,
-            delta_sep=1.0 - max(abs(min_u), abs(max_u)),
-            apriori=state.apriori,
-            rejections=int(rejections),
-        )
+        min_u, max_u = u.values.min(), u.values.max()
+        e, a = state.energy, state.apriori
+        row = LedgerRow(*map(float, (
+            t, dt, gr.mean(u), e.total, e.willmore, e.ch_grad, e.ch_pot, state.grad_mu_sq,
+            min_u, max_u, 1.0 - max(abs(min_u), abs(max_u)), a.beta_l2, a.grad_beta_l2,
+            a.beta_betaprime_l1, a.m_integral, a.n_integral, a.mu_mean)), int(rejections))
         if self.rows and row.t <= self.rows[-1].t:
             raise RangeError("ledger times must be strictly increasing")
         self.rows.append(row)
@@ -92,8 +69,8 @@ class RunLedger:
     # -- column access -----------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:
-        idx = CSV_COLUMNS.index(name)
-        return np.array([r.as_csv_values()[idx] for r in self.rows])
+        idx = CSV_COLUMNS.index(name)  # not getattr: index and count are tuple methods
+        return np.array([r[idx] for r in self.rows])
 
     @property
     def times(self) -> np.ndarray:
@@ -105,10 +82,7 @@ class RunLedger:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                # the repr of a float64 scalar names its type; a Python float's does not
-                writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                                 for v in row.as_csv_values()])
+            writer.writerows(self.rows)
 
 
 def energy_identity_residual(ledger: RunLedger, t1: float, t2: float) -> float:
@@ -132,7 +106,7 @@ def energy_identity_residual(ledger: RunLedger, t1: float, t2: float) -> float:
         raise RangeError("window contains fewer than two recorded states")
     rows = [ledger.rows[i] for i in idx]
     dissipated = sum((b.t - a.t) * a.grad_mu_sq for a, b in zip(rows[:-1], rows[1:]))
-    return abs(rows[-1].energy.total - rows[0].energy.total + dissipated)
+    return abs(rows[-1].E_total - rows[0].E_total + dissipated)
 
 
 # ---------------------------------------------------------------------------

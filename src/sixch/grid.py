@@ -14,10 +14,10 @@ eigenvalues >= 0 and a one-dimensional kernel of constants (mode 0).  On
 zero-mean fields its inverse N = A^{-1} defines the dual norm
 ``||g||_{V0'} = ||grad(N g)|| = sqrt(<g, N g>)``.
 
-The spectral kernels (the transforms, `gradient_axis`, `grad_norm_sq`)
-act on ndarrays over their trailing ``grid.dim`` axes, so leading axes
-are a batch; the field calculus above them takes `ScalarField`s, which
-check shape and finiteness when built.
+The spectral kernels (the transforms, `gradient_axis`, `gradients`,
+`grad_norm_sq`) act on ndarrays over their trailing ``grid.dim`` axes,
+so leading axes are a batch; the field calculus above them takes
+`ScalarField`s, which check shape and finiteness when built.
 
 All quadrature is uniform (equal weights x cell volume); sums use numpy's
 pairwise reduction, which is deterministic for a fixed array layout.
@@ -333,12 +333,14 @@ def gradient_axis(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return dst(z, type=3, axis=ax) / 2.0
 
 
+def gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """The spectral partial derivatives of u's values, one per grid axis, in order."""
+    return [gradient_axis(values, grid, ax) for ax in range(grid.dim)]
+
+
 def grad_norm_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Pointwise |grad u|^2 of u's values, a sum of squares from +0, so never negative."""
-    acc = np.zeros(values.shape)
-    for ax in range(grid.dim):
-        acc += gradient_axis(values, grid, ax) ** 2
-    return acc
+    return sum(grad**2 for grad in gradients(values, grid))
 
 
 def h1_seminorm(u: ScalarField) -> float:

@@ -271,13 +271,10 @@ def arcsin_gateaux(u: ScalarField, phi: ScalarField) -> float:
     if np.max(np.abs(u.values)) >= 1.0:
         raise DomainError("Gateaux derivative needs strict separation from +-1")
     a, a1, _ = eval_a(u.values)
-    w = u.grid.cell_volume
-    dot, gsq = np.zeros(u.grid.shape), np.zeros(u.grid.shape)
-    for ax in range(u.grid.dim):  # |grad u|^2 summed from +0 as in grad_norm_sq
-        grad = gr.gradient_axis(u.values, u.grid, ax)
-        dot += grad * gr.gradient_axis(phi.values, u.grid, ax)
-        gsq += grad**2
-    return float(np.sum(a * dot) + 0.5 * np.sum(a1 * gsq * phi.values)) * w
+    grads = gr.gradients(u.values, u.grid)
+    dot = sum(g * gp for g, gp in zip(grads, gr.gradients(phi.values, u.grid)))
+    gsq = sum(g**2 for g in grads)  # as grad_norm_sq sums it
+    return float(np.sum(a * dot) + 0.5 * np.sum(a1 * gsq * phi.values)) * u.grid.cell_volume
 
 
 def apriori_diagnostics(u: ScalarField, p) -> AprioriDiagnostics:

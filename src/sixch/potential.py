@@ -158,9 +158,8 @@ def eval_a(r: ArrayLike) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
     a'(r) = 4r/(1-r^2)^2 and a''(r) = 4(1+3r^2)/(1-r^2)^3; a >= 2 always.
     """
     arr = _as_array(r)
-    _check_open(arr)
-    omr2 = _one_minus_sq(arr)
-    return _scalars(arr, 2.0 / omr2, 4.0 * arr / omr2**2, 4.0 * (1.0 + 3.0 * arr**2) / omr2**3)
+    _, beta1, beta2 = eval_beta(arr)  # doubling is exact: the closed forms, bit for bit
+    return _scalars(arr, 2.0 * beta1, 2.0 * beta2, 2.0 * _beta3(arr))
 
 
 def eval_g(p: PotentialParams, r: ArrayLike) -> tuple[FloatOrArray, FloatOrArray]:

@@ -27,24 +27,26 @@ Two first-order integrators are provided:
   s1 and s2 are the IMEX scheme's alone.  Newton runs in coefficients:
   G_hat(v) = v_hat - u_hat + dt*a*mu_hat(v) has the norm of G (Parseval),
   which ``newton_tol`` bounds relative to ||u||; `lgmres` solves
-  J w_hat = -G_hat, the preconditioner is a division, and the update is
-  damped on values, after one backward transform, so that iterates stay
-  strictly inside the admissible set (the separation guard).  Each
-  iterate is evaluated once, for G and J alike: mu(v) and Dmu(v)w share
-  the assembly that completes a `model.State`, `model._assemble`, of v_hat
-  or w_hat and one forward transform of [v, beta, n] or of beta' w and the
-  zero-order terms, so a matvec makes 4 r2r calls in 1D (w's backward
-  transform and gradient, one forward).  G(u) is dt*a*mu_hat of the previous state, and J is built
-  only at an iterate that has not converged.  Periodic grids take the same
-  path in complex arithmetic: J and M keep vectors Hermitian.
+  J w_hat = -G_hat, preconditioned by one division by M, the floored
+  symbol, and the update is damped on values, after one backward
+  transform, so that iterates stay strictly inside the admissible set
+  (the separation guard).  Each iterate is evaluated once, for G and J
+  alike: mu(v) and Dmu(v)w share the assembly that completes a
+  `model.State`, `model._assemble`, of v_hat or w_hat and one forward
+  transform of [v, beta, n] or of beta' w and the zero-order terms, so a
+  matvec makes 4 r2r calls in 1D (w's backward transform and gradient,
+  one forward).  G(u) is dt*a*mu_hat of the previous state, and J is
+  built only at an iterate that has not converged.  Periodic grids take
+  the same path in complex arithmetic: J and the real M keep vectors
+  Hermitian.
 
   `lgmres` is left-preconditioned GMRES in numpy, one cycle of at most
-  30 Arnoldi steps from w_hat = 0, stopped at ||M(b - J w_hat)|| <=
-  1e-4*||M b||: the Krylov space and stopping test of scipy's lgmres's
+  30 Arnoldi steps from w_hat = 0, stopped at ||(b - J w_hat)/M|| <=
+  1e-4*||b/M||: the Krylov space and stopping test of scipy's lgmres's
   first cycle, without its matvec at 0, its true-residual matvec and its
-  restart, so a Newton iteration makes about 2 Jacobian matvecs (4 with
-  scipy's), and Newton's own residual G decides.  It keeps the name
-  `lgmres`, under which the benchmark's tracer counts its matvecs.
+  restart, so a Newton iteration makes about 2 Jacobian matvecs, and
+  Newton's own residual G decides.  It keeps the name `lgmres`, under
+  which the benchmark's tracer counts its matvecs.
 
 A step takes a `model.State` and reads its nonlinearity, `State.nl`,
 whose level is the one setting of the truncated mode: it fixes the
@@ -97,11 +99,12 @@ IMEX = "imex"
 NEWTON = "newton"
 
 _FAST_ITERS = 4  # inner iterations counted as "fast" for step growth
-# Newton's preconditioner moves an entry of the frozen symbol within this of 0
-# (it can cross 0 where c2 < 0) out to it, sign kept, so no mode is amplified
-# more than 1000 times.  A negative symbol away from 0 is kept, since GMRES
-# needs no definite preconditioner; about 2 Jacobian matvecs then meet
-# `lgmres`'s rtol per Newton iteration.
+# `_frozen_symbol` moves an entry within this of 0 (the symbol can cross 0
+# where c2 < 0) out to it, sign kept, so that M, the floored symbol that
+# Newton's Krylov solves divide by, amplifies no mode more than 1000 times.
+# A negative entry away from 0 is kept, since GMRES needs no definite
+# preconditioner; about 2 Jacobian matvecs then meet `lgmres`'s rtol per
+# Newton iteration.
 _FROZEN_FLOOR = 1e-3
 _INNER_M = 30  # most Arnoldi steps of one Krylov solve (scipy lgmres's inner_m)
 
@@ -115,19 +118,20 @@ class LinearOperator(NamedTuple):
 
 
 def lgmres(A, b, M, rtol):
-    """Left-preconditioned GMRES from x = 0 to ||M(b - A x)|| <= rtol*||M b||.
+    """Left-preconditioned GMRES from x = 0 to ||(b - A x)/M|| <= rtol*||b/M||.
 
     The Krylov space and stopping test of the first cycle of scipy's lgmres,
     without its matvec at x = 0, its true-residual matvec or a restart: at
     most `_INNER_M` Arnoldi steps (modified Gram-Schmidt), Givens rotations
     for the residual at each step and one back-substitution for x.  A step
-    whose new direction is h <= eps*||w|| (breakdown) ends the solve.  Only
-    A.matvec, M.matvec, A.shape and A.dtype are read; complex vectors take the
+    whose new direction is h <= eps*||w|| (breakdown) ends the solve.  Of A
+    only A.matvec, A.shape and A.dtype are read; M is an array of b's shape
+    that each preconditioned vector is divided by.  Complex vectors take the
     same path.  Returns (x, info): info is 0 if the test is met, else the steps
     taken, and x the minimal-residual iterate.
     """
     n, dtype = A.shape[0], A.dtype
-    r = M.matvec(b)
+    r = b / M
     beta = np.linalg.norm(r)
     if beta == 0.0:
         return np.zeros(n, dtype), 0
@@ -138,7 +142,7 @@ def lgmres(A, b, M, rtol):
     V[0] = r / beta
     for j in range(_INNER_M):
         w = V[j + 1]
-        w[:] = M.matvec(A.matvec(V[j]))
+        np.divide(A.matvec(V[j]), M, out=w)
         w_norm = np.linalg.norm(w)
         col = []  # column j of the Hessenberg matrix, by modified Gram-Schmidt
         for v in V[: j + 1]:
@@ -211,12 +215,14 @@ def _frozen_symbol(nl: Nonlinearity, sym, dt: float, beta1: np.ndarray,
                    zero_order: np.ndarray) -> np.ndarray:
     """1 + dt*(a^3 + c2*a^2 + c1*a), the symbol of J = 1 + dt*A*Dmu(v) with v's
     coefficients frozen at their grid means: c2 = 2*mean beta'(v) - (2*lam - eta)
-    and c1 = mean zero_order.  At a constant v it is the Jacobian itself.
+    and c1 = mean zero_order.  At a constant v it is the Jacobian itself.  An
+    entry within `_FROZEN_FLOOR` of 0 is moved out to that distance, sign kept.
     """
     p = nl.params
     c2 = 2.0 * beta1.mean() - (2.0 * p.lam - p.eta)
     c1 = zero_order.mean()
-    return 1.0 + dt * (sym.cubed + c2 * sym.squared + c1 * sym.eigenvalues)
+    symbol = 1.0 + dt * (sym.cubed + c2 * sym.squared + c1 * sym.eigenvalues)
+    return np.copysign(np.maximum(np.abs(symbol), _FROZEN_FLOOR), symbol)
 
 
 def _setup(prev: State, dt: float):
@@ -289,11 +295,8 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
         """Iterate v, its pointwise pass and its gradients: what G(v) and J(v) read."""
         v = ScalarField(grid, v_vals).values  # an iterate: checked
         pw = nl.pointwise(v, jacobian=True)
-        grads = [gr.gradient_axis(v, grid, ax) for ax in range(grid.dim)]
-        gsq = np.zeros(grid.shape)  # summed as in grad_norm_sq
-        for grad in grads:
-            gsq += grad**2
-        return v, pw, grads, gsq
+        grads = gr.gradients(v, grid)
+        return v, pw, grads, sum(g**2 for g in grads)  # as grad_norm_sq sums it
 
     def jacobian(pw, grads, zero_order) -> LinearOperator:
         """J w_hat = w_hat + dt*ev*(Dmu(v) w)_hat, the analytic Frechet derivative of G at v."""
@@ -302,21 +305,13 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
         def jac_vec(w_hat: np.ndarray) -> np.ndarray:
             w_hat = w_hat.reshape(grid.shape)
             w = gr.transform_backward(w_hat, grid)
-            grad_dot = np.zeros(grid.shape)
-            for ax in range(grid.dim):
-                grad_dot += grads[ax] * gr.gradient_axis(w, grid, ax)
+            grad_dot = sum(g * gw for g, gw in zip(grads, gr.gradients(w, grid)))
             # Dmu(v) w is mu's assembly of w, beta' w and the zero-order terms
             rows = np.stack([beta1 * w, 2.0 * beta2 * grad_dot + zero_order * w])
             dmu_hat = _assemble(nl, grid, w_hat, *gr.transform_forward(rows, grid))
             return (w_hat + dt * ev * dmu_hat).ravel()
 
         return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=dtype)
-
-    def preconditioner(diag: np.ndarray) -> LinearOperator:
-        """M w_hat = w_hat / diag, an entry of diag within _FROZEN_FLOOR of 0 moved out to it."""
-        diag = np.copysign(np.maximum(np.abs(diag), _FROZEN_FLOOR), diag)
-        return LinearOperator((n_dof, n_dof), dtype=dtype,
-                              matvec=lambda w_hat: (w_hat.reshape(grid.shape) / diag).ravel())
 
     def newton(u_vals: np.ndarray, u_hat: np.ndarray, mu_hat: np.ndarray):
         """Damped Newton from u to G(v) = 0; the converged v, its coefficients, the iterations."""
@@ -336,7 +331,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             _, pw, grads, gsq = terms
             zero_order = _zero_order(pw, gsq)
             if M is None:  # at u: one preconditioner per row and step
-                M = preconditioner(_frozen_symbol(nl, sym, dt, pw.beta1, zero_order))
+                M = _frozen_symbol(nl, sym, dt, pw.beta1, zero_order).ravel()
             delta_hat, _ = lgmres(jacobian(pw, grads, zero_order), -g_hat.ravel(), M=M, rtol=1e-4)
             delta = gr.transform_backward(delta_hat.reshape(grid.shape), grid)
 

@@ -39,7 +39,7 @@ class TestRecord:
         ledger = RunLedger()
         row = ledger.record(State(constant_field(grid, 0.0), P0), 0.0, 0.0)
         assert row.mass == 0.0
-        assert row.energy.total == 0.0
+        assert row.E_total == 0.0
         assert row.grad_mu_sq == 0.0
         assert row.delta_sep == 1.0
         assert row.rejections == 0
@@ -49,8 +49,27 @@ class TestRecord:
         ledger = RunLedger()
         row = ledger.record(State(constant_field(grid, 0.5), P0), 0.0, 0.0)
         assert row.mass == pytest.approx(0.5, abs=1e-15)
-        assert row.energy.willmore == pytest.approx(0.5 * BETA_HALF**2, rel=1e-13)
+        assert row.E_willmore == pytest.approx(0.5 * BETA_HALF**2, rel=1e-13)
         assert row.delta_sep == pytest.approx(0.5, abs=1e-15)
+
+    def test_row_is_its_csv_row(self, tmp_path):
+        # a row holds Python floats in CSV_COLUMNS order, rejections an int,
+        # and the CSV line is that tuple as written
+        ledger = spinodal_ledger(t_end=0.01)
+        row = ledger.rows[-1]
+        assert row._fields == tuple(CSV_COLUMNS)
+        assert all(type(v) is float for v in row[:-1]) and type(row.rejections) is int
+        assert tuple(row) == tuple(ledger.column(name)[-1] for name in CSV_COLUMNS)
+        path = tmp_path / "ledger.csv"
+        ledger.write_csv(path)
+        assert path.read_text().splitlines()[-1] == ",".join(map(repr, row))
+
+    def test_column_names_only_csv_columns(self):
+        # a tuple's own attributes (index, count) are no columns
+        ledger = spinodal_ledger(t_end=0.01)
+        for name in ("index", "count", "energy"):
+            with pytest.raises(ValueError):
+                ledger.column(name)
 
     def test_consecutive_rows_dissipate(self):
         ledger = spinodal_ledger(t_end=0.05)

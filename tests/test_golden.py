@@ -2,37 +2,13 @@
 
 A refactor described as "same behaviour" must leave `ledger.csv`,
 `summary.json` and `final_state.f64` of a run, and `cdep.json` of a
-paired run, byte-identical.  The hashes were re-recorded when mu moved
-to its one coefficient-space assembly (for the State and the Newton
-residual alike) and F to the logarithms of the beta trio,
-which moves the outputs by roundoff and the Newton iterates within the
-Newton tolerance; the Newton runs again when the Jacobian action moved
-to the same assembly (`model._assemble`), which moves its Krylov solves
-by roundoff and so the Newton iterates and step sizes, and when the
-Krylov solves took the Jacobian's frozen-coefficient symbol as their
-preconditioner, which moves the Newton iterates within the Newton
-tolerance and so the step sizes; and when a State came to be evaluated
-from its coefficients (the IMEX candidate keeps the coefficients it
-solved for, and the Willmore term is summed by Parseval), which moves
-the IMEX outputs and every energy column by roundoff; and the Newton runs
-when the Newton candidate became the iterate it converged to, with the
-coefficients its last residual transformed (no pinned round trip), and
-its preconditioner moved a near-zero symbol entry out to a floor in
-place of falling back to the IMEX symbol, which moves the Newton
-outputs by roundoff and so the step sizes; and the Newton runs again when
-the Newton residual, its Krylov solves and their preconditioner moved to
-coefficients (the preconditioner became a division), which moves the
-Krylov solves by roundoff and so the Newton iterates within the Newton
-tolerance and the step sizes; and the Newton runs again when the Krylov
-solve became one GMRES cycle in numpy in place of scipy's lgmres, which
-no longer restarts after a true-residual check and so moves the Newton
-iterates within the Newton tolerance and the step sizes; on the
-environment named in `RECORDED_ON`.
-Bit-identity is a property of one numpy/scipy build on one CPU feature
-set (numpy dispatches log1p/exp to its AVX512_SKX kernels where the CPU
-has them and `NPY_DISABLE_CPU_FEATURES` leaves them on; AVX512F alone
-does not decide it), so elsewhere the hash test is skipped rather than
-compared.
+paired run, byte-identical.  The hash tier checks that: each run's files
+must have the sha256 in `GOLDEN`.  Bit-identity is a property of one
+numpy/scipy build on one CPU feature set (numpy dispatches log1p/exp to
+its AVX512_SKX kernels where the CPU has them and
+`NPY_DISABLE_CPU_FEATURES` leaves them on; AVX512F alone does not decide
+it), so the hashes are compared only on the environment named in
+`RECORDED_ON` and skipped elsewhere.
 
 The portable tier runs everywhere: the ledger rows of two runs, stored
 in `tests/golden/` (every `ROWS[name]`-th row), must agree column by
@@ -40,10 +16,12 @@ column within `ROW_RTOL` times the column's largest |value|.  Other SIMD
 kernels move the rows by about 1e-13 of that scale.  A paired run's
 `times`, `dual_distance` and `fitted_C` (`CDEP_ROWS`, stored as
 `tests/golden/<name>.json`) are compared the same way, each within
-`ROW_RTOL` times its largest |value|.  These rows predate the
-coefficient-space mu and pass unchanged.
+`ROW_RTOL` times its largest |value|.
 
-To re-record (only at a commit whose outputs are the reference):
+Re-record the hashes only for a change that is meant to move the outputs
+(say, a different solve), at a commit whose outputs are the reference,
+and say in the change log which runs moved and by how much.  Re-record
+the rows only if a change moves them beyond `ROW_RTOL`:
 
     PYTHONPATH=src python tests/test_golden.py          # print the hashes
     PYTHONPATH=src python tests/test_golden.py rows     # rewrite tests/golden/

@@ -31,7 +31,7 @@ def bare_cfg(dt, **kw):
 
 @pytest.fixture
 def operators(monkeypatch):
-    """The LinearOperators a Newton step builds: the preconditioner, then the Jacobians."""
+    """The LinearOperators a Newton step builds: its Jacobians, one per Newton iteration."""
     from sixch import stepper
 
     ops = []
@@ -63,6 +63,22 @@ def krylov(monkeypatch):
 
     monkeypatch.setattr(stepper, "lgmres", counting)
     return calls
+
+
+@pytest.fixture
+def preconditioners(monkeypatch):
+    """The M each Krylov solve a Newton step makes divides by, one entry per call."""
+    from sixch import stepper
+
+    divisors = []
+    solve = stepper.lgmres
+
+    def recording(A, b, M, **kwargs):
+        divisors.append(M)
+        return solve(A, b, M=M, **kwargs)
+
+    monkeypatch.setattr(stepper, "lgmres", recording)
+    return divisors
 
 
 class TestFixedPoints:
@@ -253,7 +269,8 @@ class TestNewtonEvaluations:
         assert np.array_equal(out.state.u.values, built[-1])
         assert np.array_equal(built[-1], built[-2])
 
-    def test_no_jacobian_at_the_converged_iterate(self, operators, monkeypatch):
+    def test_no_jacobian_at_the_converged_iterate(self, operators, preconditioners,
+                                                   monkeypatch):
         # G(u) comes from the completed prev's mu_hat, a Jacobian is built
         # per Newton iteration only, and its matvec on coefficients makes 4
         # r2r transforms in 1D: one backward, w's gradient and one stacked
@@ -263,7 +280,7 @@ class TestNewtonEvaluations:
         prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
         out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
-        assert len(operators) == 1 + out.inner_iters
+        assert len(operators) == len(preconditioners) == out.inner_iters
         w_hat = gr.transform_forward(np.linspace(-1.0, 1.0, 512), grid)
         r2r = []
 
@@ -275,9 +292,9 @@ class TestNewtonEvaluations:
 
         for name in ("dct", "dst"):
             monkeypatch.setattr(gr, name, counted(getattr(gr, name)))
-        operators[0].matvec(w_hat)
+        w_hat / preconditioners[0]  # M is an array: applying it is one division
         assert len(r2r) == 0
-        operators[1].matvec(w_hat)
+        operators[0].matvec(w_hat)
         assert len(r2r) == 4
 
     @pytest.mark.parametrize("grid, cutoff", [
@@ -295,7 +312,7 @@ class TestNewtonEvaluations:
         assert step_implicit(prev, dt, cfg).inner_iters >= 1
         w = noise_state(grid, seed=11, mean=0.0, amplitude=0.5, cutoff=cutoff).values
         w_hat = gr.transform_forward(w, grid)
-        jw = operators[1].matvec(w_hat.ravel()).reshape(grid.shape)
+        jw = operators[0].matvec(w_hat.ravel()).reshape(grid.shape)
         mu_p, mu_m = (model.mu(ScalarField(grid, prev.u.values + s * h * w), prev.nl)
                       for s in (1.0, -1.0))
         fd = gr.transform_forward(w + dt * gr.apply_A((mu_p - mu_m) * (0.5 / h)).values, grid)
@@ -311,7 +328,7 @@ class TestFrozenSymbolPreconditioner:
     def divides_by(M, diag, grid):
         """M applied to a vector of random coefficients divides them by diag, bit for bit."""
         c = np.random.default_rng(5).standard_normal(grid.shape)
-        return np.array_equal(M.matvec(c.ravel()).reshape(grid.shape), c / diag)
+        return np.array_equal((c.ravel() / M).reshape(grid.shape), c / diag)
 
     def test_symbol_is_the_jacobian_at_a_constant_state(self):
         # at a constant state grad u = 0 and every coefficient of Dmu is a
@@ -330,7 +347,8 @@ class TestFrozenSymbolPreconditioner:
             dmu_k = np.dot((mu_p - mu_m) * (0.5 / h), w) / np.dot(w, w)
             assert diag[k] == pytest.approx(1.0 + dt * sym.eigenvalues[k] * dmu_k, rel=1e-6)
 
-    def test_floor_only_where_the_symbol_reaches_zero(self, operators, krylov, monkeypatch):
+    def test_floor_only_where_the_symbol_reaches_zero(self, operators, krylov, preconditioners,
+                                                       monkeypatch):
         # 2 lam - eta = 9 makes c2 < 0 on this near-mixed state, so the frozen
         # symbol is positive at dt = 0.05, negative in places at dt = 0.2, and
         # has an entry at 0 at the dt that sends its most negative mode there
@@ -340,38 +358,50 @@ class TestFrozenSymbolPreconditioner:
         prev = State(noise_state(grid, mean=0.0, amplitude=0.05, seed=7, cutoff=10),
                      PotentialParams(3.0, -3.0)).complete()
         cfg = SolverConfig(scheme="newton", dt0=1e-3, dt_min=1e-9, dt_max=1.0)
-        symbols = []
+        symbols = []  # the (unfloored, floored) symbol of each call
 
         def recording(*args):
-            symbols.append(_frozen_symbol(*args))
-            return symbols[-1]
+            with monkeypatch.context() as unfloored:
+                unfloored.setattr(stepper, "_FROZEN_FLOOR", 0.0)
+                frozen = _frozen_symbol(*args)
+            symbols.append((frozen, _frozen_symbol(*args)))
+            return symbols[-1][1]
 
         monkeypatch.setattr(stepper, "_frozen_symbol", recording)
 
         def preconditioned_step(dt):
             symbols.clear()
             operators.clear()
+            preconditioners.clear()
             krylov.clear()
             out = step_implicit(prev, dt, cfg)
-            assert len(symbols) == 1 and len(operators) == 1 + out.inner_iters
-            return out, symbols[0], operators[0]
+            assert len(symbols) == 1 and len(operators) == out.inner_iters
+            assert all(M is preconditioners[0] for M in preconditioners)  # one M per step
+            frozen, floored = symbols[0]
+            # every entry at least _FROZEN_FLOOR in size with its sign kept,
+            # and an entry already that far from 0 as it is
+            assert np.abs(floored).min() >= _FROZEN_FLOOR
+            assert np.array_equal(np.signbit(floored), np.signbit(frozen))
+            far = np.abs(frozen) >= _FROZEN_FLOOR
+            assert np.array_equal(floored[far], frozen[far])
+            return out, frozen, floored, preconditioners[0]
 
-        out, frozen, M = preconditioned_step(0.05)
+        out, frozen, floored, M = preconditioned_step(0.05)
         assert frozen.min() > 0.5 and self.divides_by(M, frozen, grid)
         assert out.inner_iters <= 3
 
-        out, frozen, M = preconditioned_step(0.2)
+        out, frozen, floored, M = preconditioned_step(0.2)
         assert frozen.min() < -0.5 and np.abs(frozen).min() > 0.05
         assert self.divides_by(M, frozen, grid)  # GMRES needs no definite M
         assert out.inner_iters <= 3
 
         dt_zero = 0.2 / (1.0 - frozen.min())  # 1 + dt*q = 0 for the most negative q
-        out, frozen, M = preconditioned_step(dt_zero)
+        out, frozen, floored, M = preconditioned_step(dt_zero)
         near = np.abs(frozen) <= _FROZEN_FLOOR
         assert np.count_nonzero(near) == 1 and np.abs(frozen).min() < 1e-12
-        floored = frozen.copy()
-        floored[near] = np.copysign(_FROZEN_FLOOR, frozen[near])  # out to the floor, sign kept
-        assert self.divides_by(M, floored, grid)
+        expected = frozen.copy()
+        expected[near] = np.copysign(_FROZEN_FLOOR, frozen[near])  # out to the floor, sign kept
+        assert np.array_equal(floored, expected) and self.divides_by(M, expected, grid)
         assert out.inner_iters <= cfg.newton_max_iters
         assert sum(krylov) <= 150, krylov
         assert out.state.energy.total < prev.energy.total
@@ -400,8 +430,11 @@ def counted_operator(mat):
     return LinearOperator(mat.shape, matvec, mat.dtype), calls
 
 
-def divide_by(diag):
-    return LinearOperator((diag.size, diag.size), lambda x: x / diag, diag.dtype)
+def scipy_divisor(diag):
+    """x -> x / diag as scipy's LinearOperator: the M that scipy's lgmres reads."""
+    from scipy.sparse.linalg import LinearOperator as ScipyOperator
+
+    return ScipyOperator((diag.size, diag.size), matvec=lambda x: x / diag, dtype=diag.dtype)
 
 
 def preconditioned_residual(A, b, x, diag):
@@ -418,7 +451,7 @@ class TestKrylov:
         diag = np.linspace(1.0, 30.0, n)
         A = np.diag(diag) + 0.3 * rng.standard_normal((n, n))  # not symmetric
         b = rng.standard_normal(n)
-        x, info = lgmres(counted_operator(A)[0], b, M=divide_by(diag), rtol=1e-8)
+        x, info = lgmres(counted_operator(A)[0], b, M=diag, rtol=1e-8)
         assert info == 0 and x.dtype == np.float64
         assert preconditioned_residual(A, b, x, diag) <= 1e-8
         exact = np.linalg.solve(A, b)
@@ -435,8 +468,7 @@ class TestKrylov:
         real_op = np.fft.ifft(symbol[:, None] * F, axis=0).real + 0.2 * rng.standard_normal((n, n))
         A_hat = F @ real_op @ np.linalg.inv(F)
         b_hat = np.fft.fft(rng.standard_normal(n))
-        x_hat, info = lgmres(counted_operator(A_hat)[0], b_hat, M=divide_by(symbol + 0j),
-                             rtol=1e-8)
+        x_hat, info = lgmres(counted_operator(A_hat)[0], b_hat, M=symbol, rtol=1e-8)
         assert info == 0 and x_hat.dtype == np.complex128
         assert preconditioned_residual(A_hat, b_hat, x_hat, symbol) <= 1e-8
         exact = np.linalg.solve(A_hat, b_hat)
@@ -446,14 +478,14 @@ class TestKrylov:
 
     def test_zero_right_hand_side_makes_no_matvec(self):
         A, calls = counted_operator(np.eye(5))
-        x, info = lgmres(A, np.zeros(5), M=divide_by(np.ones(5)), rtol=1e-4)
+        x, info = lgmres(A, np.zeros(5), M=np.ones(5), rtol=1e-4)
         assert info == 0 and not calls
         assert np.array_equal(x, np.zeros(5))
 
     def test_identity_converges_on_breakdown_after_one_matvec(self):
         b = np.random.default_rng(3).standard_normal(20)
         A, calls = counted_operator(np.eye(20))
-        x, info = lgmres(A, b, M=divide_by(np.ones(20)), rtol=1e-12)
+        x, info = lgmres(A, b, M=np.ones(20), rtol=1e-12)
         assert info == 0 and len(calls) == 1
         np.testing.assert_allclose(x, b, rtol=1e-14, atol=0.0)
 
@@ -466,19 +498,19 @@ class TestKrylov:
         n = 300
         A = np.diag(np.linspace(1.0, 1e4, n))
         b = np.ones(n)
-        one = divide_by(np.ones(n))
+        one = np.ones(n)
         x, info = lgmres(counted_operator(A)[0], b, M=one, rtol=1e-10)
         assert info == _INNER_M
-        assert 1e-10 < preconditioned_residual(A, b, x, np.ones(n)) < 0.1
-        ref, _ = scipy_lgmres(counted_operator(A)[0], b, M=one, rtol=1e-10, atol=0.0,
-                              maxiter=1, inner_m=_INNER_M, outer_k=0)
+        assert 1e-10 < preconditioned_residual(A, b, x, one) < 0.1
+        ref, _ = scipy_lgmres(counted_operator(A)[0], b, M=scipy_divisor(one), rtol=1e-10,
+                              atol=0.0, maxiter=1, inner_m=_INNER_M, outer_k=0)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_singular_operator_returns_zero_without_raising(self):
         # J M = 0: breakdown at the first step with a zero pivot, which the
         # back-substitution skips rather than dividing by it
         A, calls = counted_operator(np.zeros((8, 8)))
-        x, info = lgmres(A, np.ones(8), M=divide_by(np.ones(8)), rtol=1e-4)
+        x, info = lgmres(A, np.ones(8), M=np.ones(8), rtol=1e-4)
         assert info == 1 and len(calls) == 1
         assert np.array_equal(x, np.zeros(8))
 
@@ -493,10 +525,11 @@ class TestKrylov:
         n = 120
         diag = np.linspace(1.0, 50.0, n)
         A = np.diag(diag) + 0.5 * rng.standard_normal((n, 3)) @ rng.standard_normal((3, n))
-        M = divide_by(diag * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)))
+        M = diag * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, n))
         b = rng.standard_normal(n)
         x, info = lgmres(counted_operator(A)[0], b, M=M, rtol=rtol)
-        ref, ref_info = scipy_lgmres(counted_operator(A)[0], b, M=M, rtol=rtol, atol=0.0)
+        ref, ref_info = scipy_lgmres(counted_operator(A)[0], b, M=scipy_divisor(M), rtol=rtol,
+                                     atol=0.0)
         assert info == 0 and ref_info == 0
         assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
 
