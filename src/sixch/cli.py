@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -28,17 +28,14 @@ from . import grid as gr
 from . import initdata, model, potential, snapshots, stepper
 from .errors import ConfigError, EngineError
 
-# [solver] keys that map one to one onto SolverConfig fields, with their
-# conversions; a key the file leaves out keeps the dataclass default.
-_SOLVER_KEYS = {"scheme": str, "dt0": float, "dt_min": float, "dt_max": float,
-                "energy_tol": float, "growth_factor": float, "newton_tol": float,
-                "newton_max_iters": int, "guard_eps": float}
+# [solver]'s keys: SolverConfig's fields and defaults; a key left out keeps its default
+_SOLVER_KEYS = {f.name: f.default for f in fields(stepper.SolverConfig)}
 
 _SECTIONS = {
     "grid": {"dim", "counts", "lengths", "bc"},
     "potential": {"lambda", "eta", "truncation"},
     "initial": {"kind", "mean", "amplitude", "seed", "mode", "cutoff", "position", "width"},
-    "solver": {*_SOLVER_KEYS, "s1", "s2"},
+    "solver": set(_SOLVER_KEYS),
     "run": {"t_end", "max_steps", "snapshot_every"},
     "dispersion": {"k_indices", "length", "samples", "amplitude", "steps", "pairs"},
     "cdep": {"t_end", "mode", "amplitude", "fit_skip"},
@@ -64,6 +61,13 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
+
+
+def _solver_value(default, raw: str):
+    """A [solver] value as its default's type; a None default reads empty or `auto` as None."""
+    if default is None:
+        return None if raw.strip() in ("", "auto") else float(raw)
+    return type(default)(raw)
 
 
 def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunConfig:
@@ -108,14 +112,8 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
         initdata.check_realizable(spec, grid)
 
         sol = cp["solver"] if cp.has_section("solver") else {}
-
-        def _opt(key):
-            raw = sol.get(key, "").strip()
-            return None if raw in ("", "auto") else float(raw)
-
-        solver = stepper.SolverConfig(
-            s1=_opt("s1"), s2=_opt("s2"),
-            **{key: conv(sol[key]) for key, conv in _SOLVER_KEYS.items() if key in sol})
+        solver = stepper.SolverConfig(**{key: _solver_value(default, sol[key])
+                                         for key, default in _SOLVER_KEYS.items() if key in sol})
 
         run = cp["run"] if cp.has_section("run") else {}
         t_end = float(run.get("t_end", 1.0))
@@ -201,13 +199,12 @@ def _sha256(path: Path) -> str:
 
 
 def _write_provenance(outdir: Path, config_path: Path, outputs: list[Path]) -> None:
-    record = {
+    _json_out(outdir / "provenance.json", {
         "config_sha256": _sha256(config_path),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": {str(p.relative_to(outdir)): _sha256(p) for p in outputs},
-    }
-    (outdir / "provenance.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    })
 
 
 def _json_out(path: Path, payload: dict) -> None:
@@ -215,10 +212,10 @@ def _json_out(path: Path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the files it wrote, which `main` records in provenance.json
 
 
-def cmd_run(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
+def cmd_run(cfg: RunConfig, outdir: Path) -> list[Path]:
     u0 = initdata.generate(cfg.initial, cfg.grid)
     if cfg.potential.level is not None:
         u0 = initdata.regularize_initial(u0, cfg.potential.level)
@@ -258,22 +255,20 @@ def cmd_run(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
     raw, meta = snapshots.write_snapshot(final, outdir / "final_state",
                                          time=rows[-1].t, label="final")
     outputs.extend([raw, meta])
-    _write_provenance(outdir, config_path, outputs)
     print(f"run complete: t={rows[-1].t:g}, {summary['steps']} steps, "
           f"E={summary['final_energy']:.6g}, mass drift {summary['mass_drift']:.3e}")
-    return 0
+    return outputs
 
 
-def cmd_init(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
+def cmd_init(cfg: RunConfig, outdir: Path) -> list[Path]:
     u0 = initdata.generate(cfg.initial, cfg.grid)
     raw, meta = snapshots.write_snapshot(u0, outdir / "initial_state", time=0.0,
                                          label=cfg.initial.kind)
-    _write_provenance(outdir, config_path, [raw, meta])
     print(f"wrote {raw} (mean={gr.mean(u0):.12g}, sup={gr.lp_norm(u0, np.inf):.6g})")
-    return 0
+    return [raw, meta]
 
 
-def cmd_dispersion(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
+def cmd_dispersion(cfg: RunConfig, outdir: Path) -> list[Path]:
     pairs, opts = cfg.extras["dispersion"]
     path = outdir / "dispersion.csv"
     worst = 0.0
@@ -285,12 +280,11 @@ def cmd_dispersion(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
                 worst = max(worst, r.rel_error)
                 fh.write(f"{p.lam!r},{p.eta!r},{r.k_index},{r.k!r},"
                          f"{r.measured!r},{r.predicted!r},{r.rel_error!r}\n")
-    _write_provenance(outdir, config_path, [path])
     print(f"dispersion: worst relative rate error {worst:.3e}")
-    return 0
+    return [path]
 
 
-def cmd_cdep(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
+def cmd_cdep(cfg: RunConfig, outdir: Path) -> list[Path]:
     opts = cfg.extras["cdep"]
     u01 = initdata.generate(cfg.initial, cfg.grid)
     u02 = u01 + initdata.generate(opts["bump"], cfg.grid)
@@ -307,10 +301,9 @@ def cmd_cdep(cfg: RunConfig, outdir: Path, config_path: Path) -> int:
     }
     path = outdir / "cdep.json"
     _json_out(path, payload)
-    _write_provenance(outdir, config_path, [path])
     print(f"cdep: fitted C = {report.fitted_C:.6g}, envelope_ok = {report.envelope_ok}, "
           f"rejections = {report.rejections}")
-    return 0
+    return [path]
 
 
 def _sweep_worker(args) -> str:
@@ -318,12 +311,13 @@ def _sweep_worker(args) -> str:
     sub = outdir / name
     sub.mkdir(parents=True, exist_ok=True)
     sweep = cfg.extras["sweep"]
-    cmd_run(replace(cfg, potential=nl, t_end=sweep["t_end"], max_steps=sweep["max_steps"]),
-            sub, config_path)
+    run_cfg = replace(cfg, potential=nl, t_end=sweep["t_end"], max_steps=sweep["max_steps"])
+    _write_provenance(sub, config_path, cmd_run(run_cfg, sub))
     return str(sub)
 
 
-def cmd_sweep(cfg: RunConfig, outdir: Path, config_path: Path, threads: int) -> int:
+def cmd_sweep(cfg: RunConfig, outdir: Path, config_path: Path, threads: int) -> None:
+    """Each run in its own subdirectory, with its own provenance.json."""
     jobs = [(cfg, outdir, config_path, run) for run in cfg.extras["sweep"]["runs"]]
     if threads > 1:
         # a pool may start all its workers at once: never more than there are jobs
@@ -332,7 +326,6 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, config_path: Path, threads: int) -> 
     else:
         done = [_sweep_worker(job) for job in jobs]
     print(f"sweep: {len(done)} runs complete")
-    return 0
 
 
 def cmd_verify() -> int:
@@ -382,24 +375,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    outdir = Path(args.out) if args.out else config_path.with_suffix("").name + "_out"
-    outdir = Path(outdir)
+    outdir = Path(args.out or config_path.with_suffix("").name + "_out")
     outdir.mkdir(parents=True, exist_ok=True)
 
+    # built per call, so a wrapper bound over a cmd_* takes effect
+    commands = {"run": cmd_run, "init": cmd_init, "dispersion": cmd_dispersion, "cdep": cmd_cdep,
+                "sweep": lambda cfg, outdir: cmd_sweep(cfg, outdir, config_path, args.threads)}
     try:
-        if args.command == "run":
-            return cmd_run(cfg, outdir, config_path)
-        if args.command == "init":
-            return cmd_init(cfg, outdir, config_path)
-        if args.command == "dispersion":
-            return cmd_dispersion(cfg, outdir, config_path)
-        if args.command == "cdep":
-            return cmd_cdep(cfg, outdir, config_path)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, outdir, config_path, args.threads)
+        outputs = commands[args.command](cfg, outdir)
     except EngineError as exc:
         print(f"solver failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
+    if outputs is not None:  # None from sweep
+        _write_provenance(outdir, config_path, outputs)
     return 0
 
 

@@ -35,7 +35,7 @@ the public `scipy.fft` calls, but a backend set with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import fftfreq
@@ -116,8 +116,19 @@ class Grid:
         axes = [self.axis_coords(i) for i in range(self.dim)]
         return list(np.meshgrid(*axes, indexing="ij"))
 
+    @cached_property  # read by every transform-space operator
     def symbol(self) -> "OperatorSymbol":
-        return _symbol_cached(self)
+        wavenumbers = []
+        for l, n in zip(self.lengths, self.counts):
+            if self.bc == NEUMANN:
+                wavenumbers.append(np.arange(n) * np.pi / l)
+            else:
+                wavenumbers.append(2.0 * np.pi * fftfreq(n, d=l / n))
+        ev = wavenumbers[0] ** 2
+        for k in wavenumbers[1:]:
+            ev = np.add.outer(ev, k**2)
+        ev = np.ascontiguousarray(ev.reshape(self.counts))
+        return OperatorSymbol(ev, tuple(wavenumbers))
 
 
 @dataclass(frozen=True)
@@ -143,21 +154,6 @@ class OperatorSymbol:
     @cached_property
     def cubed(self) -> np.ndarray:
         return self.eigenvalues**3
-
-
-@lru_cache(maxsize=64)
-def _symbol_cached(grid: Grid) -> OperatorSymbol:
-    wavenumbers = []
-    for l, n in zip(grid.lengths, grid.counts):
-        if grid.bc == NEUMANN:
-            wavenumbers.append(np.arange(n) * np.pi / l)
-        else:
-            wavenumbers.append(2.0 * np.pi * fftfreq(n, d=l / n))
-    ev = wavenumbers[0] ** 2
-    for k in wavenumbers[1:]:
-        ev = np.add.outer(ev, k**2)
-    ev = np.ascontiguousarray(ev.reshape(grid.counts))
-    return OperatorSymbol(ev, tuple(wavenumbers))
 
 
 class ScalarField:
@@ -261,7 +257,7 @@ def apply_symbol(u: ScalarField, multiplier: np.ndarray) -> ScalarField:
 
 def apply_A(u: ScalarField) -> ScalarField:
     """Apply A; annihilates constants exactly."""
-    return apply_symbol(u, u.grid.symbol().eigenvalues)
+    return apply_symbol(u, u.grid.symbol.eigenvalues)
 
 
 def inv_A_zero_mean(g: ScalarField) -> ScalarField:
@@ -273,7 +269,7 @@ def inv_A_zero_mean(g: ScalarField) -> ScalarField:
     gbar = mean(g)
     if abs(gbar) > _MEAN_RTOL * lp_norm(g, 2):
         raise MeanError(f"input must have zero mean, got {gbar:.3e}")
-    ev = g.grid.symbol().eigenvalues
+    ev = g.grid.symbol.eigenvalues
     coeffs = transform_forward(g.values, g.grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(ev > 0.0, coeffs / np.where(ev > 0.0, ev, 1.0), 0.0)
@@ -284,7 +280,7 @@ def resolvent(u: ScalarField, tau: float) -> ScalarField:
     """Apply (I + tau*A)^{-1}; preserves the mean exactly (mode 0 / 1.0)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    ev = u.grid.symbol().eigenvalues
+    ev = u.grid.symbol.eigenvalues
     return apply_symbol(u, 1.0 / (1.0 + tau * ev))
 
 
@@ -319,7 +315,7 @@ def gradient_axis(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     n = grid.counts[axis]
     ax = axis - grid.dim  # counted from the end, so that a batch axis may lead
     rest = (slice(None),) * (grid.dim - 1 - axis)  # the grid axes after it
-    k = grid.symbol().wavenumbers[axis].reshape((n,) + (1,) * len(rest))
+    k = grid.symbol.wavenumbers[axis].reshape((n,) + (1,) * len(rest))
     if grid.bc == PERIODIC:
         coeffs = fftn(values, axes=(ax,))
         return np.real(ifftn(1j * k * coeffs, axes=(ax,)))
@@ -345,7 +341,7 @@ def grad_norm_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def h1_seminorm(u: ScalarField) -> float:
     """||grad u|| computed spectrally: sqrt(sum_m lambda_m |c_m|^2 * w)."""
-    ev = u.grid.symbol().eigenvalues
+    ev = u.grid.symbol.eigenvalues
     coeffs = transform_forward(u.values, u.grid)
     w = u.grid.cell_volume
     return float(np.sqrt(np.sum(ev * np.abs(coeffs) ** 2) * w))
@@ -365,6 +361,6 @@ def dual_norm_coeffs(coeffs: np.ndarray, grid: Grid) -> float:
     `v0_dual_norm` on zero-mean fields (Parseval), up to roundoff.  The
     mass mode is left out, so no zero-mean precondition applies.
     """
-    ev = grid.symbol().eigenvalues
+    ev = grid.symbol.eigenvalues
     live = ev > 0.0
     return float(np.sqrt(np.sum(np.abs(coeffs[live]) ** 2 / ev[live]) * grid.cell_volume))

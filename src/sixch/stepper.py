@@ -192,12 +192,14 @@ class SolverConfig:
             raise ValueError("need 0 < dt_min <= dt0 <= dt_max")
         if self.scheme not in (IMEX, NEWTON):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.growth_factor <= 1.0:
+        if not self.growth_factor > 1.0:  # NaN too
             raise ValueError("growth_factor must exceed 1")
         if not 0.0 < self.guard_eps < 0.5:
             raise ValueError("guard_eps must lie in (0, 0.5)")
-        if self.energy_tol < 0 or self.newton_tol <= 0 or self.newton_max_iters < 1:
+        if not (self.energy_tol >= 0 and self.newton_tol > 0) or self.newton_max_iters < 1:
             raise ValueError("invalid tolerance settings")
+        if any(s is not None and not 0.0 <= s < math.inf for s in (self.s1, self.s2)):
+            raise ValueError("s1 and s2 must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ def _setup(prev: State, dt: float):
     if dt <= 0:
         raise ValueError("dt must be positive")
     prev.complete()
-    return prev.u.grid.symbol()
+    return prev.u.grid.symbol
 
 
 def _stabilization(prev: State, cfg: SolverConfig):

@@ -354,6 +354,18 @@ MALFORMED = {
     # sweep runs whose output directories coincide
     "sweep_lambdas_repeated": ("sweep", "[sweep]\nlambdas = 3 3\n", []),
     "sweep_lambdas_one_directory": ("sweep", "[sweep]\nlambdas = 3.0000001 3.0000002\n", []),
+    # [solver] values that ran (a NaN growth factor pinned dt at dt_max, a NaN
+    # newton_tol went unread under IMEX) or failed only in the first step
+    "solver_s1_nan": ("run", lambda text: text.replace("[solver]", "[solver]\ns1 = nan"), []),
+    "solver_s1_negative": ("run", lambda text: text.replace("[solver]", "[solver]\ns1 = -1e6"),
+                           []),
+    "solver_s2_inf": ("run", lambda text: text.replace("[solver]", "[solver]\ns2 = inf"), []),
+    "solver_growth_factor_nan": ("run", lambda text: text.replace(
+        "[solver]", "[solver]\ngrowth_factor = nan"), []),
+    "solver_energy_tol_nan": ("run", lambda text: text.replace(
+        "[solver]", "[solver]\nenergy_tol = nan"), []),
+    "solver_newton_tol_nan": ("run", lambda text: text.replace(
+        "[solver]", "[solver]\nnewton_tol = nan"), []),
 }
 
 

@@ -275,7 +275,7 @@ class TestPoincare:
 class TestOperatorSymbol:
     def test_neumann_symbol_monotone_per_axis(self):
         grid = Grid((1.0, 2.0), (16, 8), gr.NEUMANN)
-        ev = grid.symbol().eigenvalues
+        ev = grid.symbol.eigenvalues
         assert ev.flat[0] == 0.0
         assert np.all(ev >= 0.0)
         for ax in range(2):
@@ -283,7 +283,7 @@ class TestOperatorSymbol:
 
     def test_periodic_symbol_kernel_and_sign(self):
         grid = Grid((1.0,), (16,), gr.PERIODIC)
-        ev = grid.symbol().eigenvalues
+        ev = grid.symbol.eigenvalues
         assert ev.flat[0] == 0.0
         assert np.all(ev >= 0.0)
 

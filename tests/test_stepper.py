@@ -240,9 +240,10 @@ class TestNewtonEvaluations:
         (Grid((4 * np.pi, 3 * np.pi), (32, 24), gr.PERIODIC), 6),
     ], ids=["neumann1d", "periodic2d"])
     def test_candidate_coefficients_are_the_transform_of_its_values(self, grid, cutoff):
-        # the next step's first residual G(u) reads the candidate's mu_hat, so
-        # its u_hat is the transform of its values: the coefficients its last
-        # residual transformed, not the iterate's old ones plus the solved update
+        # the next step's first residual G(u) reads the candidate's mu_hat, built
+        # from its u_hat, which must therefore be the transform of its values;
+        # it is: the row-0 coefficients of the forward call of [v, beta, n] that
+        # the last residual made, or prev's own u_hat where G(u) converged at once
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
         prev = State(noise_state(grid, cutoff=cutoff), SPINODAL).complete()
         out = step_implicit(prev, 1e-4, cfg)
@@ -337,7 +338,7 @@ class TestFrozenSymbolPreconditioner:
         c, dt, h = 0.3, 0.1, 1e-6
         nl = State(constant_field(grid, c), SPINODAL).nl
         pw = nl.pointwise(np.full(grid.shape, c), jacobian=True)
-        sym = grid.symbol()
+        sym = grid.symbol
         diag = _frozen_symbol(nl, sym, dt, pw.beta1, _zero_order(pw, 0.0))
         x = grid.axis_coords(0)
         for k in (1, 3, 8, 20):
@@ -673,6 +674,10 @@ class TestStabilizationDefaults:
             SolverConfig(dt0=1e-3, dt_min=1e-2, dt_max=1.0)
         with pytest.raises(ValueError):
             SolverConfig(growth_factor=0.9)
+        for bad in ({"growth_factor": np.nan}, {"energy_tol": np.nan}, {"newton_tol": np.nan},
+                    {"s1": np.nan}, {"s2": np.nan}, {"s1": -1.0}, {"s2": np.inf}):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
 
 
 class TestBatchedSteps:
