@@ -38,7 +38,7 @@ _SECTIONS = {
     "solver": set(_SOLVER_KEYS),
     "run": {"t_end", "max_steps", "snapshot_every"},
     "dispersion": {"k_indices", "length", "samples", "amplitude", "steps", "pairs"},
-    "cdep": {"t_end", "mode", "amplitude", "fit_skip"},
+    "cdep": {"t_end", "mode", "amplitude"},
     "sweep": {"lambdas", "etas", "truncations", "t_end", "max_steps"},
 }
 
@@ -157,7 +157,6 @@ def _experiments(cp, grid, params, t_end, max_steps) -> dict:
                           " have no finite, nonzero growth rate at some lambda:eta pair")
     dispersion["k_indices"] = rated
     cdep = {"t_end": float(c.get("t_end", t_end)),
-            "fit_skip": float(c["fit_skip"]) if "fit_skip" in c else None,
             "bump": initdata.InitialSpec(kind="mode", mean_m=0.0, mode=int(c.get("mode", 1)),
                                          amplitude=float(c.get("amplitude", 1e-6)))}
     initdata.check_realizable(cdep["bump"], grid)
@@ -290,8 +289,7 @@ def cmd_cdep(cfg: RunConfig, outdir: Path) -> list[Path]:
     u02 = u01 + initdata.generate(opts["bump"], cfg.grid)
     if cfg.potential.level is not None:  # both members, as `cmd_run` regularizes its start
         u01, u02 = (initdata.regularize_initial(u, cfg.potential.level) for u in (u01, u02))
-    report = diag.cdep_experiment(u01, u02, cfg.potential, cfg.solver, opts["t_end"],
-                                  fit_skip=opts["fit_skip"])
+    report = diag.cdep_experiment(u01, u02, cfg.potential, cfg.solver, opts["t_end"])
     payload = {
         "fitted_C": report.fitted_C,
         "envelope_ok": report.envelope_ok,

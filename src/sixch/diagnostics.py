@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import MeanMismatch, RangeError, ShapeError
 from .grid import ScalarField
 from .model import State, dispersion_sigma
 from .potential import Nonlinearity, PotentialParams, TruncationLevel
-from .stepper import SolverConfig, _march, advance, step_imex
+from .stepper import SolverConfig, _march, advance
 
 CSV_COLUMNS = ["t", "dt", "mass", "E_total", "E_willmore", "E_ch_grad", "E_ch_pot",
                "grad_mu_sq", "min_u", "max_u", "delta_sep", "beta_l2", "grad_beta_l2",
@@ -124,7 +125,7 @@ class CdepReport:
 
 
 def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
-                    t_end: float, fit_skip: Optional[float] = None) -> CdepReport:
+                    t_end: float) -> CdepReport:
     """Track ||u1 - u2||_{V0'} along paired trajectories and fit the envelope.
 
     The pair is one batched `State` of two rows, which the step controller
@@ -165,8 +166,7 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
     if identical:
         return CdepReport(times_arr, dist_arr, 0.0, True, True, rejections)
 
-    skip = 5.0 * cfg.dt0 if fit_skip is None else fit_skip
-    window = times_arr >= skip
+    window = times_arr >= 5.0 * cfg.dt0
     if np.count_nonzero(window) < 2:
         window = slice(None)
     tw = times_arr[window]
@@ -261,7 +261,7 @@ def dispersion_experiment(p, k_indices: Sequence[int], length: float = 2.0 * np.
                           steps: int = 60) -> list[DispersionRow]:
     """Measure per-mode decay rates of tiny single-mode states.
 
-    Each mode runs `steps` IMEX steps with stabilization switched off.
+    Each mode runs `steps` - 1 unstabilized IMEX steps of one fixed dt via `_march`.
     The scheme's one-step multiplier is (1 - dt*a)/(1 + dt*b) with
     a = k^2*(P(k) - k^4) explicit and b = k^6 implicit, whose log-rate bias
     is dt*|a - b|/2 relative; dt is chosen from both scales so the bias
@@ -285,8 +285,7 @@ def dispersion_experiment(p, k_indices: Sequence[int], length: float = 2.0 * np.
         state = State(ScalarField(grid, amplitude * profile), p).complete()
         proj = profile / np.sum(profile**2)
         amps = [float(np.sum(state.u.values * proj))]
-        for _ in range(steps - 1):
-            state = step_imex(state, dt, cfg).state  # completed by the next step
+        for _, _, _, state in islice(_march(state, steps * dt, cfg), steps - 1):
             amps.append(float(np.sum(state.u.values * proj)))
         times = [i * dt for i in range(steps)]
         rate = float(np.polyfit(times, np.log(np.abs(amps)), 1)[0])

@@ -12,7 +12,9 @@ periodic Laplacian:
 The operator A is the weak-form minus-Laplacian: diagonal on the basis with
 eigenvalues >= 0 and a one-dimensional kernel of constants (mode 0).  On
 zero-mean fields its inverse N = A^{-1} defines the dual norm
-``||g||_{V0'} = ||grad(N g)|| = sqrt(<g, N g>)``.
+``||g||_{V0'} = ||grad(N g)|| = sqrt(<g, N g>)``.  A `Grid` holds its
+spectrum, each part built once when first read: the per-axis
+wavenumbers, A's eigenvalues and the symbols of A^2 and A^3.
 
 The spectral kernels (the transforms, `gradient_axis`, `gradients`,
 `grad_norm_sq`) act on ndarrays over their trailing ``grid.dim`` axes,
@@ -116,43 +118,27 @@ class Grid:
         axes = [self.axis_coords(i) for i in range(self.dim)]
         return list(np.meshgrid(*axes, indexing="ij"))
 
-    @cached_property  # read by every transform-space operator
-    def symbol(self) -> "OperatorSymbol":
-        wavenumbers = []
-        for l, n in zip(self.lengths, self.counts):
-            if self.bc == NEUMANN:
-                wavenumbers.append(np.arange(n) * np.pi / l)
-            else:
-                wavenumbers.append(2.0 * np.pi * fftfreq(n, d=l / n))
-        ev = wavenumbers[0] ** 2
-        for k in wavenumbers[1:]:
-            ev = np.add.outer(ev, k**2)
-        ev = np.ascontiguousarray(ev.reshape(self.counts))
-        return OperatorSymbol(ev, tuple(wavenumbers))
+    @cached_property  # A's spectrum, read by every transform-space operator: built once
+    def wavenumbers(self) -> tuple[np.ndarray, ...]:
+        """Each axis's wavenumbers, in transform layout."""
+        if self.bc == NEUMANN:
+            return tuple(np.arange(n) * np.pi / l for l, n in zip(self.lengths, self.counts))
+        return tuple(2.0 * np.pi * fftfreq(n, d=l / n) for l, n in zip(self.lengths, self.counts))
 
-
-@dataclass(frozen=True)
-class OperatorSymbol:
-    """Eigenvalues of A = -Laplacian per spectral mode (transform layout),
-    with the per-axis wavenumbers they are summed from."""
-
-    eigenvalues: np.ndarray
-    wavenumbers: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ev = self.eigenvalues
-        if ev.flat[0] != 0.0:
-            raise ValueError("mode-0 eigenvalue must be exactly zero")
-        if np.any(ev < 0.0):
-            raise ValueError("Laplacian symbol must be nonnegative")
-
-    # The symbols of A^2 and A^3, which every step reads: built once per grid.
     @cached_property
-    def squared(self) -> np.ndarray:
+    def eigenvalues(self) -> np.ndarray:
+        """A's eigenvalue per spectral mode (transform layout), summed from the wavenumbers."""
+        ev = self.wavenumbers[0] ** 2
+        for k in self.wavenumbers[1:]:
+            ev = np.add.outer(ev, k**2)
+        return np.ascontiguousarray(ev.reshape(self.counts))
+
+    @cached_property
+    def eigenvalues_sq(self) -> np.ndarray:  # the symbol of A^2
         return self.eigenvalues**2
 
     @cached_property
-    def cubed(self) -> np.ndarray:
+    def eigenvalues_cubed(self) -> np.ndarray:  # the symbol of A^3
         return self.eigenvalues**3
 
 
@@ -257,7 +243,7 @@ def apply_symbol(u: ScalarField, multiplier: np.ndarray) -> ScalarField:
 
 def apply_A(u: ScalarField) -> ScalarField:
     """Apply A; annihilates constants exactly."""
-    return apply_symbol(u, u.grid.symbol.eigenvalues)
+    return apply_symbol(u, u.grid.eigenvalues)
 
 
 def inv_A_zero_mean(g: ScalarField) -> ScalarField:
@@ -269,7 +255,7 @@ def inv_A_zero_mean(g: ScalarField) -> ScalarField:
     gbar = mean(g)
     if abs(gbar) > _MEAN_RTOL * lp_norm(g, 2):
         raise MeanError(f"input must have zero mean, got {gbar:.3e}")
-    ev = g.grid.symbol.eigenvalues
+    ev = g.grid.eigenvalues
     coeffs = transform_forward(g.values, g.grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(ev > 0.0, coeffs / np.where(ev > 0.0, ev, 1.0), 0.0)
@@ -280,7 +266,7 @@ def resolvent(u: ScalarField, tau: float) -> ScalarField:
     """Apply (I + tau*A)^{-1}; preserves the mean exactly (mode 0 / 1.0)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    ev = u.grid.symbol.eigenvalues
+    ev = u.grid.eigenvalues
     return apply_symbol(u, 1.0 / (1.0 + tau * ev))
 
 
@@ -315,7 +301,7 @@ def gradient_axis(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     n = grid.counts[axis]
     ax = axis - grid.dim  # counted from the end, so that a batch axis may lead
     rest = (slice(None),) * (grid.dim - 1 - axis)  # the grid axes after it
-    k = grid.symbol.wavenumbers[axis].reshape((n,) + (1,) * len(rest))
+    k = grid.wavenumbers[axis].reshape((n,) + (1,) * len(rest))
     if grid.bc == PERIODIC:
         coeffs = fftn(values, axes=(ax,))
         return np.real(ifftn(1j * k * coeffs, axes=(ax,)))
@@ -341,7 +327,7 @@ def grad_norm_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def h1_seminorm(u: ScalarField) -> float:
     """||grad u|| computed spectrally: sqrt(sum_m lambda_m |c_m|^2 * w)."""
-    ev = u.grid.symbol.eigenvalues
+    ev = u.grid.eigenvalues
     coeffs = transform_forward(u.values, u.grid)
     w = u.grid.cell_volume
     return float(np.sqrt(np.sum(ev * np.abs(coeffs) ** 2) * w))
@@ -361,6 +347,6 @@ def dual_norm_coeffs(coeffs: np.ndarray, grid: Grid) -> float:
     `v0_dual_norm` on zero-mean fields (Parseval), up to roundoff.  The
     mass mode is left out, so no zero-mean precondition applies.
     """
-    ev = grid.symbol.eigenvalues
+    ev = grid.eigenvalues
     live = ev > 0.0
     return float(np.sqrt(np.sum(np.abs(coeffs[live]) ** 2 / ev[live]) * grid.cell_volume))

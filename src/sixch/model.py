@@ -130,7 +130,7 @@ class State:
         vals = u.values
         pw = nl.pointwise(vals)
         grid = u.grid
-        ev = grid.symbol.eigenvalues
+        ev = grid.eigenvalues
         w = grid.cell_volume
         eta = nl.params.eta
         self.u, self.nl = u, nl
@@ -162,7 +162,7 @@ class State:
             raise ShapeError("mu_hat must be finite")
         self._terms = pw.beta, self._beta_hat, b_vals, curv, nonlinear
         self.mu_hat, self._pw, self._beta_hat = mu_hat, None, None
-        root = np.sqrt(_spectral_sq(grid.symbol.eigenvalues, self.mu_hat, lead)
+        root = np.sqrt(_spectral_sq(grid.eigenvalues, self.mu_hat, lead)
                        * grid.cell_volume)
         # each row squared as a Python float (libm pow), not by the array square
         self.grad_mu_sq = np.reshape([r**2 for r in np.ravel(root).tolist()], lead)[()]
@@ -174,7 +174,7 @@ class State:
         if self._terms is not None:
             beta, beta_hat, b_vals, curv, nonlinear = self._terms
             grid, lead = self.u.grid, self._lead
-            ev, w = grid.symbol.eigenvalues, grid.cell_volume
+            ev, w = grid.eigenvalues, grid.cell_volume
             self._terms = None
             self._apriori = AprioriDiagnostics(
                 beta_l2=np.sqrt(_sum(beta**2, lead) * w),
@@ -189,10 +189,9 @@ class State:
 
 def _assemble(nl, grid, x_hat, b_hat, n_hat):
     """(ev^2 - (2 lam - eta) ev) x_hat + 2 ev b_hat + n_hat: the sum of mu and of Dmu w."""
-    sym = grid.symbol
-    ev = sym.eigenvalues
+    ev = grid.eigenvalues
     # summed in place (fewer temporaries), in the formula's order
-    out = (sym.squared - (2.0 * nl.params.lam - nl.params.eta) * ev) * x_hat
+    out = (grid.eigenvalues_sq - (2.0 * nl.params.lam - nl.params.eta) * ev) * x_hat
     out += 2.0 * ev * b_hat
     out += n_hat
     return out
@@ -225,7 +224,7 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1) -> ScalarFie
         return ScalarField(u.grid, gr.apply_A(om).values + (fp + eta) * om.values)
 
     beta, beta1, beta2, _, g_vals, _, _ = nl.pointwise(u.values)
-    ev = u.grid.symbol.eigenvalues
+    ev = u.grid.eigenvalues
     u_hat = gr.transform_forward(u.values, u.grid)
     lap_u = gr.transform_backward(-ev * u_hat, u.grid)
     lap2_u = gr.transform_backward(ev**2 * u_hat, u.grid)

@@ -57,7 +57,7 @@ carries the same `nl`, so the energy test compares one functional.
 
 Both steps share one set-up: they complete the State they step from (a
 no-op if it is completed already) and read its u_hat and mu_hat, and the
-grid's cached symbols of A, A^2 and A^3, and return a candidate `State`.
+symbols of A, A^2 and A^3 their grid holds, and return a candidate `State`.
 The IMEX candidate keeps the coefficients it solved for, mass mode pinned.
 The Newton candidate is the iterate it converged to, with the coefficients
 its last residual transformed (prev's own if G(u) converged): they equal
@@ -72,13 +72,13 @@ one State, so k trajectories batched into one State go in lockstep with
 one shared dt: a trial step is rejected and retried with half the step
 size when any row's energy rises by more than ``energy_tol`` or any row
 leaves the admissible set, and a rejection at dt_min raises
-StepFloorError.  `advance` runs it on one trajectory and
-`diagnostics.cdep_experiment` on a pair.  An accepted candidate is
-completed once, when first needed (by the ledger row or by the next
-step), so the state it supersedes is already released.  Admissible
-constant states are exact fixed points of both schemes.  A single
-controller run is sequential and owns its workspace; independent runs
-may run concurrently.
+StepFloorError.  `advance` runs it on one trajectory, the diagnostics'
+`cdep_experiment` on a pair and `dispersion_experiment` on each mode at
+one fixed dt.  An accepted candidate is completed once, when first
+needed (by the ledger row or by the next step), so the state it
+supersedes is already released.  Admissible constant states are exact
+fixed points of both schemes.  A single controller run is sequential
+and owns its workspace; independent runs may run concurrently.
 """
 
 from __future__ import annotations
@@ -190,13 +190,14 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.dt_min <= self.dt0 <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt0 <= dt_max")
-        if self.scheme not in (IMEX, NEWTON):
+        if self.scheme not in _STEPPERS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.growth_factor > 1.0:  # NaN too
             raise ValueError("growth_factor must exceed 1")
         if not 0.0 < self.guard_eps < 0.5:
             raise ValueError("guard_eps must lie in (0, 0.5)")
-        if not (self.energy_tol >= 0 and self.newton_tol > 0) or self.newton_max_iters < 1:
+        if not (0.0 <= self.energy_tol < math.inf and 0.0 < self.newton_tol < math.inf
+                and self.newton_max_iters >= 1):  # NaN and inf too: inf accepts any step
             raise ValueError("invalid tolerance settings")
         if any(s is not None and not 0.0 <= s < math.inf for s in (self.s1, self.s2)):
             raise ValueError("s1 and s2 must be finite and >= 0")
@@ -213,7 +214,7 @@ def _zero_order(pw, gsq):
     return pw.beta3 * gsq + pw.beta1**2 + pw.beta * pw.beta2 + pw.g1
 
 
-def _frozen_symbol(nl: Nonlinearity, sym, dt: float, beta1: np.ndarray,
+def _frozen_symbol(nl: Nonlinearity, grid: gr.Grid, dt: float, beta1: np.ndarray,
                    zero_order: np.ndarray) -> np.ndarray:
     """1 + dt*(a^3 + c2*a^2 + c1*a), the symbol of J = 1 + dt*A*Dmu(v) with v's
     coefficients frozen at their grid means: c2 = 2*mean beta'(v) - (2*lam - eta)
@@ -223,16 +224,16 @@ def _frozen_symbol(nl: Nonlinearity, sym, dt: float, beta1: np.ndarray,
     p = nl.params
     c2 = 2.0 * beta1.mean() - (2.0 * p.lam - p.eta)
     c1 = zero_order.mean()
-    symbol = 1.0 + dt * (sym.cubed + c2 * sym.squared + c1 * sym.eigenvalues)
+    symbol = 1.0 + dt * (grid.eigenvalues_cubed + c2 * grid.eigenvalues_sq + c1 * grid.eigenvalues)
     return np.copysign(np.maximum(np.abs(symbol), _FROZEN_FLOOR), symbol)
 
 
-def _setup(prev: State, dt: float):
-    """The frame of both steps: checks dt, completes prev and returns A's symbol."""
+def _setup(prev: State, dt: float) -> gr.Grid:
+    """The frame of both steps: checks dt, completes prev and returns its grid."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     prev.complete()
-    return prev.u.grid.symbol
+    return prev.u.grid
 
 
 def _stabilization(prev: State, cfg: SolverConfig):
@@ -262,13 +263,14 @@ def _stabilization(prev: State, cfg: SolverConfig):
 
 def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     """One stabilized IMEX step from the State prev (one field or a batch)."""
-    sym = _setup(prev, dt)
+    grid = _setup(prev, dt)
     s1, s2 = _stabilization(prev, cfg)
-    grid, ev, u_hat = prev.u.grid, sym.eigenvalues, prev.u_hat
+    ev, ev2, ev3 = grid.eigenvalues, grid.eigenvalues_sq, grid.eigenvalues_cubed
+    u_hat = prev.u_hat
     # R_hat = mu_hat - a^2 u_hat isolates everything but the bilaplacian.
-    r_hat = prev.mu_hat - sym.squared * u_hat
-    stab = s1 * sym.squared + s2 * ev
-    new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (sym.cubed + stab))
+    r_hat = prev.mu_hat - ev2 * u_hat
+    stab = s1 * ev2 + s2 * ev
+    new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (ev3 + stab))
     mass = (Ellipsis,) + (0,) * grid.dim
     new_hat[mass] = u_hat[mass]
     u_new = gr.transform_backward(new_hat, grid)
@@ -285,8 +287,8 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     Each row is solved on its own, since `lgmres` solves one system; the
     candidate's inner iterations are the most any row took.
     """
-    sym = _setup(prev, dt)
-    nl, grid, ev = prev.nl, prev.u.grid, sym.eigenvalues
+    grid = _setup(prev, dt)
+    nl, ev = prev.nl, grid.eigenvalues
     bound = (1.0 if nl.level is None else nl.level.clamp_bound) - cfg.guard_eps
     if np.abs(prev.u.values).max() > bound:
         raise GuardViolation("initial state already violates the separation guard")
@@ -333,7 +335,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             _, pw, grads, gsq = terms
             zero_order = _zero_order(pw, gsq)
             if M is None:  # at u: one preconditioner per row and step
-                M = _frozen_symbol(nl, sym, dt, pw.beta1, zero_order).ravel()
+                M = _frozen_symbol(nl, grid, dt, pw.beta1, zero_order).ravel()
             delta_hat, _ = lgmres(jacobian(pw, grads, zero_order), -g_hat.ravel(), M=M, rtol=1e-4)
             delta = gr.transform_backward(delta_hat.reshape(grid.shape), grid)
 

@@ -366,6 +366,14 @@ MALFORMED = {
         "[solver]", "[solver]\nenergy_tol = nan"), []),
     "solver_newton_tol_nan": ("run", lambda text: text.replace(
         "[solver]", "[solver]\nnewton_tol = nan"), []),
+    # an infinite newton_tol took the initial state as every Newton step's
+    # solution; an infinite energy_tol switched the dissipation test off
+    "solver_newton_tol_inf": ("run", lambda text: text.replace(
+        "[solver]", "[solver]\nnewton_tol = inf"), []),
+    "solver_energy_tol_inf": ("run", lambda text: text.replace(
+        "[solver]", "[solver]\nenergy_tol = inf"), []),
+    # the cdep fit window is t >= 5*dt0, not a key
+    "cdep_fit_skip": ("cdep", "[cdep]\nfit_skip = 0.1\n", []),
 }
 
 

@@ -1,14 +1,15 @@
-"""Golden outputs of short `sixch run` and `sixch cdep` runs, in two tiers.
+"""Golden outputs of short `sixch run`, `sixch cdep` and `sixch dispersion`
+runs, in two tiers.
 
 A refactor described as "same behaviour" must leave `ledger.csv`,
-`summary.json` and `final_state.f64` of a run, and `cdep.json` of a
-paired run, byte-identical.  The hash tier checks that: each run's files
-must have the sha256 in `GOLDEN`.  Bit-identity is a property of one
-numpy/scipy build on one CPU feature set (numpy dispatches log1p/exp to
-its AVX512_SKX kernels where the CPU has them and
-`NPY_DISABLE_CPU_FEATURES` leaves them on; AVX512F alone does not decide
-it), so the hashes are compared only on the environment named in
-`RECORDED_ON` and skipped elsewhere.
+`summary.json` and `final_state.f64` of a run, `cdep.json` of a paired
+run and `dispersion.csv` of a dispersion measurement byte-identical.
+The hash tier checks that: each run's files must have the sha256 in
+`GOLDEN`.  Bit-identity is a property of one numpy/scipy build on one
+CPU feature set (numpy dispatches log1p/exp to its AVX512_SKX kernels
+where the CPU has them and `NPY_DISABLE_CPU_FEATURES` leaves them on;
+AVX512F alone does not decide it), so the hashes are compared only on
+the environment named in `RECORDED_ON` and skipped elsewhere.
 
 The portable tier runs everywhere: the ledger rows of two runs, stored
 in `tests/golden/` (every `ROWS[name]`-th row), must agree column by
@@ -44,9 +45,10 @@ from sixch.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 ROWS_DIR = Path(__file__).resolve().parent / "golden"
 FILES = {"run": ("ledger.csv", "summary.json", "final_state.f64"),
-         "cdep": ("cdep.json",)}
+         "cdep": ("cdep.json",), "dispersion": ("dispersion.csv",)}
 
-# name -> (base config, overrides); a name starting with cdep runs `sixch cdep`
+# name -> (base config, overrides); a name whose first word is cdep or
+# dispersion runs that subcommand, any other `sixch run`
 RUNS = {
     "bench1d_500": ("configs/benchmark1d.ini",
                     {"run": {"max_steps": "500", "snapshot_every": "0"}}),
@@ -79,6 +81,7 @@ RUNS = {
                                           "dt_min": "1e-9", "dt_max": "5e-2",
                                           "growth_factor": "1.5"},
                                "cdep": {"t_end": "0.05", "amplitude": "1e-3"}}),
+    "dispersion_shipped": ("configs/dispersion.ini", {}),
 }
 
 # name -> stride of the ledger rows kept in tests/golden/<name>.csv
@@ -127,6 +130,9 @@ GOLDEN = {
     "cdep_newton_rejecting": {
         "cdep.json": "2e8ba8db42e480de73a11c86c1c5240317203297d89a32e80d6f78b54c2a4d1a",
     },
+    "dispersion_shipped": {
+        "dispersion.csv": "523123202acbfc9aa8d820cd72520c5cfb7e37d9d39ea743f64752ae407228c7",
+    },
 }
 
 
@@ -141,7 +147,8 @@ def _environment() -> dict:
 
 
 def _command(name: str) -> str:
-    return "cdep" if name.startswith("cdep") else "run"
+    command = name.split("_")[0]
+    return command if command in FILES else "run"
 
 
 def run_outputs(name: str, workdir: Path) -> Path:

@@ -272,10 +272,10 @@ class TestPoincare:
             assert gr.lp_norm(dev, 2) <= cp * gr.h1_seminorm(u) * (1 + 1e-12)
 
 
-class TestOperatorSymbol:
+class TestSpectrum:
     def test_neumann_symbol_monotone_per_axis(self):
         grid = Grid((1.0, 2.0), (16, 8), gr.NEUMANN)
-        ev = grid.symbol.eigenvalues
+        ev = grid.eigenvalues
         assert ev.flat[0] == 0.0
         assert np.all(ev >= 0.0)
         for ax in range(2):
@@ -283,7 +283,7 @@ class TestOperatorSymbol:
 
     def test_periodic_symbol_kernel_and_sign(self):
         grid = Grid((1.0,), (16,), gr.PERIODIC)
-        ev = grid.symbol.eigenvalues
+        ev = grid.eigenvalues
         assert ev.flat[0] == 0.0
         assert np.all(ev >= 0.0)
 

@@ -379,7 +379,7 @@ def uom1_values(u, nl):
     transformed back to values and summed with the pointwise terms, the
     reference for the coefficient-space assembly of `State.complete`."""
     grid = u.grid
-    ev = grid.symbol.eigenvalues
+    ev = grid.eigenvalues
     pw = nl.pointwise(u.values)
     u_hat = gr.transform_forward(u.values, grid)
     a_u = gr.transform_backward(ev * u_hat, grid)

@@ -174,6 +174,20 @@ class TestSchemeAgreement:
         for s in slopes:
             assert 1.7 <= s <= 2.3, (diffs, slopes)
 
+    @pytest.mark.parametrize("scheme", ["imex", "newton"])
+    def test_first_order_in_time_at_fixed_dt(self, scheme):
+        # bench1d's physics on 64 points: halving a fixed dt halves the
+        # change, so successive differences shrink by 2; no reference needed
+        grid = Grid((8 * np.pi,), (64,), gr.NEUMANN)
+        u0 = noise_state(grid, cutoff=6)
+        finals = [advance(u0, 0.02, SPINODAL, SolverConfig(scheme=scheme, dt0=dt, dt_min=dt,
+                                                           dt_max=dt))
+                  for dt in (1e-3, 5e-4, 2.5e-4, 1.25e-4)]
+        diffs = [gr.lp_norm(a - b, 2) for a, b in zip(finals, finals[1:])]
+        ratios = [diffs[i] / diffs[i + 1] for i in range(2)]
+        for r in ratios:
+            assert 1.8 <= r <= 2.3, (diffs, ratios)
+
 
 class TestFieldConstructions:
     """A ScalarField is built, and so checked, only where a value enters a
@@ -338,15 +352,14 @@ class TestFrozenSymbolPreconditioner:
         c, dt, h = 0.3, 0.1, 1e-6
         nl = State(constant_field(grid, c), SPINODAL).nl
         pw = nl.pointwise(np.full(grid.shape, c), jacobian=True)
-        sym = grid.symbol
-        diag = _frozen_symbol(nl, sym, dt, pw.beta1, _zero_order(pw, 0.0))
+        diag = _frozen_symbol(nl, grid, dt, pw.beta1, _zero_order(pw, 0.0))
         x = grid.axis_coords(0)
         for k in (1, 3, 8, 20):
             w = np.cos(k * np.pi * x / grid.lengths[0])
             mu_p, mu_m = (model.mu(ScalarField(grid, c + s * h * w), nl).values
                           for s in (1.0, -1.0))
             dmu_k = np.dot((mu_p - mu_m) * (0.5 / h), w) / np.dot(w, w)
-            assert diag[k] == pytest.approx(1.0 + dt * sym.eigenvalues[k] * dmu_k, rel=1e-6)
+            assert diag[k] == pytest.approx(1.0 + dt * grid.eigenvalues[k] * dmu_k, rel=1e-6)
 
     def test_floor_only_where_the_symbol_reaches_zero(self, operators, krylov, preconditioners,
                                                        monkeypatch):
@@ -675,6 +688,7 @@ class TestStabilizationDefaults:
         with pytest.raises(ValueError):
             SolverConfig(growth_factor=0.9)
         for bad in ({"growth_factor": np.nan}, {"energy_tol": np.nan}, {"newton_tol": np.nan},
+                    {"energy_tol": np.inf}, {"newton_tol": np.inf},
                     {"s1": np.nan}, {"s2": np.nan}, {"s1": -1.0}, {"s2": np.inf}):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
