@@ -27,7 +27,7 @@ from .grid import Grid, ScalarField
 from .potential import TruncationLevel
 
 AMP_MARGIN = 1e-6  # generated states keep ||u||_inf <= 1 - AMP_MARGIN
-MEAN_TOL = 1e-12
+MEAN_TOL = 1e-12  # generated states have |mean(u) - mean_m| <= MEAN_TOL
 
 CONSTANT = "constant"
 TANH_INTERFACE = "tanh"

@@ -23,8 +23,8 @@ eigenvalues ev, so its coefficients are
              + F[beta''(u)|grad u|^2 + beta(u) beta'(u) + g(u)],
 
 and `_assemble` sums them so, from coefficients alone: the one assembly
-of mu (for `State` and the Newton residual, whose nonlinear sum
-`_nonlinear` forms) and of its derivative Dmu(v)w, whose terms have the
+of mu (for `State`, and so for the Newton residual, an iterate State's
+completion) and of its derivative Dmu(v)w, whose terms have the
 same form.  `State` evaluates a state once: one pointwise pass of the
 nonlinearities (`Nonlinearity.pointwise`), the energy breakdown the
 dissipation test reads, with the Willmore term summed by Parseval from
@@ -120,15 +120,21 @@ class State:
     reads (u, u_hat, mu_hat) and the terms of the a-priori scalars, which
     `apriori` evaluates when first read (the ledger reads them for every
     state; the cdep pair never does) and then releases.
+
+    With ``jacobian`` the pass gives beta''' and g' too, and completion keeps
+    it, the gradients and |grad u|^2 for `linearize`: a Newton iterate is
+    such a State, its completion the residual's mu_hat, and the candidate,
+    the last iterate, hands these terms to the next step's Jacobian.
     """
 
-    __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq",
-                 "_lead", "_apriori", "_pw", "_beta_hat", "_terms")
+    __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq", "_lead",
+                 "_apriori", "_pw", "_beta_hat", "_terms", "_linear")
 
-    def __init__(self, u: ScalarField, p, u_hat: Optional[np.ndarray] = None):
+    def __init__(self, u: ScalarField, p, u_hat: Optional[np.ndarray] = None, *,
+                 jacobian: bool = False):
         nl = as_nonlinearity(p)
         vals = u.values
-        pw = nl.pointwise(vals)
+        pw = nl.pointwise(vals, jacobian=jacobian)
         grid = u.grid
         ev = grid.eigenvalues
         w = grid.cell_volume
@@ -144,7 +150,7 @@ class State:
         willmore = 0.5 * _sum(np.abs(om_hat) ** 2, lead) * w
         ch_grad = 0.5 * eta * _spectral_sq(ev, self.u_hat, lead) * w
         self.energy = EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
-        self.mu_hat = self.grad_mu_sq = self._apriori = self._terms = None
+        self.mu_hat = self.grad_mu_sq = self._apriori = self._terms = self._linear = None
 
     def complete(self) -> State:
         """Evaluate mu_hat and ||grad mu||^2 of an accepted state; return the state.
@@ -155,7 +161,13 @@ class State:
         if self.mu_hat is not None:
             return self
         grid, lead, pw = self.u.grid, self._lead, self._pw
-        b_vals, curv, nonlinear = _nonlinear(pw, gr.grad_norm_sq(self.u.values, grid))
+        grads = gr.gradients(self.u.values, grid)
+        gsq = sum(g**2 for g in grads)  # as grad_norm_sq sums it
+        self._linear = (pw, grads, gsq) if pw.beta3 is not None else None  # a jacobian pass
+        del grads  # held by _linear alone: other states free them before the assembly
+        # B = beta beta', curv = beta''|grad u|^2 and mu's zero-order sum
+        b_vals, curv = pw.beta * pw.beta1, pw.beta2 * gsq
+        nonlinear = curv + b_vals + pw.g
         mu_hat = _assemble(self.nl, grid, self.u_hat, self._beta_hat,
                            gr.transform_forward(nonlinear, grid))
         if not np.isfinite(mu_hat).all():  # mu leaves the state: checked
@@ -167,6 +179,15 @@ class State:
         # each row squared as a Python float (libm pow), not by the array square
         self.grad_mu_sq = np.reshape([r**2 for r in np.ravel(root).tolist()], lead)[()]
         return self
+
+    def linearize(self):
+        """(pointwise pass with beta''' and g', gradients, |grad u|^2) of the completed
+        state, which Newton's J and M read: kept by a ``jacobian`` State, else made once."""
+        if self.complete()._linear is None:
+            vals = self.u.values
+            grads = gr.gradients(vals, self.u.grid)
+            self._linear = self.nl.pointwise(vals, jacobian=True), grads, sum(g**2 for g in grads)
+        return self._linear
 
     @property
     def apriori(self) -> Optional[AprioriDiagnostics]:
@@ -195,14 +216,6 @@ def _assemble(nl, grid, x_hat, b_hat, n_hat):
     out += 2.0 * ev * b_hat
     out += n_hat
     return out
-
-
-def _nonlinear(pw, gsq):
-    """B = beta beta', curv = beta''|grad u|^2 and n = curv + B + g, mu's zero-order sum,
-    from the pointwise pass `pw` and gsq = |grad u|^2."""
-    b_vals = pw.beta * pw.beta1
-    curv = pw.beta2 * gsq
-    return b_vals, curv, curv + b_vals + pw.g
 
 
 def omega(u: ScalarField, p) -> ScalarField:

@@ -30,13 +30,13 @@ Two first-order integrators are provided:
   J w_hat = -G_hat, preconditioned by one division by M, the floored
   symbol, and the update is damped on values, after one backward
   transform, so that iterates stay strictly inside the admissible set
-  (the separation guard).  Each iterate is evaluated once, for G and J
-  alike: mu(v) and Dmu(v)w share the assembly that completes a
-  `model.State`, `model._assemble`, of v_hat or w_hat and one forward
-  transform of [v, beta, n] or of beta' w and the zero-order terms, so a
-  matvec makes 4 r2r calls in 1D (w's backward transform and gradient,
-  one forward).  G(u) is dt*a*mu_hat of the previous state, and J is
-  built only at an iterate that has not converged.  Periodic grids take
+  (the separation guard).  Each iterate is a `model.State` completed with
+  its Jacobian terms, so it is evaluated once, for G and J alike: mu(v)
+  is its completion, and Dmu(v)w shares its assembly, `model._assemble`,
+  of w_hat and one forward transform of beta' w and the zero-order terms,
+  so a matvec makes 4 r2r calls in 1D (w's backward transform and
+  gradient, one forward).  G(u) is dt*a*mu_hat of the previous state, and
+  J is built only at an iterate that has not converged.  Periodic grids take
   the same path in complex arithmetic: J and the real M keep vectors
   Hermitian.
 
@@ -59,13 +59,13 @@ Both steps share one set-up: they complete the State they step from (a
 no-op if it is completed already) and read its u_hat and mu_hat, and the
 symbols of A, A^2 and A^3 their grid holds, and return a candidate `State`.
 The IMEX candidate keeps the coefficients it solved for, mass mode pinned.
-The Newton candidate is the iterate it converged to, with the coefficients
-its last residual transformed (prev's own if G(u) converged): they equal
-a transform of its values bit for bit, so the next step's G(u) matches them.
+The Newton candidate is its last iterate, Jacobian terms kept (prev itself
+if G(u) converged), so the next step's G(u), J and M read what it computed.
 One field (leading shape ()) and a batch (`ScalarField.stack`, (k,))
 take one path: IMEX steps the rows in the same array operations, with s1
-from each row's sup norm, and Newton loops over the rows, since `lgmres`
-solves one system; each row equals its step alone, bit for bit.
+from each row's sup norm, and Newton iterates the rows in lockstep, each
+moved by its own Krylov solve and damping until it converges, since
+`lgmres` solves one system; each row equals its step alone, bit for bit.
 Neither scheme is provably energy stable for this energy, so one adaptive
 step controller, `_march`, enforces dissipation a posteriori.  It steps
 one State, so k trajectories batched into one State go in lockstep with
@@ -74,7 +74,7 @@ size when any row's energy rises by more than ``energy_tol`` or any row
 leaves the admissible set, and a rejection at dt_min raises
 StepFloorError.  `advance` runs it on one trajectory, the diagnostics'
 `cdep_experiment` on a pair and `dispersion_experiment` on each mode at
-one fixed dt.  An accepted candidate is completed once, when first
+one fixed dt.  An accepted IMEX candidate is completed once, when first
 needed (by the ledger row or by the next step), so the state it
 supersedes is already released.  Admissible constant states are exact
 fixed points of both schemes.  A single controller run is sequential
@@ -92,7 +92,7 @@ import numpy as np
 from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
 from .grid import ScalarField
-from .model import State, _assemble, _nonlinear
+from .model import State, _assemble
 from .potential import Nonlinearity
 
 IMEX = "imex"
@@ -205,7 +205,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepResult:
-    state: State  # the candidate, evaluated but not completed
+    state: State  # the candidate, evaluated (and completed, if Newton's)
     inner_iters: int
 
 
@@ -284,8 +284,9 @@ def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
 def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     """One damped Newton--Krylov step from the State prev (one field or a batch).
 
-    Each row is solved on its own, since `lgmres` solves one system; the
-    candidate's inner iterations are the most any row took.
+    The iterates are States whose rows go in lockstep, each moved by its own
+    Krylov solve until it converges; the candidate is the last (prev if G(u)
+    converged), with the most inner iterations any row took.
     """
     grid = _setup(prev, dt)
     nl, ev = prev.nl, grid.eigenvalues
@@ -295,16 +296,8 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
 
     n_dof, dtype = math.prod(grid.shape), prev.u_hat.dtype
 
-    def evaluate(v_vals: np.ndarray):
-        """Iterate v, its pointwise pass and its gradients: what G(v) and J(v) read."""
-        v = ScalarField(grid, v_vals).values  # an iterate: checked
-        pw = nl.pointwise(v, jacobian=True)
-        grads = gr.gradients(v, grid)
-        return v, pw, grads, sum(g**2 for g in grads)  # as grad_norm_sq sums it
-
-    def jacobian(pw, grads, zero_order) -> LinearOperator:
+    def jacobian(beta1, beta2, grads, zero_order) -> LinearOperator:
         """J w_hat = w_hat + dt*ev*(Dmu(v) w)_hat, the analytic Frechet derivative of G at v."""
-        beta1, beta2 = pw.beta1, pw.beta2
 
         def jac_vec(w_hat: np.ndarray) -> np.ndarray:
             w_hat = w_hat.reshape(grid.shape)
@@ -317,50 +310,43 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
 
         return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=dtype)
 
-    def newton(u_vals: np.ndarray, u_hat: np.ndarray, mu_hat: np.ndarray):
-        """Damped Newton from u to G(v) = 0; the converged v, its coefficients, the iterations."""
-        v_vals, v_hat = u_vals, u_hat
-        g_hat, terms, M = dt * ev * mu_hat, None, None  # G(u) from the completed prev
-        tol = cfg.newton_tol * (float(np.linalg.norm(u_vals)) * np.sqrt(grid.cell_volume))
-        iters = 0
-        while True:
-            res = float(np.linalg.norm(g_hat)) * np.sqrt(grid.cell_volume)  # Parseval
-            if res <= tol:
-                return v_vals, v_hat, iters
-            if iters >= cfg.newton_max_iters:
-                raise NewtonDivergence(
-                    f"no convergence in {cfg.newton_max_iters} iterations (residual {res:.3e})")
-            iters += 1
-            terms = terms or evaluate(v_vals)  # u's pass is made only if u is not converged
-            _, pw, grads, gsq = terms
-            zero_order = _zero_order(pw, gsq)
-            if M is None:  # at u: one preconditioner per row and step
-                M = _frozen_symbol(nl, grid, dt, pw.beta1, zero_order).ravel()
-            delta_hat, _ = lgmres(jacobian(pw, grads, zero_order), -g_hat.ravel(), M=M, rtol=1e-4)
+    scale = np.sqrt(grid.cell_volume)  # Parseval: ||G|| from its coefficients
+    moving = list(np.ndindex(prev.u.values.shape[:-grid.dim]))  # [()] for one field
+    tol = {row: cfg.newton_tol * (float(np.linalg.norm(prev.u.values[row])) * scale)
+           for row in moving}
+    state, g_hat, iters = prev, dt * ev * prev.mu_hat, 0  # G(u) from the completed prev
+    while True:
+        res = {row: float(np.linalg.norm(g_hat[row])) * scale for row in moving}
+        moving = [row for row in moving if res[row] > tol[row]]
+        if not moving:
+            return StepResult(state, max(iters, 1))
+        if iters >= cfg.newton_max_iters:
+            raise NewtonDivergence(f"no convergence in {cfg.newton_max_iters} iterations "
+                                   f"(residual {res[moving[0]]:.3e})")
+        iters += 1
+        pw, grads, gsq = state.linearize()  # u's terms are read only if u is not converged
+        zero_order = _zero_order(pw, gsq)
+        if state is prev:  # at u: one preconditioner per row and step
+            M = {row: _frozen_symbol(nl, grid, dt, pw.beta1[row], zero_order[row]).ravel()
+                 for row in moving}
+        v = state.u.values.copy()
+        for row in moving:
+            J = jacobian(pw.beta1[row], pw.beta2[row], [g[row] for g in grads], zero_order[row])
+            delta_hat, _ = lgmres(J, -g_hat[row].ravel(), M=M[row], rtol=1e-4)
             delta = gr.transform_backward(delta_hat.reshape(grid.shape), grid)
 
             # damp the update so the iterate keeps the separation guard; |v| <= bound
             # already (the entry guard, the clip), so only a nonzero entry of delta pushes
             theta = 1.0
-            pushing = np.abs(v_vals + delta) > bound
+            pushing = np.abs(v[row] + delta) > bound
             if pushing.any():
-                room = bound - np.abs(v_vals[pushing])
+                room = bound - np.abs(v[row][pushing])
                 theta = min(1.0, 0.95 * float(np.min(room / np.abs(delta[pushing]))))
             if theta < 1e-8:
                 raise GuardViolation("damping cannot keep the Newton iterate admissible")
-            v_vals = v_vals + theta * delta
-            np.clip(v_vals, -bound, bound, out=v_vals)
-            v, pw, _, gsq = terms = evaluate(v_vals)
-            rows = np.stack([v, pw.beta, _nonlinear(pw, gsq)[-1]])
-            v_hat, b_hat, n_hat = gr.transform_forward(rows, grid)
-            g_hat = v_hat - u_hat + dt * ev * _assemble(nl, grid, v_hat, b_hat, n_hat)
-
-    u_vals = prev.u.values
-    v_vals, v_hat, iters = np.empty_like(u_vals), np.empty_like(prev.u_hat), 1
-    for row in np.ndindex(u_vals.shape[:-grid.dim]):  # () for one field
-        v_vals[row], v_hat[row], row_iters = newton(u_vals[row], prev.u_hat[row], prev.mu_hat[row])
-        iters = max(iters, row_iters)
-    return StepResult(State(ScalarField(grid, v_vals, prev.u.batch), nl, v_hat), iters)
+            v[row] = np.clip(v[row] + theta * delta, -bound, bound)
+        state = State(ScalarField(grid, v, prev.u.batch), nl, jacobian=True).complete()
+        g_hat = state.u_hat - prev.u_hat + dt * ev * state.mu_hat
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}
@@ -375,8 +361,8 @@ def _march(state: State, t_end: float, cfg: SolverConfig):
     StepFloorError.  dt grows by ``growth_factor`` up to dt_max after an
     accepted step whose inner solves were all fast.  After each accepted
     step ``(t, dt, rejections, state)`` is yielded, with the rejections
-    since the previous accepted step.  The accepted State is completed by
-    the next step, or earlier by a consumer that reads mu (`State.complete`,
+    since the previous accepted step.  An accepted IMEX State is completed
+    by the next step, or earlier by a consumer that reads mu (`State.complete`,
     as the ledger does), so the state it supersedes, which nothing holds
     any more, is released before the completion allocates.
     """

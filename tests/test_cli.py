@@ -374,6 +374,19 @@ MALFORMED = {
         "[solver]", "[solver]\nenergy_tol = inf"), []),
     # the cdep fit window is t >= 5*dt0, not a key
     "cdep_fit_skip": ("cdep", "[cdep]\nfit_skip = 0.1\n", []),
+    # values each parser rejects, untested before
+    "grid_dim_2_one_count": ("run", lambda text: text.replace(
+        "counts = 64", "dim = 2\ncounts = 64"), []),
+    "grid_bc_dirichlet": ("run", lambda text: text.replace("bc = neumann", "bc = dirichlet"),
+                          []),
+    "initial_kind_bump": ("init", lambda text: text.replace("kind = noise", "kind = bump"), []),
+    "initial_constant_mean_past_margin": ("init", lambda text: text.replace(
+        "kind = noise", "kind = constant").replace("mean = 0.2", "mean = 0.9999999"), []),
+    "sweep_lambdas_empty": ("sweep", "[sweep]\nlambdas =\n", []),
+    "solver_scheme_rk4": ("run", lambda text: text.replace(
+        "[solver]", "[solver]\nscheme = rk4"), []),
+    "solver_guard_eps_0.5": ("run", lambda text: text.replace(
+        "[solver]", "[solver]\nguard_eps = 0.5"), []),
 }
 
 
@@ -387,6 +400,12 @@ class TestMalformedInput:
         assert main([command, "--config", str(path), "--out", str(out), *argv]) == 1
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()  # rejected before any work
+
+    def test_run_without_config_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --config is required")
+        assert not out.exists()
 
     # each made `init` and `run` exit 2 on a non-finite field, after making
     # the output directory; position = 24 made an artefact instead: the

@@ -202,9 +202,9 @@ class TestCdepBatch:
         calls = []
         pointwise = Nonlinearity.pointwise
 
-        def counted(self, r):
+        def counted(self, r, jacobian=False):
             calls.append(np.shape(r))
-            return pointwise(self, r)
+            return pointwise(self, r, jacobian=jacobian)
 
         monkeypatch.setattr(Nonlinearity, "pointwise", counted)
         u01, u02 = TestCdep()._base(n=32)

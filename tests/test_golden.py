@@ -81,13 +81,18 @@ RUNS = {
                                           "dt_min": "1e-9", "dt_max": "5e-2",
                                           "growth_factor": "1.5"},
                                "cdep": {"t_end": "0.05", "amplitude": "1e-3"}}),
+    # fixed-step Newton pair: 100 accepted steps, no rejection, portable rows
+    "cdep_newton_fixed": ("configs/cdep.ini",
+                          {"solver": {"scheme": "newton", "dt0": "1e-4",
+                                      "dt_min": "1e-4", "dt_max": "1e-4"},
+                           "cdep": {"t_end": "0.01", "amplitude": "1e-3"}}),
     "dispersion_shipped": ("configs/dispersion.ini", {}),
 }
 
 # name -> stride of the ledger rows kept in tests/golden/<name>.csv
 ROWS = {"bench1d_500": 5, "newton1d_20": 1}
 # paired runs whose cdep.json series are kept in tests/golden/<name>.json
-CDEP_ROWS = ("cdep_shipped",)
+CDEP_ROWS = ("cdep_newton_fixed", "cdep_shipped")
 CDEP_KEYS = ("times", "dual_distance", "fitted_C")
 ROW_RTOL = 1e-10
 
@@ -126,6 +131,9 @@ GOLDEN = {
     },
     "cdep_shipped": {
         "cdep.json": "c2a7385fb22d10e36b0f200d2a1c8d0229e74fd9bb4c2d048b698fe9df813172",
+    },
+    "cdep_newton_fixed": {
+        "cdep.json": "cce57879b49f58da74d07cfe80994c27257dd5f8d4db8fec2dae4b06e6d7ac02",
     },
     "cdep_newton_rejecting": {
         "cdep.json": "2e8ba8db42e480de73a11c86c1c5240317203297d89a32e80d6f78b54c2a4d1a",

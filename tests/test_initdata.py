@@ -4,7 +4,8 @@ import pytest
 from sixch import grid as gr
 from sixch.errors import SpecError
 from sixch.grid import Grid, ScalarField
-from sixch.initdata import InitialSpec, check_realizable, generate, regularize_initial
+from sixch.initdata import (MEAN_TOL, InitialSpec, check_realizable, generate,
+                             regularize_initial)
 from sixch.potential import TruncationLevel, eval_beta
 
 
@@ -44,7 +45,7 @@ class TestGenerate:
     def test_noise_invariants(self, grid):
         spec = InitialSpec(kind="noise", mean_m=0.3, amplitude=0.05, seed=1, cutoff=12)
         u = generate(spec, grid)
-        assert gr.mean(u) == pytest.approx(0.3, abs=1e-12)
+        assert gr.mean(u) == pytest.approx(0.3, abs=MEAN_TOL)
         assert gr.lp_norm(u, np.inf) <= 1.0 - 1e-6
         dev = np.max(np.abs(u.values - 0.3))
         assert dev == pytest.approx(0.05, abs=1e-14)  # sup of the deviation
@@ -52,7 +53,7 @@ class TestGenerate:
     def test_tanh_interface(self, grid):
         spec = InitialSpec(kind="tanh", mean_m=0.0, amplitude=0.8, seed=0, width=0.4)
         u = generate(spec, grid)
-        assert gr.mean(u) == pytest.approx(0.0, abs=1e-12)
+        assert gr.mean(u) == pytest.approx(0.0, abs=MEAN_TOL)
         assert gr.lp_norm(u, np.inf) <= 0.8 + 1e-12
         assert np.all(np.isfinite(eval_beta(u.values)[0]))
 

@@ -4,7 +4,7 @@ import pytest
 from sixch import grid as gr
 from sixch import model
 from sixch.diagnostics import RunLedger
-from sixch.errors import GuardViolation, StepFloorError
+from sixch.errors import GuardViolation, NewtonDivergence, StepFloorError
 from sixch.grid import Grid, ScalarField, constant_field
 from sixch.initdata import InitialSpec, generate, regularize_initial
 from sixch.model import State, dispersion_sigma
@@ -191,7 +191,7 @@ class TestSchemeAgreement:
 
 class TestFieldConstructions:
     """A ScalarField is built, and so checked, only where a value enters a
-    State: the candidate's u and each Newton iterate.  mu leaves a completed
+    State: the IMEX candidate's u and each Newton iterate.  mu leaves a completed
     State as mu_hat, which completion checks itself, so it builds none."""
 
     @pytest.fixture
@@ -221,15 +221,15 @@ class TestFieldConstructions:
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
         out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
-        # u and each iterate, then the candidate's u
-        assert len(constructions) == out.inner_iters + 2
+        # each iterate; the candidate is the last of them
+        assert len(constructions) == out.inner_iters
 
 
 class TestNewtonEvaluations:
     def test_each_iterate_evaluated_once(self, monkeypatch):
-        # the newton1d benchmark problem: one pointwise pass per Newton
-        # iterate (u included) plus the candidate's, and the candidate is
-        # the only State built
+        # the newton1d benchmark problem: each iterate is one State with one
+        # pointwise pass, and u, not built as an iterate, makes one pass for
+        # its Jacobian terms
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2,
                            growth_factor=1.05)
@@ -247,7 +247,7 @@ class TestNewtonEvaluations:
                             counting("pointwise", Nonlinearity.pointwise))
         out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
-        assert counts == {"State": 1, "pointwise": out.inner_iters + 2}
+        assert counts == {"State": out.inner_iters, "pointwise": out.inner_iters + 1}
 
     @pytest.mark.parametrize("grid, cutoff", [
         (Grid((8 * np.pi,), (512,), gr.NEUMANN), 20),
@@ -256,8 +256,8 @@ class TestNewtonEvaluations:
     def test_candidate_coefficients_are_the_transform_of_its_values(self, grid, cutoff):
         # the next step's first residual G(u) reads the candidate's mu_hat, built
         # from its u_hat, which must therefore be the transform of its values;
-        # it is: the row-0 coefficients of the forward call of [v, beta, n] that
-        # the last residual made, or prev's own u_hat where G(u) converged at once
+        # it is: the candidate is the last iterate State, which transformed its
+        # values, or prev itself where G(u) converged at once
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
         prev = State(noise_state(grid, cutoff=cutoff), SPINODAL).complete()
         out = step_implicit(prev, 1e-4, cfg)
@@ -265,24 +265,60 @@ class TestNewtonEvaluations:
         assert np.array_equal(out.state.u_hat, gr.transform_forward(out.state.u.values, grid))
 
     def test_candidate_is_the_last_iterate(self, monkeypatch):
-        # the candidate's values are those of the iterate Newton converged to,
-        # the last ScalarField built before the candidate's, not a round trip
-        # through its coefficients
+        # the candidate is the State of the iterate Newton converged to,
+        # completed by its residual; where G(u) converges at once it is prev
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
         prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
+        constant = State(constant_field(grid, 0.2), SPINODAL)
         built = []
-        init = ScalarField.__init__
+        init = State.__init__
 
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            built.append(self.values.copy())
+            built.append(self)
 
-        monkeypatch.setattr(ScalarField, "__init__", recording)
+        monkeypatch.setattr(State, "__init__", recording)
         out = step_implicit(prev, 1e-4, cfg)
-        assert out.inner_iters >= 2 and len(built) == out.inner_iters + 2
-        assert np.array_equal(out.state.u.values, built[-1])
-        assert np.array_equal(built[-1], built[-2])
+        assert out.inner_iters >= 2 and len(built) == out.inner_iters
+        assert out.state is built[-1] and out.state.mu_hat is not None
+        built.clear()
+        out = step_implicit(constant, 1e-4, cfg)
+        assert out.state is constant and out.inner_iters == 1 and not built
+
+    def test_next_step_reads_the_candidates_terms(self, monkeypatch):
+        # a step from a Newton candidate makes no pointwise pass and no
+        # gradient at u: the candidate's completion kept them.  A step from
+        # a State built otherwise makes them once, and a retry from it (as
+        # after a rejection) reuses them
+        grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
+        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
+        candidate = step_implicit(State(noise_state(grid, cutoff=20), SPINODAL), 1e-4,
+                                  cfg).state
+        prev = State(noise_state(grid, seed=8, cutoff=20), SPINODAL).complete()
+        at_u = []
+
+        def recording(name, fn, u):
+            def wrapper(*args, **kwargs):
+                at_u.extend(name for a in args if isinstance(a, np.ndarray)
+                            and np.array_equal(a, u))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def watch(u):
+            monkeypatch.setattr(Nonlinearity, "pointwise",
+                                recording("pointwise", Nonlinearity.pointwise, u))
+            monkeypatch.setattr(gr, "gradients", recording("gradients", gr.gradients, u))
+
+        watch(candidate.u.values)
+        assert step_implicit(candidate, 1e-4, cfg).inner_iters >= 1
+        assert at_u == []
+        monkeypatch.undo()
+        watch(prev.u.values)
+        assert step_implicit(prev, 2e-4, cfg).inner_iters >= 1
+        assert sorted(at_u) == ["gradients", "pointwise"]
+        assert step_implicit(prev, 1e-4, cfg).inner_iters >= 1
+        assert sorted(at_u) == ["gradients", "pointwise"]
 
     def test_no_jacobian_at_the_converged_iterate(self, operators, preconditioners,
                                                    monkeypatch):
@@ -332,6 +368,69 @@ class TestNewtonEvaluations:
                       for s in (1.0, -1.0))
         fd = gr.transform_forward(w + dt * gr.apply_A((mu_p - mu_m) * (0.5 / h)).values, grid)
         assert np.linalg.norm(jw - fd) <= 1e-4 * np.linalg.norm(jw - w_hat)
+
+
+class TestNewtonDamping:
+    """An update that would take an iterate past the separation guard
+    |v| <= bound is damped to theta = 0.95 min(room/|delta|) over the
+    entries it pushes past the bound, room being each one's distance to it;
+    an update that pushes an entry already at the bound cannot be damped."""
+
+    @staticmethod
+    def replace_updates(monkeypatch, update):
+        """Make each Krylov solve return update(x) for its solution x; the updates, in order."""
+        from sixch import stepper
+
+        updates, solve = [], stepper.lgmres
+
+        def replaced(A, b, **kwargs):
+            x, info = solve(A, b, **kwargs)
+            updates.append(update(x))
+            return updates[-1], info
+
+        monkeypatch.setattr(stepper, "lgmres", replaced)
+        return updates
+
+    def test_overshooting_update_is_damped_to_the_guard(self, monkeypatch):
+        grid = Grid((8 * np.pi,), (128,), gr.NEUMANN)
+        prev = State(noise_state(grid, mean=0.0, amplitude=0.6, seed=19, cutoff=12),
+                     SPINODAL).complete()
+        cfg = SolverConfig(scheme="newton", newton_max_iters=1)
+        bound = 1.0 - cfg.guard_eps
+        updates = self.replace_updates(monkeypatch, lambda x: 1e5 * x)
+        iterates, init = [], ScalarField.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            iterates.append(self.values.copy())
+
+        monkeypatch.setattr(ScalarField, "__init__", recording)
+        with pytest.raises(NewtonDivergence):  # one iteration, then its residual is read
+            step_implicit(prev, 1e-4, cfg)
+        u = prev.u.values
+        delta = gr.transform_backward(updates[0].reshape(grid.shape), grid)
+        pushing = np.abs(u + delta) > bound
+        assert pushing.any()
+        theta = 0.95 * float(np.min((bound - np.abs(u[pushing])) / np.abs(delta[pushing])))
+        assert 1e-8 < theta < 1.0
+        v = iterates[-1]  # the iterate the update gave
+        assert np.abs(v).max() <= bound
+        assert np.array_equal(v, u + theta * delta)
+
+    def test_update_pushing_an_entry_at_the_bound_raises(self, monkeypatch):
+        grid = Grid((8 * np.pi,), (128,), gr.NEUMANN)
+        cfg = SolverConfig(scheme="newton")
+        bound = 1.0 - cfg.guard_eps
+        u = noise_state(grid, mean=0.0, amplitude=0.6, seed=19, cutoff=12).values.copy()
+        peak = np.argmax(np.abs(u))
+        u[peak] = np.copysign(bound, u[peak])
+        prev = State(ScalarField(grid, u), SPINODAL).complete()
+        # the update u itself pushes every entry outward, the one at the bound too
+        updates = self.replace_updates(monkeypatch, lambda x: gr.transform_forward(u, grid))
+        with pytest.raises(GuardViolation, match="damping"):
+            step_implicit(prev, 1e-4, cfg)
+        delta = gr.transform_backward(updates[0].reshape(grid.shape), grid)
+        assert np.sign(delta[peak]) == np.sign(u[peak])
 
 
 class TestFrozenSymbolPreconditioner:
@@ -714,6 +813,20 @@ class TestBatchedSteps:
             assert np.array_equal(batch.state.u.values[i], r.state.u.values)
             assert batch.state.energy.total[i] == r.state.energy.total
         assert np.array_equal(batch.state.u.values[2], rows[2].values)
+
+    def test_newton_rows_converge_on_their_own(self):
+        # a constant row meets its tolerance at G(u) and is not moved, while
+        # the noise row iterates: the constant comes back as it went in, and
+        # the noise row as its step alone
+        grid = Grid((8 * np.pi,), (128,), gr.NEUMANN)
+        rows = [constant_field(grid, 0.2), noise_state(grid, seed=7, cutoff=20)]
+        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
+        batch = step_implicit(State(ScalarField.stack(rows), SPINODAL), 1e-4, cfg)
+        alone = step_implicit(State(rows[1], SPINODAL), 1e-4, cfg)
+        assert alone.inner_iters >= 2 and batch.inner_iters == alone.inner_iters
+        assert np.array_equal(batch.state.u.values[0], rows[0].values)
+        assert np.array_equal(batch.state.u.values[1], alone.state.u.values)
+        assert batch.state.energy.total[1] == alone.state.energy.total
 
     @pytest.mark.parametrize("stepper", [step_imex, step_implicit])
     @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
