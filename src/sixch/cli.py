@@ -346,35 +346,43 @@ def cmd_verify() -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors raise ConfigError (exit 1) instead of
+    exiting 2, the code of a solver failure here; --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="sixch",
-                                     description="spectral engine for the sixth-order "
-                                                 "conserved flow with logarithmic potential")
+    parser = _ArgumentParser(prog="sixch",
+                             description="spectral engine for the sixth-order "
+                                         "conserved flow with logarithmic potential")
     parser.add_argument("command",
                         choices=["run", "verify", "dispersion", "cdep", "sweep", "init"])
     parser.add_argument("--config", required=False, help="path to the INI config")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
-
-    if args.command == "verify":  # the suite reads no config and writes no files
-        return cmd_verify()
-    if not args.config:
-        print("error: --config is required", file=sys.stderr)
-        return 1
-    config_path = Path(args.config)
-
     try:
+        args = parser.parse_args(argv)
+        if args.command == "verify":  # the suite reads no config and writes no files
+            return cmd_verify()
+        if not args.config:
+            print("error: --config is required", file=sys.stderr)
+            return 1
+        config_path = Path(args.config)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         cfg = parse_config(config_path, seed_override=args.seed)
+        outdir = Path(args.out or config_path.with_suffix("").name + "_out")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file, or under one, or not writable
+            raise ConfigError(f"--out {outdir} cannot be made a directory ({exc.strerror})")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    outdir = Path(args.out or config_path.with_suffix("").name + "_out")
-    outdir.mkdir(parents=True, exist_ok=True)
 
     # built per call, so a wrapper bound over a cmd_* takes effect
     commands = {"run": cmd_run, "init": cmd_init, "dispersion": cmd_dispersion, "cdep": cmd_cdep,

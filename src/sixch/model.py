@@ -24,12 +24,13 @@ eigenvalues ev, so its coefficients are
 
 and `_assemble` sums them so, from coefficients alone: the one assembly
 of mu (for `State`, and so for the Newton residual, an iterate State's
-completion) and of its derivative Dmu(v)w, whose terms have the
-same form.  `State` evaluates a state once: one pointwise pass of the
-nonlinearities (`Nonlinearity.pointwise`), the energy breakdown the
-dissipation test reads, with the Willmore term summed by Parseval from
-omega_hat = (ev - lam) u_hat + beta_hat, and for an accepted state mu_hat
-and the diagnostic scalars.  A State carries its nonlinearity, `nl`, so
+completion) and of its derivative Dmu(u)w (`State.dmu_hat`, which with
+`State.frozen` is all that Newton's J and M read of mu).  `State`
+evaluates a state once: one pointwise pass of the nonlinearities
+(`Nonlinearity.pointwise`), the energy breakdown the dissipation test
+reads, with the Willmore term summed by Parseval from omega_hat =
+(ev - lam) u_hat + beta_hat, and for an accepted state mu_hat and the
+diagnostic scalars.  A State carries its nonlinearity, `nl`, so
 the steps, the step controller and the ledger take a State alone and
 read the potential from it.  A batch is a leading shape, (k,) for a
 `ScalarField.stack` of k and () for one field, and one path serves both,
@@ -122,9 +123,9 @@ class State:
     state; the cdep pair never does) and then releases.
 
     With ``jacobian`` the pass gives beta''' and g' too, and completion keeps
-    it, the gradients and |grad u|^2 for `linearize`: a Newton iterate is
+    Dmu(u)'s coefficients for `dmu_hat` and `frozen`: a Newton iterate is
     such a State, its completion the residual's mu_hat, and the candidate,
-    the last iterate, hands these terms to the next step's Jacobian.
+    the last iterate, hands them to the next step's Jacobian.
     """
 
     __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq", "_lead",
@@ -163,7 +164,7 @@ class State:
         grid, lead, pw = self.u.grid, self._lead, self._pw
         grads = gr.gradients(self.u.values, grid)
         gsq = sum(g**2 for g in grads)  # as grad_norm_sq sums it
-        self._linear = (pw, grads, gsq) if pw.beta3 is not None else None  # a jacobian pass
+        self._linear = _dmu_coefficients(pw, grads, gsq) if pw.beta3 is not None else None
         del grads  # held by _linear alone: other states free them before the assembly
         # B = beta beta', curv = beta''|grad u|^2 and mu's zero-order sum
         b_vals, curv = pw.beta * pw.beta1, pw.beta2 * gsq
@@ -180,14 +181,31 @@ class State:
         self.grad_mu_sq = np.reshape([r**2 for r in np.ravel(root).tolist()], lead)[()]
         return self
 
-    def linearize(self):
-        """(pointwise pass with beta''' and g', gradients, |grad u|^2) of the completed
-        state, which Newton's J and M read: kept by a ``jacobian`` State, else made once."""
+    def _linearize(self):
+        """Dmu's coefficients (`_dmu_coefficients`) at the completed state: kept by a
+        ``jacobian`` State, else made once."""
         if self.complete()._linear is None:
-            vals = self.u.values
-            grads = gr.gradients(vals, self.u.grid)
-            self._linear = self.nl.pointwise(vals, jacobian=True), grads, sum(g**2 for g in grads)
+            grads = gr.gradients(self.u.values, self.u.grid)
+            pw = self.nl.pointwise(self.u.values, jacobian=True)
+            self._linear = _dmu_coefficients(pw, grads, sum(g**2 for g in grads))
         return self._linear
+
+    def dmu_hat(self, w_hat: np.ndarray, row=()) -> np.ndarray:
+        """(Dmu(u) w)_hat of one row's coefficients w_hat (row () for one field): mu's
+        assembly of w_hat, beta' w and 2 beta'' grad u . grad w + zero-order w."""
+        beta1, beta2, grads, zero_order = self._linearize()
+        grid = self.u.grid
+        w = gr.transform_backward(w_hat, grid)
+        grad_dot = sum(g[row] * gw for g, gw in zip(grads, gr.gradients(w, grid)))
+        rows = np.stack([beta1[row] * w, 2.0 * beta2[row] * grad_dot + zero_order[row] * w])
+        return _assemble(self.nl, grid, w_hat, *gr.transform_forward(rows, grid))
+
+    def frozen(self, row=()):
+        """(c2, c1) of one row: Dmu(u) with its coefficients frozen at their grid means
+        has the symbol ev^2 + c2 ev + c1, c2 = 2 mean beta' - (2 lam - eta)."""
+        beta1, _, _, zero_order = self._linearize()
+        p = self.nl.params
+        return 2.0 * beta1[row].mean() - (2.0 * p.lam - p.eta), zero_order[row].mean()
 
     @property
     def apriori(self) -> Optional[AprioriDiagnostics]:
@@ -208,6 +226,12 @@ class State:
         return self._apriori
 
 
+def _dmu_coefficients(pw, grads, gsq):
+    """(beta', beta'', grads, beta'''|grad u|^2 + beta'^2 + beta beta'' + g'): the
+    coefficients of Dmu(u), the last its zero-order one, from a ``jacobian`` pass."""
+    return pw.beta1, pw.beta2, grads, pw.beta3 * gsq + pw.beta1**2 + pw.beta * pw.beta2 + pw.g1
+
+
 def _assemble(nl, grid, x_hat, b_hat, n_hat):
     """(ev^2 - (2 lam - eta) ev) x_hat + 2 ev b_hat + n_hat: the sum of mu and of Dmu w."""
     ev = grid.eigenvalues
@@ -220,7 +244,7 @@ def _assemble(nl, grid, x_hat, b_hat, n_hat):
 
 def omega(u: ScalarField, p) -> ScalarField:
     """Fourth-order chemical potential omega = -lap(u) + f(u)."""
-    return ScalarField(u.grid, gr.apply_A(u).values + as_nonlinearity(p).f(u.values))
+    return ScalarField(u.grid, gr.apply_A(u).values + as_nonlinearity(p).f(u.values), u.batch)
 
 
 def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1) -> ScalarField:
@@ -234,7 +258,7 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1) -> ScalarFie
     if form is MuFormulation.CASCADE:
         om = omega(u, nl)
         fp = nl.fprime(u.values)
-        return ScalarField(u.grid, gr.apply_A(om).values + (fp + eta) * om.values)
+        return ScalarField(u.grid, gr.apply_A(om).values + (fp + eta) * om.values, u.batch)
 
     beta, beta1, beta2, _, g_vals, _, _ = nl.pointwise(u.values)
     ev = u.grid.eigenvalues
@@ -251,7 +275,7 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1) -> ScalarFie
         out = lap2_u - 2.0 * beta1 * lap_u - beta2 * gsq + common
     else:
         raise ValueError(f"unknown formulation {form!r}")
-    return ScalarField(u.grid, out)
+    return ScalarField(u.grid, out, u.batch)
 
 
 def energy(u: ScalarField, p) -> EnergyBreakdown:

@@ -19,26 +19,24 @@ Two first-order integrators are provided:
   step's start state u (`_frozen_symbol`),
 
       1 + dt*(a^3 + c2*a^2 + c1*a),   c2 = 2*mean beta'(u) - (2*lam - eta),
-      c1 = mean(beta'''(u)|grad u|^2 + beta'(u)^2 + beta(u)*beta''(u) + g'(u)),
 
-  which is the Jacobian itself at a constant state.  It can cross 0 where
-  c2 < 0 (a spinodal state at a large dt): an entry within
-  ``_FROZEN_FLOOR`` of 0 is moved out to that distance, its sign kept.
-  s1 and s2 are the IMEX scheme's alone.  Newton runs in coefficients:
+  c1 the mean of Dmu(u)'s zero-order coefficient (`State.frozen`), which
+  is the Jacobian itself at a constant state.  It can cross 0 where c2 < 0
+  (a spinodal state at a large dt): an entry within ``_FROZEN_FLOOR`` of 0
+  is moved out to that distance, its sign kept.  s1 and s2 are the IMEX
+  scheme's alone.  Newton runs in coefficients:
   G_hat(v) = v_hat - u_hat + dt*a*mu_hat(v) has the norm of G (Parseval),
   which ``newton_tol`` bounds relative to ||u||; `lgmres` solves
   J w_hat = -G_hat, preconditioned by one division by M, the floored
   symbol, and the update is damped on values, after one backward
   transform, so that iterates stay strictly inside the admissible set
   (the separation guard).  Each iterate is a `model.State` completed with
-  its Jacobian terms, so it is evaluated once, for G and J alike: mu(v)
-  is its completion, and Dmu(v)w shares its assembly, `model._assemble`,
-  of w_hat and one forward transform of beta' w and the zero-order terms,
-  so a matvec makes 4 r2r calls in 1D (w's backward transform and
-  gradient, one forward).  G(u) is dt*a*mu_hat of the previous state, and
-  J is built only at an iterate that has not converged.  Periodic grids take
-  the same path in complex arithmetic: J and the real M keep vectors
-  Hermitian.
+  the coefficients of Dmu, so it is evaluated once, for G and J alike:
+  G reads its mu_hat and J w_hat = w_hat + dt*a*`State.dmu_hat`(w_hat),
+  4 r2r calls in 1D; the stepper only composes G, J and M.  G(u) is
+  dt*a*mu_hat of the previous state, and J is built only at an iterate
+  that has not converged.  Periodic grids take the same path in complex
+  arithmetic: J and the real M keep vectors Hermitian.
 
   `lgmres` is left-preconditioned GMRES in numpy, one cycle of at most
   30 Arnoldi steps from w_hat = 0, stopped at ||(b - J w_hat)/M|| <=
@@ -85,6 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -92,8 +91,7 @@ import numpy as np
 from . import grid as gr
 from .errors import DomainError, GuardViolation, NewtonDivergence, StepFloorError
 from .grid import ScalarField
-from .model import State, _assemble
-from .potential import Nonlinearity
+from .model import State
 
 IMEX = "imex"
 NEWTON = "newton"
@@ -209,21 +207,11 @@ class StepResult:
     inner_iters: int
 
 
-def _zero_order(pw, gsq):
-    """beta'''|grad v|^2 + beta'^2 + beta*beta'' + g', the zero-order coefficient of Dmu(v)."""
-    return pw.beta3 * gsq + pw.beta1**2 + pw.beta * pw.beta2 + pw.g1
-
-
-def _frozen_symbol(nl: Nonlinearity, grid: gr.Grid, dt: float, beta1: np.ndarray,
-                   zero_order: np.ndarray) -> np.ndarray:
+def _frozen_symbol(grid: gr.Grid, dt: float, c2: float, c1: float) -> np.ndarray:
     """1 + dt*(a^3 + c2*a^2 + c1*a), the symbol of J = 1 + dt*A*Dmu(v) with v's
-    coefficients frozen at their grid means: c2 = 2*mean beta'(v) - (2*lam - eta)
-    and c1 = mean zero_order.  At a constant v it is the Jacobian itself.  An
-    entry within `_FROZEN_FLOOR` of 0 is moved out to that distance, sign kept.
+    coefficients frozen at their grid means (`State.frozen`), the Jacobian itself at
+    a constant v.  An entry within `_FROZEN_FLOOR` of 0 is moved out to it, sign kept.
     """
-    p = nl.params
-    c2 = 2.0 * beta1.mean() - (2.0 * p.lam - p.eta)
-    c1 = zero_order.mean()
     symbol = 1.0 + dt * (grid.eigenvalues_cubed + c2 * grid.eigenvalues_sq + c1 * grid.eigenvalues)
     return np.copysign(np.maximum(np.abs(symbol), _FROZEN_FLOOR), symbol)
 
@@ -234,6 +222,14 @@ def _setup(prev: State, dt: float) -> gr.Grid:
         raise ValueError("dt must be positive")
     prev.complete()
     return prev.u.grid
+
+
+def _guard_bound(state: State, cfg: SolverConfig) -> float:
+    """Newton's separation guard |v| <= bound; GuardViolation if the state breaks it."""
+    bound = (1.0 if state.nl.level is None else state.nl.level.clamp_bound) - cfg.guard_eps
+    if np.abs(state.u.values).max() > bound:
+        raise GuardViolation("initial state already violates the separation guard")
+    return bound
 
 
 def _stabilization(prev: State, cfg: SolverConfig):
@@ -289,26 +285,14 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     converged), with the most inner iterations any row took.
     """
     grid = _setup(prev, dt)
-    nl, ev = prev.nl, grid.eigenvalues
-    bound = (1.0 if nl.level is None else nl.level.clamp_bound) - cfg.guard_eps
-    if np.abs(prev.u.values).max() > bound:
-        raise GuardViolation("initial state already violates the separation guard")
+    nl, ev, bound = prev.nl, grid.eigenvalues, _guard_bound(prev, cfg)
 
     n_dof, dtype = math.prod(grid.shape), prev.u_hat.dtype
 
-    def jacobian(beta1, beta2, grads, zero_order) -> LinearOperator:
+    def jac_vec(v: State, row, w_hat: np.ndarray) -> np.ndarray:
         """J w_hat = w_hat + dt*ev*(Dmu(v) w)_hat, the analytic Frechet derivative of G at v."""
-
-        def jac_vec(w_hat: np.ndarray) -> np.ndarray:
-            w_hat = w_hat.reshape(grid.shape)
-            w = gr.transform_backward(w_hat, grid)
-            grad_dot = sum(g * gw for g, gw in zip(grads, gr.gradients(w, grid)))
-            # Dmu(v) w is mu's assembly of w, beta' w and the zero-order terms
-            rows = np.stack([beta1 * w, 2.0 * beta2 * grad_dot + zero_order * w])
-            dmu_hat = _assemble(nl, grid, w_hat, *gr.transform_forward(rows, grid))
-            return (w_hat + dt * ev * dmu_hat).ravel()
-
-        return LinearOperator((n_dof, n_dof), matvec=jac_vec, dtype=dtype)
+        w_hat = w_hat.reshape(grid.shape)
+        return (w_hat + dt * ev * v.dmu_hat(w_hat, row)).ravel()
 
     scale = np.sqrt(grid.cell_volume)  # Parseval: ||G|| from its coefficients
     moving = list(np.ndindex(prev.u.values.shape[:-grid.dim]))  # [()] for one field
@@ -324,14 +308,11 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             raise NewtonDivergence(f"no convergence in {cfg.newton_max_iters} iterations "
                                    f"(residual {res[moving[0]]:.3e})")
         iters += 1
-        pw, grads, gsq = state.linearize()  # u's terms are read only if u is not converged
-        zero_order = _zero_order(pw, gsq)
-        if state is prev:  # at u: one preconditioner per row and step
-            M = {row: _frozen_symbol(nl, grid, dt, pw.beta1[row], zero_order[row]).ravel()
-                 for row in moving}
+        if state is prev:  # at u (linearized only if not converged): one M per row and step
+            M = {row: _frozen_symbol(grid, dt, *prev.frozen(row)).ravel() for row in moving}
         v = state.u.values.copy()
         for row in moving:
-            J = jacobian(pw.beta1[row], pw.beta2[row], [g[row] for g in grads], zero_order[row])
+            J = LinearOperator((n_dof, n_dof), matvec=partial(jac_vec, state, row), dtype=dtype)
             delta_hat, _ = lgmres(J, -g_hat[row].ravel(), M=M[row], rtol=1e-4)
             delta = gr.transform_backward(delta_hat.reshape(grid.shape), grid)
 
@@ -358,8 +339,10 @@ def _march(state: State, t_end: float, cfg: SolverConfig):
     A trial step is rejected, and dt halved, when any row's energy rises
     by more than ``energy_tol`` or the step leaves the admissible set
     (DomainError / guard errors in exact mode).  Rejection at dt_min raises
-    StepFloorError.  dt grows by ``growth_factor`` up to dt_max after an
-    accepted step whose inner solves were all fast.  After each accepted
+    StepFloorError.  A Newton run whose start state breaks the separation
+    guard raises GuardViolation before the first attempt: no dt mends it.
+    dt grows by ``growth_factor`` up to dt_max after an accepted step
+    whose inner solves were all fast.  After each accepted
     step ``(t, dt, rejections, state)`` is yielded, with the rejections
     since the previous accepted step.  An accepted IMEX State is completed
     by the next step, or earlier by a consumer that reads mu (`State.complete`,
@@ -367,6 +350,8 @@ def _march(state: State, t_end: float, cfg: SolverConfig):
     any more, is released before the completion allocates.
     """
     step_fn = _STEPPERS[cfg.scheme]  # looked up per run, so a swapped-in wrapper takes effect
+    if cfg.scheme == NEWTON:  # its iterates are clipped to the guard: only the start can break it
+        _guard_bound(state, cfg)
     t = 0.0
     dt = min(cfg.dt0, t_end)
     rejections = 0

@@ -146,6 +146,23 @@ class TestRunCommand:
         path = write_config(tmp_path, text)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_start_past_the_newton_guard_fails_without_an_attempt(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # sup|u0| = 0.9995 > 1 - guard_eps: the step's own guard check made the
+        # controller halve dt down to dt_min and end in StepFloorError
+        from sixch import stepper
+
+        attempts, step = [], stepper._STEPPERS["newton"]
+        monkeypatch.setitem(stepper._STEPPERS, "newton",
+                            lambda *args: attempts.append(None) or step(*args))
+        text = NOISE_CONFIG.replace("kind = noise", "kind = mode\nmode = 1")
+        text = text.replace("amplitude = 0.05", "amplitude = 0.7995")
+        text = text.replace("[solver]", "[solver]\nscheme = newton")
+        path = write_config(tmp_path, text.replace("dt_min = 1e-10", "dt_min = 1e-12"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "GuardViolation" in capsys.readouterr().err
+        assert attempts == []
+
     def test_deterministic_outputs(self, tmp_path):
         path = write_config(tmp_path, NOISE_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -314,6 +331,9 @@ MALFORMED = {
     "sweep_truncation_40_guard_eps": ("sweep", lambda text: text.replace(
         "[solver]", "[solver]\nguard_eps = 0.03") + "\n[sweep]\ntruncations = 40\n", []),
     "sweep_threads_0": ("sweep", "", ["--threads", "0"]),
+    # argparse's usage errors, which exited 2, a solver failure's code
+    "run_threads_abc": ("run", "", ["--threads", "abc"]),
+    "command_unknown": ("simulate", "", []),
     "duplicate_section": ("run", "[grid]\nbc = periodic\n", []),
     "duplicate_key": ("run", "[cdep]\nmode = 1\nmode = 2\n", []),
     "key_before_header": ("run", lambda text: "dim = 1\n" + text, []),
@@ -406,6 +426,21 @@ class TestMalformedInput:
         assert main(["run", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: --config is required")
         assert not out.exists()
+
+    def test_out_naming_a_file_exit_one(self, tmp_path, capsys):
+        # it ended in a FileExistsError traceback
+        (tmp_path / "a_file").write_text("kept")
+        path = write_config(tmp_path, NOISE_CONFIG)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "a_file")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1, err
+        assert (tmp_path / "a_file").read_text() == "kept"
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sixch")
 
     # each made `init` and `run` exit 2 on a non-finite field, after making
     # the output directory; position = 24 made an artefact instead: the

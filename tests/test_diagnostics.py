@@ -181,15 +181,15 @@ class TestCdep:
         assert abs(cs[0] - cs[1]) <= 0.05 * abs(cs[1]), cs
 
     def test_rejection_floor_raises(self):
-        # the Newton guard is violated at every retry (the state of
-        # test_stepper's rejection-floor test), so the paired run must stop
-        # with the controller's StepFloorError once dt_min is reached
+        # one Newton iteration converges at no retry (the state and config
+        # of test_stepper's rejection-floor test), so the paired run must
+        # stop with the controller's StepFloorError once dt_min is reached
         grid = Grid((4 * np.pi,), (64,), gr.NEUMANN)
         u01 = generate(InitialSpec(kind="noise", mean_m=0.0, amplitude=0.6,
                                    seed=19, cutoff=12), grid)
         bump = generate(InitialSpec(kind="mode", mean_m=0.0, amplitude=1e-3, mode=1), grid)
         cfg = SolverConfig(scheme="newton", dt0=1e-3, dt_min=1e-4, dt_max=1e-3,
-                           guard_eps=0.45, energy_tol=0.0)
+                           newton_max_iters=1, energy_tol=0.0)
         with pytest.raises(StepFloorError):
             cdep_experiment(u01, u01 + bump, SPINODAL, cfg, t_end=1.0)
 

@@ -64,6 +64,15 @@ RUNS = {
                           "potential": {"truncation": "20"},
                           "initial": {"cutoff": "5"},
                           "run": {"max_steps": "60", "snapshot_every": "0"}}),
+    # periodic2d_trunc stepped by Newton: complex arithmetic at a truncation level
+    "newton2d_periodic_trunc": ("configs/benchmark1d.ini",
+                                {"grid": {"dim": "2", "counts": "32 24",
+                                          "lengths": "12.566370614359172 9.42477796076938",
+                                          "bc": "periodic"},
+                                 "potential": {"truncation": "20"},
+                                 "initial": {"cutoff": "5"},
+                                 "solver": {"scheme": "newton"},
+                                 "run": {"max_steps": "20", "snapshot_every": "0"}}),
     "newton1d_20": ("configs/benchmark1d.ini",
                     {"solver": {"scheme": "newton"},
                      "run": {"max_steps": "20", "snapshot_every": "0"}}),
@@ -90,7 +99,7 @@ RUNS = {
 }
 
 # name -> stride of the ledger rows kept in tests/golden/<name>.csv
-ROWS = {"bench1d_500": 5, "newton1d_20": 1}
+ROWS = {"bench1d_500": 5, "newton1d_20": 1, "newton2d_periodic_trunc": 1}
 # paired runs whose cdep.json series are kept in tests/golden/<name>.json
 CDEP_ROWS = ("cdep_newton_fixed", "cdep_shipped")
 CDEP_KEYS = ("times", "dual_distance", "fitted_C")
@@ -128,6 +137,11 @@ GOLDEN = {
         "ledger.csv": "33f6d916c3e49f8b6a025b7e80f708401b071f2994028b3877def94b8e20f0f2",
         "summary.json": "3f938d4ff5743cc0b6d634f0f31199a894d067ea1ec05a28ecbd2afe4993bf08",
         "final_state.f64": "3f8cc0e8597ae8a94dbe0a99a02f4da08f06d6fd5cbf28e2b89b18eba5d75721",
+    },
+    "newton2d_periodic_trunc": {
+        "ledger.csv": "629b95d9b29df9c6f37a519e544e4a273420a8236b6c0ce4a5d976e94b1f8b25",
+        "summary.json": "570cfa45df688d7869620c575862f28b3d3620288eb0db8dd4fd1acf4b58bf9e",
+        "final_state.f64": "c834a14220bfa831de5b433f9c15d6bd72206776b624de22a29de9506289e704",
     },
     "cdep_shipped": {
         "cdep.json": "c2a7385fb22d10e36b0f200d2a1c8d0229e74fd9bb4c2d048b698fe9df813172",

@@ -87,6 +87,21 @@ class TestMu:
             assert gaps[n] <= 1e-6 * (1.0 + sup)
         assert gaps[512] < gaps[256]
 
+    @pytest.mark.parametrize("grid", [Grid((2 * np.pi,), (64,), gr.PERIODIC),
+                                      Grid((4 * np.pi, 3 * np.pi), (16, 12), gr.NEUMANN)],
+                             ids=["periodic1d", "neumann2d"])
+    def test_every_form_and_omega_keep_the_batch(self, grid):
+        # the oracle forms and omega built their result without the batch, so
+        # a 2-row stack raised ShapeError
+        p = PotentialParams(3.0, 1.0)
+        rows = [band_limited(grid, seed=s, cutoff=4) for s in (1, 2)]
+        stack = ScalarField.stack(rows)
+        for fn in [model.omega] + [lambda u, p, f=f: model.mu(u, p, f) for f in MuFormulation]:
+            out = fn(stack, p)
+            assert out.batch and out.values.shape == (2, *grid.shape)
+            for i, u in enumerate(rows):
+                assert np.array_equal(out.values[i], fn(u, p).values)
+
     def test_mean_of_lap_mu_vanishes(self):
         grid = Grid((1.0,), (128,), gr.NEUMANN)
         u = band_limited(grid, seed=3, cutoff=20, amplitude=0.7)
@@ -543,3 +558,41 @@ class TestCoefficientSpaceMu:
                 state.complete()
             with pytest.raises(ShapeError):  # a failed completion leaves it incomplete
                 state.complete()
+
+
+class TestStateDerivative:
+    """`State.dmu_hat` is the Frechet derivative of mu_hat, Dmu(u) w, row by
+    row, and `State.frozen` its coefficients' grid means."""
+
+    CASES = [(Grid((8 * np.pi,), (64,), gr.NEUMANN), None, 0.8),
+             (Grid((4 * np.pi, 3 * np.pi), (32, 24), gr.PERIODIC), None, 0.8),
+             # past the knee 0.9 of n = 5
+             (Grid((8 * np.pi,), (64,), gr.NEUMANN), TruncationLevel(5), 0.97)]
+    IDS = ["neumann1d", "periodic2d", "neumann1d-level5"]
+
+    @pytest.mark.parametrize("grid, level, amplitude", CASES, ids=IDS)
+    def test_dmu_is_the_central_difference_of_mu(self, grid, level, amplitude):
+        nl = Nonlinearity(PotentialParams(3.0, 1.0), level)
+        u = band_limited(grid, seed=1, cutoff=4, amplitude=amplitude).values
+        w = band_limited(grid, seed=11, cutoff=4, amplitude=1.0).values
+        if level is not None:
+            assert np.abs(u).max() > level.knee
+        h = 1e-5
+        mu_p, mu_m = (model.State(ScalarField(grid, u + s * h * w), nl).complete().mu_hat
+                      for s in (1.0, -1.0))
+        fd = (mu_p - mu_m) * (0.5 / h)
+        dmu = model.State(ScalarField(grid, u), nl).dmu_hat(gr.transform_forward(w, grid))
+        assert np.linalg.norm(dmu - fd) <= 1e-6 * np.linalg.norm(dmu)
+
+    @pytest.mark.parametrize("grid, level, amplitude", CASES, ids=IDS)
+    def test_rows_equal_single_states(self, grid, level, amplitude):
+        # a Newton iterate (jacobian=True) keeps the coefficients, any other
+        # State makes them when first read: both give the same Dmu
+        nl = Nonlinearity(PotentialParams(3.0, 1.0), level)
+        rows = [band_limited(grid, seed=s, cutoff=4, amplitude=amplitude) for s in (1, 2)]
+        w_hat = gr.transform_forward(band_limited(grid, seed=11, cutoff=4).values, grid)
+        batch = model.State(ScalarField.stack(rows), nl, jacobian=True).complete()
+        for i, u in enumerate(rows):
+            for single in (model.State(u, nl), model.State(u, nl, jacobian=True).complete()):
+                assert np.array_equal(batch.dmu_hat(w_hat, (i,)), single.dmu_hat(w_hat))
+                assert batch.frozen((i,)) == single.frozen()

@@ -10,7 +10,7 @@ from sixch.initdata import InitialSpec, generate, regularize_initial
 from sixch.model import State, dispersion_sigma
 from sixch.potential import Nonlinearity, PotentialParams, TruncationLevel
 from sixch.stepper import (_FROZEN_FLOOR, _INNER_M, LinearOperator, SolverConfig,
-                           _frozen_symbol, _stabilization, _zero_order, advance, lgmres,
+                           _frozen_symbol, _stabilization, advance, lgmres,
                            step_imex, step_implicit)
 
 P0 = PotentialParams(0.0, 0.0)
@@ -449,9 +449,9 @@ class TestFrozenSymbolPreconditioner:
         # constant, so each cosine mode is an eigenvector of J = 1 + dt A Dmu
         grid = Grid((8 * np.pi,), (64,), gr.NEUMANN)
         c, dt, h = 0.3, 0.1, 1e-6
-        nl = State(constant_field(grid, c), SPINODAL).nl
-        pw = nl.pointwise(np.full(grid.shape, c), jacobian=True)
-        diag = _frozen_symbol(nl, grid, dt, pw.beta1, _zero_order(pw, 0.0))
+        state = State(constant_field(grid, c), SPINODAL)
+        nl = state.nl
+        diag = _frozen_symbol(grid, dt, *state.frozen())
         x = grid.axis_coords(0)
         for k in (1, 3, 8, 20):
             w = np.cos(k * np.pi * x / grid.lengths[0])
@@ -681,12 +681,13 @@ class TestAdaptivity:
         assert dts[-1] == pytest.approx(1e-2, rel=1e-9) or np.max(dts) > 100 * dts[0]
 
     def test_rejection_floor_raises(self):
-        # a state outside the Newton guard rejects at every retry, so the
-        # controller must escalate to StepFloorError once dt_min is reached
+        # one Newton iteration converges at no dt down to dt_min, so every
+        # retry is rejected (NewtonDivergence) and the controller must
+        # escalate to StepFloorError once dt_min is reached
         grid = Grid((4 * np.pi,), (64,), gr.NEUMANN)
         u0 = noise_state(grid, seed=19, mean=0.0, amplitude=0.6, cutoff=12)
         cfg = SolverConfig(scheme="newton", dt0=1e-3, dt_min=1e-4, dt_max=1e-3,
-                           guard_eps=0.45, energy_tol=0.0)
+                           newton_max_iters=1, energy_tol=0.0)
         with pytest.raises(StepFloorError):
             advance(u0, 1.0, SPINODAL, cfg)
 
