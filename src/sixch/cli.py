@@ -73,7 +73,7 @@ def _solver_value(default, raw: str):
 def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunConfig:
     cp = configparser.ConfigParser()
     try:
-        if not cp.read(path):
+        if not cp.read(str(path)):  # a str: configparser's messages quote it, a Path's repr
             raise ConfigError(f"cannot read config file {path}")
         for section in cp.sections():
             if section not in _SECTIONS:
@@ -132,7 +132,19 @@ def parse_config(path: str | Path, seed_override: Optional[int] = None) -> RunCo
     except (ValueError, KeyError, EngineError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(_one_line(exc)) from exc
+
+
+def _one_line(exc: Exception) -> str:
+    """exc's message on one line: configparser puts the file, the line number and
+    the text of a line it cannot parse on lines of their own."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return (f"While reading from {exc.source!r} [line {exc.lineno:2d}]: "
+                f"{exc.line!r} comes before any [section] header")
+    if isinstance(exc, configparser.ParsingError):  # its errors hold each line's repr
+        return f"While reading from {exc.source!r}: " + "; ".join(
+            f"[line {n:2d}]: {text} is not a key = value line" for n, text in exc.errors)
+    return str(exc)
 
 
 def _experiments(cp, grid, params, t_end, max_steps) -> dict:
@@ -214,10 +226,14 @@ def _json_out(path: Path, payload: dict) -> None:
 # subcommands: each returns the files it wrote, which `main` records in provenance.json
 
 
+def _start(cfg: RunConfig, u: gr.ScalarField) -> gr.ScalarField:
+    """u as a run of cfg starts from it: regularized at cfg's level, if it has one."""
+    level = cfg.potential.level
+    return u if level is None else initdata.regularize_initial(u, level)
+
+
 def cmd_run(cfg: RunConfig, outdir: Path) -> list[Path]:
-    u0 = initdata.generate(cfg.initial, cfg.grid)
-    if cfg.potential.level is not None:
-        u0 = initdata.regularize_initial(u0, cfg.potential.level)
+    u0 = _start(cfg, initdata.generate(cfg.initial, cfg.grid))
     ledger = diag.RunLedger()
     outputs: list[Path] = []
 
@@ -260,7 +276,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> list[Path]:
 
 
 def cmd_init(cfg: RunConfig, outdir: Path) -> list[Path]:
-    u0 = initdata.generate(cfg.initial, cfg.grid)
+    u0 = _start(cfg, initdata.generate(cfg.initial, cfg.grid))
     raw, meta = snapshots.write_snapshot(u0, outdir / "initial_state", time=0.0,
                                          label=cfg.initial.kind)
     print(f"wrote {raw} (mean={gr.mean(u0):.12g}, sup={gr.lp_norm(u0, np.inf):.6g})")
@@ -287,8 +303,7 @@ def cmd_cdep(cfg: RunConfig, outdir: Path) -> list[Path]:
     opts = cfg.extras["cdep"]
     u01 = initdata.generate(cfg.initial, cfg.grid)
     u02 = u01 + initdata.generate(opts["bump"], cfg.grid)
-    if cfg.potential.level is not None:  # both members, as `cmd_run` regularizes its start
-        u01, u02 = (initdata.regularize_initial(u, cfg.potential.level) for u in (u01, u02))
+    u01, u02 = _start(cfg, u01), _start(cfg, u02)  # each member as a run starts
     report = diag.cdep_experiment(u01, u02, cfg.potential, cfg.solver, opts["t_end"])
     payload = {
         "fitted_C": report.fitted_C,

@@ -45,13 +45,14 @@ class RunLedger:
     def record(self, state: State, t: float, dt: float, rejections: int = 0) -> LedgerRow:
         """Append the row of an accepted State of one field at time t.
 
-        The state is completed here if it is not yet; its columns are read
-        as they are, with its own nonlinearity.  A row is one field's: a
-        batched State raises ShapeError.
+        The columns are read from the state, with its own nonlinearity: its
+        a-priori scalars and ||grad mu||^2 are made as they are read (mu_hat
+        is assembled first, if nothing has read it).  A row is one field's:
+        a batched State raises ShapeError.
         """
         if state.u.batch:
             raise ShapeError(f"a ledger row is one field's, not a batch of {len(state.u.values)}")
-        u = state.complete().u
+        u = state.u
         if self.dim is None:
             self.dim = u.grid.dim
         min_u, max_u = u.values.min(), u.values.max()
@@ -152,11 +153,8 @@ def cdep_experiment(u01: ScalarField, u02: ScalarField, p, cfg: SolverConfig,
     def distance(pair: State) -> float:
         return gr.dual_norm_coeffs(pair.u_hat[0] - pair.u_hat[1], pair.u.grid)
 
-    pair = State(ScalarField.stack([u01, u02]), p).complete()
-    times = [0.0]
-    dist = [distance(pair)]
-    rejections = 0
-    for t, _, rejected, pair in _march(pair, t_end, cfg):
+    times, dist, rejections = [], [], 0
+    for t, _, rejected, pair in _march(State(ScalarField.stack([u01, u02]), p), t_end, cfg):
         times.append(t)
         dist.append(distance(pair))
         rejections += rejected
@@ -282,11 +280,10 @@ def dispersion_experiment(p, k_indices: Sequence[int], length: float = 2.0 * np.
         a_expl = -sigma - b_impl
         dt = min(0.005 / abs(sigma), 2e-3 / max(abs(a_expl - b_impl), 1e-12))
         cfg = SolverConfig(scheme="imex", dt0=dt, dt_min=dt, dt_max=dt, s1=0.0, s2=0.0)
-        state = State(ScalarField(grid, amplitude * profile), p).complete()
         proj = profile / np.sum(profile**2)
-        amps = [float(np.sum(state.u.values * proj))]
-        for _, _, _, state in islice(_march(state, steps * dt, cfg), steps - 1):
-            amps.append(float(np.sum(state.u.values * proj)))
+        start = State(ScalarField(grid, amplitude * profile), p)
+        amps = [float(np.sum(state.u.values * proj))
+                for _, _, _, state in islice(_march(start, steps * dt, cfg), steps)]
         times = [i * dt for i in range(steps)]
         rate = float(np.polyfit(times, np.log(np.abs(amps)), 1)[0])
         out.append(DispersionRow(j, float(k), rate, sigma, abs(rate - sigma) / abs(sigma)))

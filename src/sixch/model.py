@@ -23,13 +23,13 @@ eigenvalues ev, so its coefficients are
              + F[beta''(u)|grad u|^2 + beta(u) beta'(u) + g(u)],
 
 and `_assemble` sums them so, from coefficients alone: the one assembly
-of mu (for `State`, and so for the Newton residual, an iterate State's
-completion) and of its derivative Dmu(u)w (`State.dmu_hat`, which with
+of mu (`State.mu_hat`, and so the Newton residual, which reads an iterate
+State's) and of its derivative Dmu(u)w (`State.dmu_hat`, which with
 `State.frozen` is all that Newton's J and M read of mu).  `State`
 evaluates a state once: one pointwise pass of the nonlinearities
-(`Nonlinearity.pointwise`), the energy breakdown the dissipation test
+(`Nonlinearity.pointwise`) and the energy breakdown the dissipation test
 reads, with the Willmore term summed by Parseval from omega_hat =
-(ev - lam) u_hat + beta_hat, and for an accepted state mu_hat and the
+(ev - lam) u_hat + beta_hat, and, each when first read, mu_hat and the
 diagnostic scalars.  A State carries its nonlinearity, `nl`, so
 the steps, the step controller and the ledger take a State alone and
 read the potential from it.  A batch is a leading shape, (k,) for a
@@ -113,22 +113,23 @@ class State:
     beta_hat and, from these alone, the energy breakdown, which is all the
     dissipation test reads.
 
-    `complete` finishes an accepted state, once (completing it again does
-    nothing), and returns it: |grad u|^2, then mu_hat, assembled by
-    `_assemble` from u_hat, beta_hat and one forward transform of the
-    nonlinear sum, and ||grad mu||^2.  mu stays in coefficients:
-    `model.mu` transforms it back.  The state keeps only what a later step
-    reads (u, u_hat, mu_hat) and the terms of the a-priori scalars, which
-    `apriori` evaluates when first read (the ledger reads them for every
-    state; the cdep pair never does) and then releases.
+    The rest is made when it is read, by whoever reads it first.  mu_hat is
+    assembled once, on its first read: |grad u|^2, then `_assemble` of
+    u_hat, beta_hat and one forward transform of the nonlinear sum.  mu
+    stays in coefficients: `model.mu` transforms it back.  The state then
+    keeps only what a later step reads (u, u_hat, mu_hat) and the terms of
+    the a-priori scalars, which `apriori` evaluates when first read (the
+    ledger reads them for every state; the cdep pair never does) and then
+    releases.  ||grad mu||^2 is summed from mu_hat each time it is read,
+    and only the ledger reads it.
 
-    With ``jacobian`` the pass gives beta''' and g' too, and completion keeps
-    Dmu(u)'s coefficients for `dmu_hat` and `frozen`: a Newton iterate is
-    such a State, its completion the residual's mu_hat, and the candidate,
+    With ``jacobian`` the pass gives beta''' and g' too, and the assembly
+    keeps Dmu(u)'s coefficients for `dmu_hat` and `frozen`: a Newton iterate
+    is such a State, whose mu_hat the residual reads, and the candidate,
     the last iterate, hands them to the next step's Jacobian.
     """
 
-    __slots__ = ("u", "nl", "u_hat", "energy", "mu_hat", "grad_mu_sq", "_lead",
+    __slots__ = ("u", "nl", "u_hat", "energy", "_mu_hat", "_lead",
                  "_apriori", "_pw", "_beta_hat", "_terms", "_linear")
 
     def __init__(self, u: ScalarField, p, u_hat: Optional[np.ndarray] = None, *,
@@ -143,7 +144,7 @@ class State:
         self.u, self.nl = u, nl
         self._lead = lead = vals.shape[:-grid.dim]
         ch_pot = eta * _sum(pw.F, lead) * w
-        self._pw = pw = Pointwise(*pw[:-1], None)  # the part complete() reads: not F
+        self._pw = pw = Pointwise(*pw[:-1], None)  # the part mu_hat reads: not F
         self.u_hat = gr.transform_forward(vals, grid) if u_hat is None else u_hat
         self._beta_hat = gr.transform_forward(pw.beta, grid)
         # omega = A u + f(u) with f(u) = beta(u) - lam u, by Parseval from its coefficients
@@ -151,40 +152,41 @@ class State:
         willmore = 0.5 * _sum(np.abs(om_hat) ** 2, lead) * w
         ch_grad = 0.5 * eta * _spectral_sq(ev, self.u_hat, lead) * w
         self.energy = EnergyBreakdown(willmore, ch_grad, ch_pot, willmore + ch_grad + ch_pot)
-        self.mu_hat = self.grad_mu_sq = self._apriori = self._terms = self._linear = None
+        self._mu_hat = self._apriori = self._terms = self._linear = None
 
-    def complete(self) -> State:
-        """Evaluate mu_hat and ||grad mu||^2 of an accepted state; return the state.
+    @property
+    def mu_hat(self) -> np.ndarray:
+        """mu's coefficients, assembled when first read; ShapeError if not finite."""
+        if self._mu_hat is None:
+            grid, pw = self.u.grid, self._pw
+            grads = gr.gradients(self.u.values, grid)
+            gsq = sum(g**2 for g in grads)  # as grad_norm_sq sums it
+            self._linear = _dmu_coefficients(pw, grads, gsq) if pw.beta3 is not None else None
+            del grads  # held by _linear alone: other states free them before the assembly
+            # B = beta beta', curv = beta''|grad u|^2 and mu's zero-order sum
+            b_vals, curv = pw.beta * pw.beta1, pw.beta2 * gsq
+            nonlinear = curv + b_vals + pw.g
+            mu_hat = _assemble(self.nl, grid, self.u_hat, self._beta_hat,
+                               gr.transform_forward(nonlinear, grid))
+            if not np.isfinite(mu_hat).all():  # mu leaves the state: checked
+                raise ShapeError("mu_hat must be finite")
+            self._terms = pw.beta, self._beta_hat, b_vals, curv, nonlinear
+            self._mu_hat, self._pw, self._beta_hat = mu_hat, None, None
+        return self._mu_hat
 
-        A completed state is returned as it is.  Raises ShapeError if
-        mu_hat is not finite.
-        """
-        if self.mu_hat is not None:
-            return self
-        grid, lead, pw = self.u.grid, self._lead, self._pw
-        grads = gr.gradients(self.u.values, grid)
-        gsq = sum(g**2 for g in grads)  # as grad_norm_sq sums it
-        self._linear = _dmu_coefficients(pw, grads, gsq) if pw.beta3 is not None else None
-        del grads  # held by _linear alone: other states free them before the assembly
-        # B = beta beta', curv = beta''|grad u|^2 and mu's zero-order sum
-        b_vals, curv = pw.beta * pw.beta1, pw.beta2 * gsq
-        nonlinear = curv + b_vals + pw.g
-        mu_hat = _assemble(self.nl, grid, self.u_hat, self._beta_hat,
-                           gr.transform_forward(nonlinear, grid))
-        if not np.isfinite(mu_hat).all():  # mu leaves the state: checked
-            raise ShapeError("mu_hat must be finite")
-        self._terms = pw.beta, self._beta_hat, b_vals, curv, nonlinear
-        self.mu_hat, self._pw, self._beta_hat = mu_hat, None, None
-        root = np.sqrt(_spectral_sq(grid.eigenvalues, self.mu_hat, lead)
-                       * grid.cell_volume)
+    @property
+    def grad_mu_sq(self):
+        """||grad mu||^2 per row, from mu_hat each time it is read (not stored)."""
+        grid, lead = self.u.grid, self._lead
+        root = np.sqrt(_spectral_sq(grid.eigenvalues, self.mu_hat, lead) * grid.cell_volume)
         # each row squared as a Python float (libm pow), not by the array square
-        self.grad_mu_sq = np.reshape([r**2 for r in np.ravel(root).tolist()], lead)[()]
-        return self
+        return np.reshape([r**2 for r in np.ravel(root).tolist()], lead)[()]
 
     def _linearize(self):
-        """Dmu's coefficients (`_dmu_coefficients`) at the completed state: kept by a
-        ``jacobian`` State, else made once."""
-        if self.complete()._linear is None:
+        """Dmu's coefficients (`_dmu_coefficients`) at the state, after mu's assembly:
+        kept by a ``jacobian`` State, else made once."""
+        self.mu_hat  # assembled first: a ``jacobian`` State's assembly keeps them
+        if self._linear is None:
             grads = gr.gradients(self.u.values, self.u.grid)
             pw = self.nl.pointwise(self.u.values, jacobian=True)
             self._linear = _dmu_coefficients(pw, grads, sum(g**2 for g in grads))
@@ -208,9 +210,11 @@ class State:
         return 2.0 * beta1[row].mean() - (2.0 * p.lam - p.eta), zero_order[row].mean()
 
     @property
-    def apriori(self) -> Optional[AprioriDiagnostics]:
-        """The a-priori scalars of a completed state (None before `complete`)."""
-        if self._terms is not None:
+    def apriori(self) -> AprioriDiagnostics:
+        """The a-priori scalars, evaluated when first read from the terms of mu's
+        assembly, which are then released."""
+        if self._apriori is None:
+            self.mu_hat  # assembled first: it makes the terms
             beta, beta_hat, b_vals, curv, nonlinear = self._terms
             grid, lead = self.u.grid, self._lead
             ev, w = grid.eigenvalues, grid.cell_volume
@@ -251,8 +255,7 @@ def mu(u: ScalarField, p, form: MuFormulation = MuFormulation.UOM1) -> ScalarFie
     """Chemical potential of the sixth-order flow, per the selected form."""
     nl = as_nonlinearity(p)
     if form is MuFormulation.UOM1:
-        state = State(u, nl).complete()
-        return ScalarField(u.grid, gr.transform_backward(state.mu_hat, u.grid), u.batch)
+        return ScalarField(u.grid, gr.transform_backward(State(u, nl).mu_hat, u.grid), u.batch)
     lam, eta = nl.params.lam, nl.params.eta
 
     if form is MuFormulation.CASCADE:
@@ -316,7 +319,7 @@ def arcsin_gateaux(u: ScalarField, phi: ScalarField) -> float:
 def apriori_diagnostics(u: ScalarField, p) -> AprioriDiagnostics:
     """The a-priori quantities: beta norms, B = beta*beta', and the
     superlinear integrals of M(|B|) and N(|beta''(u)|grad u|^2|)."""
-    return State(u, p).complete().apriori
+    return State(u, p).apriori
 
 
 def _M(r):

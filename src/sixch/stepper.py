@@ -30,8 +30,8 @@ Two first-order integrators are provided:
   J w_hat = -G_hat, preconditioned by one division by M, the floored
   symbol, and the update is damped on values, after one backward
   transform, so that iterates stay strictly inside the admissible set
-  (the separation guard).  Each iterate is a `model.State` completed with
-  the coefficients of Dmu, so it is evaluated once, for G and J alike:
+  (the separation guard).  Each iterate is a `model.State` whose assembly
+  keeps the coefficients of Dmu, so it is evaluated once, for G and J alike:
   G reads its mu_hat and J w_hat = w_hat + dt*a*`State.dmu_hat`(w_hat),
   4 r2r calls in 1D; the stepper only composes G, J and M.  G(u) is
   dt*a*mu_hat of the previous state, and J is built only at an iterate
@@ -53,9 +53,10 @@ carries the same `nl`, so the energy test compares one functional.
 `advance` and the experiments build the first State from a field and a
 `PotentialParams` or `Nonlinearity`; nothing below them takes either.
 
-Both steps share one set-up: they complete the State they step from (a
-no-op if it is completed already) and read its u_hat and mu_hat, and the
-symbols of A, A^2 and A^3 their grid holds, and return a candidate `State`.
+Both steps share one set-up, the dt check.  They read the u_hat and
+mu_hat of the State they step from (reading mu_hat assembles it, if
+nothing has) and the symbols of A, A^2 and A^3 its grid holds, and
+return a candidate `State`.
 The IMEX candidate keeps the coefficients it solved for, mass mode pinned.
 The Newton candidate is its last iterate, Jacobian terms kept (prev itself
 if G(u) converged), so the next step's G(u), J and M read what it computed.
@@ -72,9 +73,10 @@ size when any row's energy rises by more than ``energy_tol`` or any row
 leaves the admissible set, and a rejection at dt_min raises
 StepFloorError.  `advance` runs it on one trajectory, the diagnostics'
 `cdep_experiment` on a pair and `dispersion_experiment` on each mode at
-one fixed dt.  An accepted IMEX candidate is completed once, when first
-needed (by the ledger row or by the next step), so the state it
-supersedes is already released.  Admissible constant states are exact
+one fixed dt, each from one start State that `_march` yields first.  An
+accepted IMEX candidate's mu_hat is assembled once, when first read (by
+the ledger row or by the next step), so the state it supersedes is
+already released.  Admissible constant states are exact
 fixed points of both schemes.  A single controller run is sequential
 and owns its workspace; independent runs may run concurrently.
 """
@@ -203,7 +205,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepResult:
-    state: State  # the candidate, evaluated (and completed, if Newton's)
+    state: State  # the candidate, evaluated (and assembled, if Newton's)
     inner_iters: int
 
 
@@ -217,10 +219,9 @@ def _frozen_symbol(grid: gr.Grid, dt: float, c2: float, c1: float) -> np.ndarray
 
 
 def _setup(prev: State, dt: float) -> gr.Grid:
-    """The frame of both steps: checks dt, completes prev and returns its grid."""
+    """The frame of both steps: checks dt and returns prev's grid."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    prev.complete()
     return prev.u.grid
 
 
@@ -298,7 +299,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     moving = list(np.ndindex(prev.u.values.shape[:-grid.dim]))  # [()] for one field
     tol = {row: cfg.newton_tol * (float(np.linalg.norm(prev.u.values[row])) * scale)
            for row in moving}
-    state, g_hat, iters = prev, dt * ev * prev.mu_hat, 0  # G(u) from the completed prev
+    state, g_hat, iters = prev, dt * ev * prev.mu_hat, 0  # G(u) from prev's mu_hat
     while True:
         res = {row: float(np.linalg.norm(g_hat[row])) * scale for row in moving}
         moving = [row for row in moving if res[row] > tol[row]]
@@ -326,7 +327,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
             if theta < 1e-8:
                 raise GuardViolation("damping cannot keep the Newton iterate admissible")
             v[row] = np.clip(v[row] + theta * delta, -bound, bound)
-        state = State(ScalarField(grid, v, prev.u.batch), nl, jacobian=True).complete()
+        state = State(ScalarField(grid, v, prev.u.batch), nl, jacobian=True)
         g_hat = state.u_hat - prev.u_hat + dt * ev * state.mu_hat
 
 
@@ -342,13 +343,15 @@ def _march(state: State, t_end: float, cfg: SolverConfig):
     StepFloorError.  A Newton run whose start state breaks the separation
     guard raises GuardViolation before the first attempt: no dt mends it.
     dt grows by ``growth_factor`` up to dt_max after an accepted step
-    whose inner solves were all fast.  After each accepted
-    step ``(t, dt, rejections, state)`` is yielded, with the rejections
-    since the previous accepted step.  An accepted IMEX State is completed
-    by the next step, or earlier by a consumer that reads mu (`State.complete`,
-    as the ledger does), so the state it supersedes, which nothing holds
-    any more, is released before the completion allocates.
+    whose inner solves were all fast.  ``(0.0, 0.0, 0, state)`` is yielded
+    first, the start as given, before any attempt and before Newton's guard
+    check, and ``(t, dt, rejections, state)`` after each accepted step, with
+    the rejections since the previous accepted state.  An accepted IMEX
+    State's mu_hat is assembled by the next step, or earlier by a consumer
+    that reads it (as the ledger does), so the state it supersedes, which
+    nothing holds any more, is released before the assembly allocates.
     """
+    yield 0.0, 0.0, 0, state
     step_fn = _STEPPERS[cfg.scheme]  # looked up per run, so a swapped-in wrapper takes effect
     if cfg.scheme == NEWTON:  # its iterates are clipped to the guard: only the start can break it
         _guard_bound(state, cfg)
@@ -391,19 +394,14 @@ def advance(u0: ScalarField, t_end: float, p, cfg: SolverConfig,
     The step controller `_march` steps the one trajectory, so an energy
     rise or a loss of admissibility halves dt, and a rejection at dt_min
     raises StepFloorError.  If a ledger is given, one row is recorded per
-    accepted state, including the initial one, with the rejections that
+    state `_march` yields, the initial one first, with the rejections that
     preceded it.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be at least 1")  # the limit is read after a step
-    state = State(u0, p).complete()
-    if ledger is not None:
-        ledger.record(state, 0.0, 0.0, rejections=0)
-    steps = 0
-    for t, dt, rejections, state in _march(state, t_end, cfg):
-        steps += 1
+        raise ValueError("max_steps must be at least 1")
+    for steps, (t, dt, rejections, state) in enumerate(_march(State(u0, p), t_end, cfg)):
         if ledger is not None:
             ledger.record(state, t, dt, rejections=rejections)
         if max_steps is not None and steps >= max_steps:

@@ -182,6 +182,18 @@ class TestInitCommand:
         assert meta["label"] == "noise"
         assert abs(field.values.mean() - 0.2) <= 1e-12
 
+    def test_writes_the_state_a_run_starts_from(self, tmp_path):
+        # at a level `run` regularizes its start (sup 0.9 -> 0.59, mean 0.2 ->
+        # 0.16 here); `init` wrote the unregularized field
+        text = CONSTANT_CONFIG.replace("eta = 1.0", "eta = 1.0\ntruncation = 10").replace(
+            "kind = constant", "kind = mode\namplitude = 0.7").replace(
+            "t_end = 0.5", "t_end = 0.5\nmax_steps = 1")
+        path = write_config(tmp_path, text)
+        for command in ("init", "run"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        init = (tmp_path / "init" / "initial_state.f64").read_bytes()
+        assert init == (tmp_path / "run" / "snapshots" / "state_000000.f64").read_bytes()
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
@@ -418,8 +430,20 @@ class TestMalformedInput:
         path = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out), *argv]) == 1
-        assert capsys.readouterr().err.startswith("config error")
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1, err
         assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("case, bad", [("key_before_header", "dim = 1"),
+                                           ("line_without_equals", "mode")])
+    def test_parse_error_names_the_file_line_and_text(self, tmp_path, capsys, case, bad):
+        command, extra, _ = MALFORMED[case]
+        text = extra(NOISE_CONFIG) if callable(extra) else NOISE_CONFIG + "\n" + extra
+        path = write_config(tmp_path, text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        line, shown = text.splitlines().index(bad) + 1, repr(bad + "\n")
+        assert repr(str(path)) in err and f"[line {line:2d}]: {shown}" in err, err
 
     def test_run_without_config_exit_one(self, tmp_path, capsys):
         out = tmp_path / "out"

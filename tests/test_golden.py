@@ -2,7 +2,7 @@
 runs, in two tiers.
 
 A refactor described as "same behaviour" must leave `ledger.csv`,
-`summary.json` and `final_state.f64` of a run, `cdep.json` of a paired
+`summary.json`, `final_state.f64` and the cadence snapshots of a run, `cdep.json` of a paired
 run and `dispersion.csv` of a dispersion measurement byte-identical.
 The hash tier checks that: each run's files must have the sha256 in
 `GOLDEN`.  Bit-identity is a property of one numpy/scipy build on one
@@ -83,6 +83,9 @@ RUNS = {
     "newton1d_rejecting": ("configs/benchmark1d.ini",
                            {"solver": {"scheme": "newton", "growth_factor": "1.5"},
                             "run": {"max_steps": "30", "snapshot_every": "0"}}),
+    # cadence snapshots: rows 0, 20, 40 and 60, the start's among them
+    "bench1d_snapshots": ("configs/benchmark1d.ini",
+                          {"run": {"max_steps": "60", "snapshot_every": "20"}}),
     "cdep_shipped": ("configs/cdep.ini", {}),
     # adaptive Newton pair: 91 accepted steps, 26 paired rejections
     "cdep_newton_rejecting": ("configs/cdep.ini",
@@ -143,6 +146,27 @@ GOLDEN = {
         "summary.json": "570cfa45df688d7869620c575862f28b3d3620288eb0db8dd4fd1acf4b58bf9e",
         "final_state.f64": "c834a14220bfa831de5b433f9c15d6bd72206776b624de22a29de9506289e704",
     },
+    "bench1d_snapshots": {
+        "ledger.csv": "8a47b0eab76b87e6577f6dd28ee4a94c1da72015720881295cf8c1ca042680a3",
+        "summary.json": "0fd0fc05ff115ae7acf7c7b530d14ca8858bda56c2e26d0927fbc2aa1a229223",
+        "final_state.f64": "2a859ac3f4a7e674dcb02f29b8ec2714b61a72952b5a221aafbf83199480f07e",
+        "snapshots/state_000000.f64":
+            "a9a8c47889fbdac074d091531f83b0547bce708ea660c7d49064103127800fd6",
+        "snapshots/state_000000.json":
+            "0ad3915a79bd9f2d8abbd113ed9550ec18fde84332bd2f480353b79e5107e416",
+        "snapshots/state_000020.f64":
+            "8c1a31020f3eac89861228ad2972799f8e417320beca479f87f72655356b6cf9",
+        "snapshots/state_000020.json":
+            "ec721871dcf68f784490638dc12fcd1efc29535840c5b3254bc01131c9759723",
+        "snapshots/state_000040.f64":
+            "b490084f6f0c151cb4e65cc32aa3c5da70d5621aae9a442db6a4a811d8caa2e1",
+        "snapshots/state_000040.json":
+            "70ffbfff29ad996ef1034cbf8eb4de83eb3d819e9c7b5e1781dc429f7cee4c0f",
+        "snapshots/state_000060.f64":
+            "2a859ac3f4a7e674dcb02f29b8ec2714b61a72952b5a221aafbf83199480f07e",
+        "snapshots/state_000060.json":
+            "4579974e336b59a1680ad5b69b8fee338b351315e085f4b4c1b2af5c6cbbbaf6",
+    },
     "cdep_shipped": {
         "cdep.json": "c2a7385fb22d10e36b0f200d2a1c8d0229e74fd9bb4c2d048b698fe9df813172",
     },
@@ -189,8 +213,11 @@ def run_outputs(name: str, workdir: Path) -> Path:
 
 
 def run_hashes(name: str, workdir: Path) -> dict:
+    """The sha256 of each of the command's files and of every cadence snapshot."""
     out = run_outputs(name, workdir)
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in FILES[_command(name)]}
+    snaps = sorted(str(p.relative_to(out)) for p in out.glob("snapshots/*"))
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in [*FILES[_command(name)], *snaps]}
 
 
 def read_rows(path: Path) -> tuple[list[str], np.ndarray]:

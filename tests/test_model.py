@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -385,14 +387,14 @@ class TestOnePointwisePass:
         monkeypatch.setattr(potential, "eval_beta", counted("eval_beta", potential.eval_beta))
         grid = Grid((1.0,), (64,), gr.PERIODIC)
         u = band_limited(grid, seed=3, amplitude=0.97)  # past the knee 0.95 of n = 10
-        model.State(u, Nonlinearity(PotentialParams(1.0, 0.5), level)).complete()
+        model.State(u, Nonlinearity(PotentialParams(1.0, 0.5), level)).mu_hat
         assert calls == {"check": 1, "eval_beta": 1}
 
 
 def uom1_values(u, nl):
     """The UOM1 mu of u by the values path: lap^2 u, lap(beta) and A u
     transformed back to values and summed with the pointwise terms, the
-    reference for the coefficient-space assembly of `State.complete`."""
+    reference for the coefficient-space assembly of `State.mu_hat`."""
     grid = u.grid
     ev = grid.eigenvalues
     pw = nl.pointwise(u.values)
@@ -434,11 +436,9 @@ class TestBatchedState:
         rows = [band_limited(grid, seed=s, cutoff=4, amplitude=amp) for s in seeds]
         batch = model.State(ScalarField.stack(rows), nl)
         assert batch.energy.total.shape == (len(seeds),)
-        batch.complete()
         batch_mu = gr.transform_backward(batch.mu_hat, grid)
         for i, u in enumerate(rows):
             single = model.State(u, nl)
-            single.complete()
             mu = gr.transform_backward(single.mu_hat, grid)
             assert not single.u.batch and isinstance(single.energy.total, float)
             for name in ("willmore", "ch_grad", "ch_pot", "total"):
@@ -522,7 +522,7 @@ class TestCoefficientSpaceMu:
     def test_state_and_completion_make_five_transform_calls_in_1d(self, transform_calls, bc):
         u = band_limited(Grid((1.0,), (64,), bc), seed=5)
         transform_calls.clear()  # the ones that made u
-        model.State(u, PotentialParams(3.0, 1.0)).complete()
+        model.State(u, PotentialParams(3.0, 1.0)).mu_hat
         # u_hat and beta_hat; the gradient (two calls); the nonlinear sum
         assert len(transform_calls) == 5, transform_calls
 
@@ -530,24 +530,23 @@ class TestCoefficientSpaceMu:
     def test_imex_step_and_completion_make_five_transform_calls_in_1d(self, transform_calls,
                                                                        bc):
         prev = model.State(band_limited(Grid((1.0,), (64,), bc), seed=5),
-                           PotentialParams(3.0, 1.0)).complete()
+                           PotentialParams(3.0, 1.0))
+        prev.mu_hat  # assembled before the count, as an accepted state's is
         transform_calls.clear()
-        step_imex(prev, 1e-6, SolverConfig()).state.complete()
+        step_imex(prev, 1e-6, SolverConfig()).state.mu_hat
         # the candidate's values from the solved coefficients, which it keeps
         # as u_hat; beta_hat; the gradient (two calls); the nonlinear sum
         assert len(transform_calls) == 5, transform_calls
 
     @pytest.mark.parametrize("bc", [gr.NEUMANN, gr.PERIODIC])
-    def test_a_second_completion_returns_the_state_as_it_is(self, transform_calls, bc):
+    def test_a_second_read_makes_no_transform(self, transform_calls, bc):
         state = model.State(band_limited(Grid((1.0,), (64,), bc), seed=5),
                             PotentialParams(3.0, 1.0))
-        assert state.complete() is state
         mu_hat, grad_mu_sq, made = state.mu_hat, state.grad_mu_sq, len(transform_calls)
-        assert state.complete() is state
-        assert len(transform_calls) == made  # no scipy.fft call
         assert state.mu_hat is mu_hat and state.grad_mu_sq == grad_mu_sq
+        assert len(transform_calls) == made  # no scipy.fft call
 
-    def test_non_finite_mu_hat_raises_in_complete(self):
+    def test_non_finite_mu_hat_raises_when_read(self):
         grid = Grid((1.0,), (32,), gr.PERIODIC)
         vals = np.full(32, 0.5)
         vals[3] = 1e160  # the continuation's d^2 overflows
@@ -555,9 +554,32 @@ class TestCoefficientSpaceMu:
         with np.errstate(all="ignore"):
             state = model.State(ScalarField(grid, vals), nl)
             with pytest.raises(ShapeError):
-                state.complete()
-            with pytest.raises(ShapeError):  # a failed completion leaves it incomplete
-                state.complete()
+                state.mu_hat
+            with pytest.raises(ShapeError):  # a failed assembly leaves it unassembled
+                state.mu_hat
+
+
+class TestEvaluationOnRead:
+    """mu_hat, ||grad mu||^2 and the a-priori scalars are made when first read, in
+    any order, with the bits of a ledger row, which reads apriori, then grad_mu_sq."""
+
+    @pytest.mark.parametrize("jacobian", [False, True], ids=["state", "iterate"])
+    @pytest.mark.parametrize("order", list(permutations(("mu_hat", "grad_mu_sq", "apriori"))),
+                             ids="-".join)
+    def test_any_order_gives_the_ledgers_bits(self, order, jacobian):
+        from sixch.diagnostics import RunLedger
+
+        u = band_limited(Grid((4 * np.pi,), (96,), gr.NEUMANN), seed=2, cutoff=6)
+        nl = Nonlinearity(PotentialParams(3.0, 1.0))
+        row = RunLedger().record(model.State(u, nl, jacobian=jacobian), 0.0, 0.0)
+        state = model.State(u, nl, jacobian=jacobian)
+        got = {name: getattr(state, name) for name in order}
+        a = got["apriori"]
+        assert float(got["grad_mu_sq"]) == row.grad_mu_sq
+        assert tuple(map(float, (a.beta_l2, a.grad_beta_l2, a.beta_betaprime_l1, a.m_integral,
+                                 a.n_integral, a.mu_mean))) == (
+            row.beta_l2, row.grad_beta_l2, row.betabp_l1, row.M_int, row.N_int, row.mu_mean)
+        assert np.array_equal(got["mu_hat"], model.State(u, nl).mu_hat)
 
 
 class TestStateDerivative:
@@ -578,7 +600,7 @@ class TestStateDerivative:
         if level is not None:
             assert np.abs(u).max() > level.knee
         h = 1e-5
-        mu_p, mu_m = (model.State(ScalarField(grid, u + s * h * w), nl).complete().mu_hat
+        mu_p, mu_m = (model.State(ScalarField(grid, u + s * h * w), nl).mu_hat
                       for s in (1.0, -1.0))
         fd = (mu_p - mu_m) * (0.5 / h)
         dmu = model.State(ScalarField(grid, u), nl).dmu_hat(gr.transform_forward(w, grid))
@@ -591,8 +613,8 @@ class TestStateDerivative:
         nl = Nonlinearity(PotentialParams(3.0, 1.0), level)
         rows = [band_limited(grid, seed=s, cutoff=4, amplitude=amplitude) for s in (1, 2)]
         w_hat = gr.transform_forward(band_limited(grid, seed=11, cutoff=4).values, grid)
-        batch = model.State(ScalarField.stack(rows), nl, jacobian=True).complete()
+        batch = model.State(ScalarField.stack(rows), nl, jacobian=True)
         for i, u in enumerate(rows):
-            for single in (model.State(u, nl), model.State(u, nl, jacobian=True).complete()):
+            for single in (model.State(u, nl), model.State(u, nl, jacobian=True)):
                 assert np.array_equal(batch.dmu_hat(w_hat, (i,)), single.dmu_hat(w_hat))
                 assert batch.frozen((i,)) == single.frozen()

@@ -3,14 +3,14 @@ import pytest
 
 from sixch import grid as gr
 from sixch import model
-from sixch.diagnostics import RunLedger
+from sixch.diagnostics import RunLedger, cdep_experiment
 from sixch.errors import GuardViolation, NewtonDivergence, StepFloorError
 from sixch.grid import Grid, ScalarField, constant_field
 from sixch.initdata import InitialSpec, generate, regularize_initial
 from sixch.model import State, dispersion_sigma
 from sixch.potential import Nonlinearity, PotentialParams, TruncationLevel
 from sixch.stepper import (_FROZEN_FLOOR, _INNER_M, LinearOperator, SolverConfig,
-                           _frozen_symbol, _stabilization, advance, lgmres,
+                           _frozen_symbol, _march, _stabilization, advance, lgmres,
                            step_imex, step_implicit)
 
 P0 = PotentialParams(0.0, 0.0)
@@ -191,8 +191,8 @@ class TestSchemeAgreement:
 
 class TestFieldConstructions:
     """A ScalarField is built, and so checked, only where a value enters a
-    State: the IMEX candidate's u and each Newton iterate.  mu leaves a completed
-    State as mu_hat, which completion checks itself, so it builds none."""
+    State: the IMEX candidate's u and each Newton iterate.  mu leaves a State as
+    mu_hat, which its assembly checks itself, so it builds none."""
 
     @pytest.fixture
     def constructions(self, monkeypatch):
@@ -209,13 +209,13 @@ class TestFieldConstructions:
     @pytest.fixture
     def prev(self):
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
-        return State(noise_state(grid, cutoff=20), SPINODAL).complete()
+        return State(noise_state(grid, cutoff=20), SPINODAL)
 
     def test_imex_step_and_completion_build_one_each(self, prev, constructions):
         out = step_imex(prev, 1e-4, SolverConfig(dt0=1e-4))
         assert len(constructions) == 1  # the candidate's u
-        out.state.complete()
-        assert len(constructions) == 1  # completion builds none
+        out.state.mu_hat
+        assert len(constructions) == 1  # its assembly builds none
 
     def test_newton_step_builds_one_per_iterate(self, prev, constructions):
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
@@ -233,7 +233,7 @@ class TestNewtonEvaluations:
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2,
                            growth_factor=1.05)
-        prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
+        prev = State(noise_state(grid, cutoff=20), SPINODAL)
         counts = {"State": 0, "pointwise": 0}
 
         def counting(name, fn):
@@ -259,17 +259,17 @@ class TestNewtonEvaluations:
         # it is: the candidate is the last iterate State, which transformed its
         # values, or prev itself where G(u) converged at once
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
-        prev = State(noise_state(grid, cutoff=cutoff), SPINODAL).complete()
+        prev = State(noise_state(grid, cutoff=cutoff), SPINODAL)
         out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 1
         assert np.array_equal(out.state.u_hat, gr.transform_forward(out.state.u.values, grid))
 
     def test_candidate_is_the_last_iterate(self, monkeypatch):
         # the candidate is the State of the iterate Newton converged to,
-        # completed by its residual; where G(u) converges at once it is prev
+        # assembled by its residual; where G(u) converges at once it is prev
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
-        prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
+        prev = State(noise_state(grid, cutoff=20), SPINODAL)
         constant = State(constant_field(grid, 0.2), SPINODAL)
         built = []
         init = State.__init__
@@ -295,7 +295,8 @@ class TestNewtonEvaluations:
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
         candidate = step_implicit(State(noise_state(grid, cutoff=20), SPINODAL), 1e-4,
                                   cfg).state
-        prev = State(noise_state(grid, seed=8, cutoff=20), SPINODAL).complete()
+        prev = State(noise_state(grid, seed=8, cutoff=20), SPINODAL)
+        prev.mu_hat  # assembled, as an accepted state's is by the ledger row
         at_u = []
 
         def recording(name, fn, u):
@@ -322,13 +323,13 @@ class TestNewtonEvaluations:
 
     def test_no_jacobian_at_the_converged_iterate(self, operators, preconditioners,
                                                    monkeypatch):
-        # G(u) comes from the completed prev's mu_hat, a Jacobian is built
+        # G(u) comes from prev's mu_hat, a Jacobian is built
         # per Newton iteration only, and its matvec on coefficients makes 4
         # r2r transforms in 1D: one backward, w's gradient and one stacked
         # forward call; the preconditioner divides and makes none
         grid = Grid((8 * np.pi,), (512,), gr.NEUMANN)
         cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
-        prev = State(noise_state(grid, cutoff=20), SPINODAL).complete()
+        prev = State(noise_state(grid, cutoff=20), SPINODAL)
         out = step_implicit(prev, 1e-4, cfg)
         assert out.inner_iters >= 2
         assert len(operators) == len(preconditioners) == out.inner_iters
@@ -359,7 +360,7 @@ class TestNewtonEvaluations:
         # amplifies the roundoff of mu in the difference
         dt, h = 1e-4, 1e-6
         cfg = SolverConfig(scheme="newton", dt0=dt, dt_min=1e-12, dt_max=5e-2)
-        prev = State(noise_state(grid, cutoff=cutoff), SPINODAL).complete()
+        prev = State(noise_state(grid, cutoff=cutoff), SPINODAL)
         assert step_implicit(prev, dt, cfg).inner_iters >= 1
         w = noise_state(grid, seed=11, mean=0.0, amplitude=0.5, cutoff=cutoff).values
         w_hat = gr.transform_forward(w, grid)
@@ -394,7 +395,7 @@ class TestNewtonDamping:
     def test_overshooting_update_is_damped_to_the_guard(self, monkeypatch):
         grid = Grid((8 * np.pi,), (128,), gr.NEUMANN)
         prev = State(noise_state(grid, mean=0.0, amplitude=0.6, seed=19, cutoff=12),
-                     SPINODAL).complete()
+                     SPINODAL)
         cfg = SolverConfig(scheme="newton", newton_max_iters=1)
         bound = 1.0 - cfg.guard_eps
         updates = self.replace_updates(monkeypatch, lambda x: 1e5 * x)
@@ -424,7 +425,7 @@ class TestNewtonDamping:
         u = noise_state(grid, mean=0.0, amplitude=0.6, seed=19, cutoff=12).values.copy()
         peak = np.argmax(np.abs(u))
         u[peak] = np.copysign(bound, u[peak])
-        prev = State(ScalarField(grid, u), SPINODAL).complete()
+        prev = State(ScalarField(grid, u), SPINODAL)
         # the update u itself pushes every entry outward, the one at the bound too
         updates = self.replace_updates(monkeypatch, lambda x: gr.transform_forward(u, grid))
         with pytest.raises(GuardViolation, match="damping"):
@@ -469,7 +470,7 @@ class TestFrozenSymbolPreconditioner:
 
         grid = Grid((8 * np.pi,), (64,), gr.NEUMANN)
         prev = State(noise_state(grid, mean=0.0, amplitude=0.05, seed=7, cutoff=10),
-                     PotentialParams(3.0, -3.0)).complete()
+                     PotentialParams(3.0, -3.0))
         cfg = SolverConfig(scheme="newton", dt0=1e-3, dt_min=1e-9, dt_max=1.0)
         symbols = []  # the (unfloored, floored) symbol of each call
 
@@ -698,6 +699,64 @@ class TestAdaptivity:
         advance(u0, 0.0173, P0, SolverConfig(dt0=1e-3, dt_min=1e-9, dt_max=1e-3),
                 ledger=ledger)
         assert ledger.rows[-1].t == pytest.approx(0.0173, abs=1e-15)
+
+
+class TestMarchStart:
+    """`_march` yields the State it is given, as given, before any attempt, so
+    that no caller records a start by hand."""
+
+    def test_first_yield_is_the_start_unassembled(self):
+        start = State(noise_state(Grid((4 * np.pi,), (64,), gr.NEUMANN)), SPINODAL)
+        t, dt, rejections, state = next(_march(start, 1.0, SolverConfig()))
+        assert (t, dt, rejections) == (0.0, 0.0, 0) and state is start
+        assert start._mu_hat is None  # nothing has read it yet
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_max_steps_k_records_k_plus_one_rows(self, k):
+        ledger = RunLedger()
+        advance(noise_state(Grid((4 * np.pi,), (64,), gr.NEUMANN)), 1.0, SPINODAL,
+                SolverConfig(), ledger=ledger, max_steps=k)
+        assert len(ledger.rows) == k + 1 and ledger.rows[0].t == 0.0
+
+    def test_start_row_recorded_before_the_newton_guard_raises(self):
+        u0 = noise_state(Grid((4 * np.pi,), (64,), gr.NEUMANN), seed=19, mean=0.0,
+                         amplitude=0.6, cutoff=12)
+        ledger = RunLedger()
+        with pytest.raises(GuardViolation):
+            advance(u0, 1.0, SPINODAL, SolverConfig(scheme="newton", guard_eps=0.45),
+                    ledger=ledger)
+        assert [row.t for row in ledger.rows] == [0.0]
+
+
+class TestGradMuSqOnRead:
+    """||grad mu||^2 is made only where it is read: once per ledger row, and never
+    by a Newton step or the cdep pair."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        reads, read = [], State.grad_mu_sq.fget
+        monkeypatch.setattr(State, "grad_mu_sq", property(lambda s: reads.append(s) or read(s)))
+        return reads
+
+    def test_newton_step_reads_none(self, reads):
+        cfg = SolverConfig(scheme="newton", dt0=1e-4, dt_min=1e-12, dt_max=5e-2)
+        prev = State(noise_state(Grid((8 * np.pi,), (128,), gr.NEUMANN), cutoff=20), SPINODAL)
+        assert step_implicit(prev, 1e-4, cfg).inner_iters >= 2
+        assert reads == []
+
+    @pytest.mark.parametrize("scheme", ["imex", "newton"])
+    def test_cdep_pair_reads_none(self, reads, scheme):
+        grid = Grid((4 * np.pi,), (32,), gr.PERIODIC)
+        u01 = noise_state(grid, seed=3)
+        u02 = u01 + generate(InitialSpec(kind="mode", mean_m=0.0, mode=1, amplitude=1e-3), grid)
+        report = cdep_experiment(u01, u02, SPINODAL, bare_cfg(1e-4, scheme=scheme), 5e-4)
+        assert len(report.times) == 6 and reads == []
+
+    def test_ledger_reads_once_per_row(self, reads):
+        ledger = RunLedger()
+        advance(noise_state(Grid((4 * np.pi,), (64,), gr.NEUMANN)), 1.0, SPINODAL,
+                SolverConfig(), ledger=ledger, max_steps=3)
+        assert len(reads) == len(ledger.rows) == 4
 
 
 class TestTruncatedMode:
