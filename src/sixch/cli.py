@@ -14,7 +14,6 @@ import configparser
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -333,6 +332,8 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, config_path: Path, threads: int) -> 
     """Each run in its own subdirectory, with its own provenance.json."""
     jobs = [(cfg, outdir, config_path, run) for run in cfg.extras["sweep"]["runs"]]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # a pool may start all its workers at once: never more than there are jobs
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             done = list(pool.map(_sweep_worker, jobs))

@@ -26,37 +26,74 @@ pairwise reduction, which is deterministic for a fixed array layout.
 Transforms allocate per-call scratch, so grids and fields can be shared
 between concurrently running simulations.
 
-The kernels are scipy's pocketfft, called beneath `scipy.fft`'s backend
-dispatch: `dct` and `dst` call the compiled ``pypocketfft`` binding
-(``scipy.fft._pocketfft.basic.pfft``) with one thread, and `fftn` and
-`ifftn` are ``scipy.fft._pocketfft``'s.  Their results are bit-equal to
-the public `scipy.fft` calls, but a backend set with
-`scipy.fft.set_backend` does not reach them.
+The kernels are scipy's pocketfft.  `dct`, `dst`, `fftn` and `ifftn`
+call its compiled ``pypocketfft`` binding with one thread and scipy's own
+map of ``norm`` to pocketfft's normalization, so their results are
+bit-equal to the public `scipy.fft` calls.  The binding is loaded from
+its file in scipy's install directory without importing the `scipy.fft`
+package, whose Python helpers, array-API layer and `scipy.special` would
+otherwise make up most of a run's set-up.  A later ``import scipy.fft``
+gets the same module object, since CPython caches the extension.  Each
+call reads the binding through ``scipy.fft._pocketfft.basic`` when that
+module is loaded, so a wrapper put there (a profiler's, say) sees every
+transform.  A backend set with `scipy.fft.set_backend`, or a thread
+count set with `scipy.fft.set_workers`, does not reach them.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
+from pathlib import Path
 
 import numpy as np
-from scipy.fft import fftfreq
-from scipy.fft._pocketfft import basic as _basic, fftn, ifftn
 
 from .errors import MeanError, ShapeError
 
-# scipy.fft's forward r2r calls on the real float64 arrays the engine
-# passes, with scipy's own map of norm to pocketfft's inorm.  The binding
-# is looked up on `basic` at each call, where scipy.fft's c2c code finds it.
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft binding, found and loaded without running scipy's code."""
+    name = "scipy.fft._pocketfft.pypocketfft"
+    where = Path(find_spec("scipy").submodule_search_locations[0], "fft", "_pocketfft")
+    spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no pypocketfft extension in {where}", name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_PFFT = _load_pocketfft()
+
+# scipy.fft's calls on the float64 and complex128 arrays the engine passes,
+# with scipy's own map of norm to pocketfft's inorm (2 - inorm backward).
 _INORM = {None: 0, "ortho": 1}
 
 
+def _pfft():
+    # scipy.fft's c2c code reads the binding from `basic`, and a profiler
+    # wraps it there: when `basic` is loaded, read it there too
+    basic = sys.modules.get("scipy.fft._pocketfft.basic")
+    return _PFFT if basic is None else basic.pfft
+
+
 def dct(x, type, axis, norm=None, overwrite_x=False):
-    return _basic.pfft.dct(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
+    return _pfft().dct(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
 
 
 def dst(x, type, axis, norm=None, overwrite_x=False):
-    return _basic.pfft.dst(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
+    return _pfft().dst(x, type, (axis,), _INORM[norm], x if overwrite_x else None, 1)
+
+
+def fftn(x, axes, norm=None):
+    return _pfft().c2c(x, axes, True, _INORM[norm], None, 1)
+
+
+def ifftn(x, axes, norm=None):
+    return _pfft().c2c(x, axes, False, 2 - _INORM[norm], None, 1)
 
 
 NEUMANN = "neumann"
@@ -123,7 +160,8 @@ class Grid:
         """Each axis's wavenumbers, in transform layout."""
         if self.bc == NEUMANN:
             return tuple(np.arange(n) * np.pi / l for l, n in zip(self.lengths, self.counts))
-        return tuple(2.0 * np.pi * fftfreq(n, d=l / n) for l, n in zip(self.lengths, self.counts))
+        return tuple(2.0 * np.pi * np.fft.fftfreq(n, d=l / n)
+                     for l, n in zip(self.lengths, self.counts))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.random import default_rng  # loaded at import, so that a solve does not pay for it
 
 from . import grid as gr
 from .errors import BoundOvershoot, SpecError
@@ -129,7 +130,7 @@ def generate(spec: InitialSpec, grid: Grid) -> ScalarField:
 
     if spec.kind == BAND_NOISE:
         cutoff = min(spec.cutoff, min(grid.counts) // 2 - 1)
-        rng = np.random.default_rng(spec.seed)
+        rng = default_rng(spec.seed)
         coeffs = np.zeros(grid.shape)
         # excite every multi-index with 1 <= max(index) <= cutoff, zero mass mode
         box = tuple(slice(0, cutoff + 1) for _ in grid.counts)

@@ -497,7 +497,8 @@ class TestMalformedInput:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr("sixch.cli.ProcessPoolExecutor", RecordingPool)
+        # cmd_sweep imports the pool class when it makes a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         text = NOISE_CONFIG.replace("t_end = 0.05", "t_end = 0.01")
         path = write_config(tmp_path, text + "\n[sweep]\nlambdas = 0 3\n")
         out = tmp_path / "out"
@@ -688,12 +689,18 @@ class TestBadInputProperty:
                          *argv]) in (0, 1, 2)
 
 
-def test_cli_import_loads_neither_scipy_sparse_nor_linalg():
-    # scipy serves the engine through scipy.fft alone; the Newton solve is
-    # numpy, so a run neither loads nor holds scipy.sparse and scipy.linalg
+def test_cli_set_up_loads_no_scipy_module_f2py_or_process_pool():
+    # scipy serves the engine through pocketfft's binding alone, loaded from
+    # its file: a run's set-up loads no scipy module (scipy.fft, scipy.special,
+    # scipy.sparse, scipy.linalg), none of the numpy.f2py that scipy.fft's
+    # array-API layer pulls in, and sweep's process pool only when a sweep
+    # makes one
     script = ("import sys; sys.path.insert(0, sys.argv[1]); import sixch.cli; "
-              "print([m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))])")
-    src = str(Path(sixch.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True,
-                         check=True, timeout=120).stdout
+              "sixch.cli.parse_config(sys.argv[2]); "
+              "print([m for m in sys.modules if m == 'scipy' or m.startswith("
+              "('scipy.', 'numpy.f2py', 'concurrent.futures.process'))])")
+    src = Path(sixch.__file__).resolve().parent.parent
+    config = src.parent / "configs" / "benchmark1d.ini"
+    out = subprocess.run([sys.executable, "-c", script, str(src), str(config)],
+                         capture_output=True, text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"

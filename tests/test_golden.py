@@ -19,6 +19,11 @@ kernels move the rows by about 1e-13 of that scale.  A paired run's
 `tests/golden/<name>.json`) are compared the same way, each within
 `ROW_RTOL` times its largest |value|.
 
+One Neumann and one periodic run are also made in a fresh interpreter
+that never imports `scipy.fft`, where the transforms reach pocketfft's
+binding through `sixch.grid`'s own handle, and must match the same rows
+and hashes.
+
 Re-record the hashes only for a change that is meant to move the outputs
 (say, a different solve), at a commit whose outputs are the reference,
 and say in the change log which runs moved and by how much.  Re-record
@@ -33,6 +38,7 @@ import csv
 import hashlib
 import json
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -197,8 +203,8 @@ def _command(name: str) -> str:
     return command if command in FILES else "run"
 
 
-def run_outputs(name: str, workdir: Path) -> Path:
-    """Run `name` in workdir; return its output directory."""
+def invocation(name: str, workdir: Path) -> tuple[list[str], Path]:
+    """Write `name`'s config in workdir; return its command line and output directory."""
     base, overrides = RUNS[name]
     cp = configparser.ConfigParser()
     cp.read(ROOT / base)
@@ -208,16 +214,25 @@ def run_outputs(name: str, workdir: Path) -> Path:
     with open(config, "w") as fh:
         cp.write(fh)
     out = workdir / name
-    assert main([_command(name), "--config", str(config), "--out", str(out)]) == 0
+    return [_command(name), "--config", str(config), "--out", str(out)], out
+
+
+def run_outputs(name: str, workdir: Path) -> Path:
+    """Run `name` in workdir; return its output directory."""
+    argv, out = invocation(name, workdir)
+    assert main(argv) == 0
     return out
 
 
-def run_hashes(name: str, workdir: Path) -> dict:
+def output_hashes(name: str, out: Path) -> dict:
     """The sha256 of each of the command's files and of every cadence snapshot."""
-    out = run_outputs(name, workdir)
     snaps = sorted(str(p.relative_to(out)) for p in out.glob("snapshots/*"))
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
             for f in [*FILES[_command(name)], *snaps]}
+
+
+def run_hashes(name: str, workdir: Path) -> dict:
+    return output_hashes(name, run_outputs(name, workdir))
 
 
 def read_rows(path: Path) -> tuple[list[str], np.ndarray]:
@@ -234,10 +249,9 @@ def test_outputs_match_golden_hashes(name, tmp_path):
     assert run_hashes(name, tmp_path) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", sorted(ROWS))
-def test_ledger_rows_match_golden(name, tmp_path):
+def assert_rows_match(name: str, out: Path):
     header, golden = read_rows(ROWS_DIR / f"{name}.csv")
-    got_header, got = read_rows(run_outputs(name, tmp_path) / "ledger.csv")
+    got_header, got = read_rows(out / "ledger.csv")
     assert got_header == header
     got = got[::ROWS[name]]
     assert got.shape == golden.shape
@@ -248,16 +262,47 @@ def test_ledger_rows_match_golden(name, tmp_path):
     assert not bad, f"columns off by more than {ROW_RTOL:g} x max|value|: {bad}"
 
 
-@pytest.mark.parametrize("name", CDEP_ROWS)
-def test_cdep_series_match_golden(name, tmp_path):
+def assert_cdep_series_match(name: str, out: Path):
     golden = json.loads((ROWS_DIR / f"{name}.json").read_text())
-    got = json.loads((run_outputs(name, tmp_path) / "cdep.json").read_text())
+    got = json.loads((out / "cdep.json").read_text())
     for key in CDEP_KEYS:
         want, have = np.atleast_1d(golden[key]), np.atleast_1d(got[key])
         assert have.shape == want.shape, key
         worst = float(np.max(np.abs(have - want)))
         scale = float(np.max(np.abs(want)))
         assert worst <= ROW_RTOL * scale, f"{key} off by {worst:g} (scale {scale:g})"
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_ledger_rows_match_golden(name, tmp_path):
+    assert_rows_match(name, run_outputs(name, tmp_path))
+
+
+@pytest.mark.parametrize("name", CDEP_ROWS)
+def test_cdep_series_match_golden(name, tmp_path):
+    assert_cdep_series_match(name, run_outputs(name, tmp_path))
+
+
+# A fresh interpreter that runs the command line and never imports scipy.fft,
+# so the transforms reach pocketfft's binding through grid's own handle
+# alone (in this process scipy.fft is loaded, and they read it there).
+DIRECT = ("import sys; sys.path.insert(0, sys.argv[1]); from sixch.cli import main; "
+          "rc = main(sys.argv[2:]); print('scipy.fft' in sys.modules); sys.exit(rc)")
+
+
+@pytest.mark.parametrize("name", ["bench1d_500", "cdep_shipped"])  # neumann, periodic
+def test_direct_binding_reproduces_the_golden_outputs(name, tmp_path):
+    argv, out = invocation(name, tmp_path)
+    proc = subprocess.run([sys.executable, "-c", DIRECT, str(ROOT / "src"), *argv],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    if name in ROWS:
+        assert_rows_match(name, out)
+    else:
+        assert_cdep_series_match(name, out)
+    if _environment() == RECORDED_ON:
+        assert output_hashes(name, out) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name, zero", [("cdep_newton_rejecting", False),

@@ -363,7 +363,7 @@ class TestBatch:
 
 
 class TestKernels:
-    """`grid`'s transform kernels, called beneath scipy.fft's dispatch, are
+    """`grid`'s transform kernels, which call pocketfft's binding directly, are
     bit-equal to the public scipy.fft functions on every call form the
     engine makes: each axis counted from the end, with or without a leading
     batch axis, on views, and in place."""
@@ -404,6 +404,43 @@ class TestKernels:
             for arr in (x, x + 0.5j * x[..., ::-1]):
                 for kw in forms:
                     assert np.array_equal(ours(arr, **kw), public(arr, **kw))
+
+    def test_one_binding_behind_both_lookups(self):
+        # grid loads pocketfft's binding from its file; scipy.fft imports the
+        # same cached extension module, so either lookup calls the same kernels
+        assert gr._PFFT is scipy.fft._pocketfft.basic.pfft
+        assert gr._pfft() is gr._PFFT
+
+    def test_a_wrapper_on_basic_sees_every_transform(self, monkeypatch):
+        # a profiler times the binding by replacing `basic.pfft`
+        binding, calls = scipy.fft._pocketfft.basic.pfft, []
+
+        class Counting:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(binding, name)
+
+        grids = [Grid((1.0, 2.0), (8, 6), gr.NEUMANN), Grid((1.0, 2.0), (8, 6), gr.PERIODIC)]
+        fields = [random_field(g, seed=5).values for g in grids]
+        expected = [gr.gradient_axis(u, g, 0) for g, u in zip(grids, fields)]
+        monkeypatch.setattr(scipy.fft._pocketfft.basic, "pfft", Counting())
+        for g, u, want in zip(grids, fields, expected):
+            gr.transform_backward(gr.transform_forward(u, g), g)
+            assert np.array_equal(gr.gradient_axis(u, g, 0), want)
+        assert calls == ["dct"] * 4 + ["dct", "dst"] + ["c2c"] * 4
+
+    def test_a_missing_binding_names_its_directory(self, tmp_path, monkeypatch):
+        class Spec:
+            submodule_search_locations = [str(tmp_path)]
+
+        monkeypatch.setattr(gr, "find_spec", lambda name: Spec)
+        with pytest.raises(ImportError, match=str(tmp_path / "fft" / "_pocketfft")):
+            gr._load_pocketfft()
+
+    def test_periodic_wavenumbers_are_the_public_fftfreq(self):
+        grid = Grid((1.0, 2.5, 7.0), (8, 7, 6), gr.PERIODIC)
+        for k, l, n in zip(grid.wavenumbers, grid.lengths, grid.counts):
+            assert np.array_equal(k, 2.0 * np.pi * scipy.fft.fftfreq(n, d=l / n))
 
     def test_a_scipy_fft_backend_does_not_reach_the_engine(self):
         class Refusing:
