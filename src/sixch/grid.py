@@ -14,7 +14,9 @@ eigenvalues >= 0 and a one-dimensional kernel of constants (mode 0).  On
 zero-mean fields its inverse N = A^{-1} defines the dual norm
 ``||g||_{V0'} = ||grad(N g)|| = sqrt(<g, N g>)``.  A `Grid` holds its
 spectrum, each part built once when first read: the per-axis
-wavenumbers, A's eigenvalues and the symbols of A^2 and A^3.
+wavenumbers, A's eigenvalues, the symbols of A^2, A^3 and 2A, each
+axis's derivative multiplier and A's positive modes, so that no kernel
+or step rebuilds a symbol that depends on the grid alone.
 
 The spectral kernels (the transforms, `gradient_axis`, `gradients`,
 `grad_norm_sq`) act on ndarrays over their trailing ``grid.dim`` axes,
@@ -124,7 +126,7 @@ class Grid:
         if self.bc not in (NEUMANN, PERIODIC):
             raise ValueError(f"unknown boundary mode {self.bc!r}")
 
-    @property
+    @cached_property  # read by every kernel and step
     def dim(self) -> int:
         return len(self.counts)
 
@@ -178,6 +180,27 @@ class Grid:
     @cached_property
     def eigenvalues_cubed(self) -> np.ndarray:  # the symbol of A^3
         return self.eigenvalues**3
+
+    @cached_property
+    def eigenvalues_doubled(self) -> np.ndarray:  # the symbol of 2A, mu's factor on beta_hat
+        return 2.0 * self.eigenvalues
+
+    @cached_property
+    def gradient_symbols(self) -> tuple[np.ndarray, ...]:
+        """Each axis's multiplier of d/dx on its transform, shaped to broadcast
+        over the grid axes after it: 1j*k (periodic), or -k, which takes
+        cosine mode m to sine mode m (neumann)."""
+        symbols = []
+        for axis, k in enumerate(self.wavenumbers):
+            k = k.reshape((len(k),) + (1,) * (self.dim - 1 - axis))
+            symbols.append(1j * k if self.bc == PERIODIC else -k)
+        return tuple(symbols)
+
+    @cached_property
+    def positive_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(live, ev[live]): the mask of A's positive eigenvalues, and those eigenvalues."""
+        live = self.eigenvalues > 0.0
+        return live, self.eigenvalues[live]
 
 
 class ScalarField:
@@ -339,18 +362,20 @@ def gradient_axis(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     n = grid.counts[axis]
     ax = axis - grid.dim  # counted from the end, so that a batch axis may lead
     rest = (slice(None),) * (grid.dim - 1 - axis)  # the grid axes after it
-    k = grid.wavenumbers[axis].reshape((n,) + (1,) * len(rest))
+    symbol = grid.gradient_symbols[axis]
     if grid.bc == PERIODIC:
         coeffs = fftn(values, axes=(ax,))
-        return np.real(ifftn(1j * k * coeffs, axes=(ax,)))
-    # cosine series -> sine series: d/dx cos(m pi x/L) = -(m pi/L) sin(...)
+        return np.real(ifftn(np.multiply(symbol, coeffs, out=coeffs), axes=(ax,)))
+    # cosine series -> sine series: d/dx cos(m pi x/L) = -(m pi/L) sin(m pi x/L), and
+    # DST-III reads sine mode m at index m - 1, so the constant mode m = 0 drops out.
+    # The shifted sine coefficients overwrite y, which DST-III then transforms in place
     y = dct(values, type=2, axis=ax)
-    c = y / n
-    c[(Ellipsis, 0) + rest] = 0.0  # constant mode has zero derivative
-    b = -k * c
-    z = np.zeros_like(b)
-    z[(Ellipsis, slice(0, n - 1)) + rest] = b[(Ellipsis, slice(1, n)) + rest]
-    return dst(z, type=3, axis=ax) / 2.0
+    np.multiply(y[(Ellipsis, slice(1, n)) + rest] / n, symbol[1:],
+                out=y[(Ellipsis, slice(0, n - 1)) + rest])
+    y[(Ellipsis, n - 1) + rest] = 0.0
+    out = dst(y, type=3, axis=ax, overwrite_x=True)
+    out /= 2.0
+    return out
 
 
 def gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
@@ -358,9 +383,18 @@ def gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return [gradient_axis(values, grid, ax) for ax in range(grid.dim)]
 
 
+def sum_of_squares(grads) -> np.ndarray:
+    """The pointwise sum of the squares of the arrays, added in order into the first
+    square: the bits of Python's sum from +0, as a square is never -0."""
+    total = grads[0] ** 2
+    for grad in grads[1:]:
+        total += grad**2
+    return total
+
+
 def grad_norm_sq(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Pointwise |grad u|^2 of u's values, a sum of squares from +0, so never negative."""
-    return sum(grad**2 for grad in gradients(values, grid))
+    """Pointwise |grad u|^2 of u's values, a sum of squares, so never negative."""
+    return sum_of_squares(gradients(values, grid))
 
 
 def h1_seminorm(u: ScalarField) -> float:
@@ -385,6 +419,5 @@ def dual_norm_coeffs(coeffs: np.ndarray, grid: Grid) -> float:
     `v0_dual_norm` on zero-mean fields (Parseval), up to roundoff.  The
     mass mode is left out, so no zero-mean precondition applies.
     """
-    ev = grid.eigenvalues
-    live = ev > 0.0
-    return float(np.sqrt(np.sum(np.abs(coeffs[live]) ** 2 / ev[live]) * grid.cell_volume))
+    live, ev = grid.positive_modes
+    return float(np.sqrt(np.sum(np.abs(coeffs[live]) ** 2 / ev) * grid.cell_volume))

@@ -58,6 +58,9 @@ mu_hat of the State they step from (reading mu_hat assembles it, if
 nothing has) and the symbols of A, A^2 and A^3 its grid holds, and
 return a candidate `State`.
 The IMEX candidate keeps the coefficients it solved for, mass mode pinned.
+The IMEX step's own symbols, its operator, are built once per (grid, dt,
+s1, s2): a candidate made at dt_max keeps them for the next step, so a
+fixed-step run builds them once.  Newton takes dt*a once per step.
 The Newton candidate is its last iterate, Jacobian terms kept (prev itself
 if G(u) converged), so the next step's G(u), J and M read what it computed.
 One field (leading shape ()) and a batch (`ScalarField.stack`, (k,))
@@ -258,16 +261,56 @@ def _stabilization(prev: State, cfg: SolverConfig):
     return np.asarray(s1)[(...,) + (None,) * grid.dim], s2
 
 
+class _ImexOperator(NamedTuple):
+    """The symbols of one IMEX step, read-only, and the key of the (grid, dt, s1,
+    s2) they are built for: 1 + dt*(s1*a^2 + s2*a), dt*a and 1 + dt*(a^3 + s1*a^2 + s2*a)."""
+
+    key: tuple
+    explicit: np.ndarray
+    dt_a: np.ndarray
+    implicit: np.ndarray
+
+    def solve(self, u_hat: np.ndarray, r_hat: np.ndarray) -> np.ndarray:
+        """(explicit*u_hat - dt*a*r_hat) / implicit, in place, in the formula's order."""
+        new_hat = self.explicit * u_hat
+        new_hat -= self.dt_a * r_hat
+        new_hat /= self.implicit
+        return new_hat
+
+
+def _imex_key(grid: gr.Grid, dt: float, s1: np.ndarray, s2: float) -> tuple:
+    """What an IMEX operator is built from, s1 (one entry per row) by its bits."""
+    return grid, dt, s1.shape, s1.tobytes(), s2
+
+
+def _imex_operator(grid: gr.Grid, dt: float, s1: np.ndarray, s2: float) -> _ImexOperator:
+    """The operator of an IMEX step of dt with the stabilization s1, s2 on grid."""
+    ev, ev2 = grid.eigenvalues, grid.eigenvalues_sq
+    stab = s1 * ev2 + s2 * ev
+    symbols = 1.0 + dt * stab, dt * ev, 1.0 + dt * (grid.eigenvalues_cubed + stab)
+    for symbol in symbols:
+        symbol.flags.writeable = False
+    return _ImexOperator(_imex_key(grid, dt, s1, s2), *symbols)
+
+
 def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
-    """One stabilized IMEX step from the State prev (one field or a batch)."""
+    """One stabilized IMEX step from the State prev (one field or a batch).
+
+    The step's operator is prev's ``imex_op`` when it was built for the same
+    grid, dt, s1 and s2, else built (`_imex_operator`).  The candidate keeps
+    it only when dt is cfg.dt_max: each accepted IMEX step grows dt, so
+    dt_max is the one step size the step controller repeats.
+    """
     grid = _setup(prev, dt)
     s1, s2 = _stabilization(prev, cfg)
-    ev, ev2, ev3 = grid.eigenvalues, grid.eigenvalues_sq, grid.eigenvalues_cubed
+    op = prev.imex_op
+    if op is None or op.key != _imex_key(grid, dt, s1, s2):
+        op = _imex_operator(grid, dt, s1, s2)
     u_hat = prev.u_hat
     # R_hat = mu_hat - a^2 u_hat isolates everything but the bilaplacian.
-    r_hat = prev.mu_hat - ev2 * u_hat
-    stab = s1 * ev2 + s2 * ev
-    new_hat = ((1.0 + dt * stab) * u_hat - dt * ev * r_hat) / (1.0 + dt * (ev3 + stab))
+    new_hat = op.solve(u_hat, prev.mu_hat - grid.eigenvalues_sq * u_hat)
+    if dt != cfg.dt_max:
+        op = None  # not kept: released before the candidate's evaluation allocates
     mass = (Ellipsis,) + (0,) * grid.dim
     new_hat[mass] = u_hat[mass]
     u_new = gr.transform_backward(new_hat, grid)
@@ -275,7 +318,9 @@ def step_imex(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     fixed = (new_hat == u_hat).all(axis=tuple(range(-grid.dim, 0)))
     if fixed.any():
         u_new[fixed] = prev.u.values[fixed]
-    return StepResult(State(ScalarField(grid, u_new, prev.u.batch), prev.nl, new_hat), 1)
+    candidate = State(ScalarField(grid, u_new, prev.u.batch), prev.nl, new_hat)
+    candidate.imex_op = op
+    return StepResult(candidate, 1)
 
 
 def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
@@ -286,20 +331,21 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
     converged), with the most inner iterations any row took.
     """
     grid = _setup(prev, dt)
-    nl, ev, bound = prev.nl, grid.eigenvalues, _guard_bound(prev, cfg)
+    nl, bound = prev.nl, _guard_bound(prev, cfg)
+    dt_ev = dt * grid.eigenvalues
 
     n_dof, dtype = math.prod(grid.shape), prev.u_hat.dtype
 
     def jac_vec(v: State, row, w_hat: np.ndarray) -> np.ndarray:
         """J w_hat = w_hat + dt*ev*(Dmu(v) w)_hat, the analytic Frechet derivative of G at v."""
         w_hat = w_hat.reshape(grid.shape)
-        return (w_hat + dt * ev * v.dmu_hat(w_hat, row)).ravel()
+        return (w_hat + dt_ev * v.dmu_hat(w_hat, row)).ravel()
 
     scale = np.sqrt(grid.cell_volume)  # Parseval: ||G|| from its coefficients
     moving = list(np.ndindex(prev.u.values.shape[:-grid.dim]))  # [()] for one field
     tol = {row: cfg.newton_tol * (float(np.linalg.norm(prev.u.values[row])) * scale)
            for row in moving}
-    state, g_hat, iters = prev, dt * ev * prev.mu_hat, 0  # G(u) from prev's mu_hat
+    state, g_hat, iters = prev, dt_ev * prev.mu_hat, 0  # G(u) from prev's mu_hat
     while True:
         res = {row: float(np.linalg.norm(g_hat[row])) * scale for row in moving}
         moving = [row for row in moving if res[row] > tol[row]]
@@ -328,7 +374,7 @@ def step_implicit(prev: State, dt: float, cfg: SolverConfig) -> StepResult:
                 raise GuardViolation("damping cannot keep the Newton iterate admissible")
             v[row] = np.clip(v[row] + theta * delta, -bound, bound)
         state = State(ScalarField(grid, v, prev.u.batch), nl, jacobian=True)
-        g_hat = state.u_hat - prev.u_hat + dt * ev * state.mu_hat
+        g_hat = state.u_hat - prev.u_hat + dt_ev * state.mu_hat
 
 
 _STEPPERS: dict[str, Callable] = {IMEX: step_imex, NEWTON: step_implicit}

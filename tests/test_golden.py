@@ -13,8 +13,10 @@ the environment named in `RECORDED_ON` and skipped elsewhere.
 
 The portable tier runs everywhere: the ledger rows of two runs, stored
 in `tests/golden/` (every `ROWS[name]`-th row), must agree column by
-column within `ROW_RTOL` times the column's largest |value|.  Other SIMD
-kernels move the rows by about 1e-13 of that scale.  A paired run's
+column within `ROW_RTOL` times the column's largest |value|, and the
+`rejections` column exactly, so the rejection path of `imex1d_rejecting`
+is checked on every CPU.  Other SIMD kernels move the rows by about 1e-13
+of that scale.  A paired run's
 `times`, `dual_distance` and `fitted_C` (`CDEP_ROWS`, stored as
 `tests/golden/<name>.json`) are compared the same way, each within
 `ROW_RTOL` times its largest |value|.
@@ -108,7 +110,8 @@ RUNS = {
 }
 
 # name -> stride of the ledger rows kept in tests/golden/<name>.csv
-ROWS = {"bench1d_500": 5, "newton1d_20": 1, "newton2d_periodic_trunc": 1}
+ROWS = {"bench1d_500": 5, "imex1d_rejecting": 3, "newton1d_20": 1,
+        "newton2d_periodic_trunc": 1}
 # paired runs whose cdep.json series are kept in tests/golden/<name>.json
 CDEP_ROWS = ("cdep_newton_fixed", "cdep_shipped")
 CDEP_KEYS = ("times", "dual_distance", "fitted_C")
@@ -255,6 +258,8 @@ def assert_rows_match(name: str, out: Path):
     assert got_header == header
     got = got[::ROWS[name]]
     assert got.shape == golden.shape
+    rejections = header.index("rejections")
+    assert np.array_equal(got[:, rejections], golden[:, rejections])
     scale = np.max(np.abs(golden), axis=0)
     worst = np.max(np.abs(got - golden), axis=0)
     bad = {col: (float(w), float(s)) for col, w, s in zip(header, worst, scale)
